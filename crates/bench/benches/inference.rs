@@ -7,11 +7,10 @@ use std::hint::black_box;
 
 use sppl_core::condition::condition;
 use sppl_core::density::constrain;
-use sppl_core::engine::QueryEngine;
 use sppl_core::event::Event;
 use sppl_core::transform::Transform;
 use sppl_core::var::Var;
-use sppl_core::Factory;
+use sppl_core::{Factory, Model};
 use sppl_models::{fairness, hmm, indian_gpa};
 
 fn bench_translate(c: &mut Criterion) {
@@ -115,15 +114,15 @@ fn bench_query_engine(c: &mut Criterion) {
                 .collect::<Vec<f64>>()
         })
     });
-    // The engine outlives the iterations, so all passes after the first
-    // are answered from its cache — the steady state of a query server.
-    let engine = QueryEngine::new(factory, posterior);
+    // The session outlives the iterations, so all passes after the first
+    // are answered from its memo — the steady state of a query server.
+    let model = Model::new(factory, posterior);
     g.bench_function("hmm20_smoothing_cached", |b| {
-        b.iter(|| black_box(engine.prob_many(&queries).unwrap()))
+        b.iter(|| black_box(model.prob_many(&queries).unwrap()))
     });
-    // Cold-cache comparison of the sequential vs the parallel batch path
-    // (the fig3 measurement at micro-benchmark granularity). The wide
-    // batch adds the pairwise persistence queries.
+    // Cold-memo batch through the query route (the fig3 measurement at
+    // micro-benchmark granularity). The wide batch adds the pairwise
+    // persistence queries.
     let wide: Vec<Event> = {
         let mut b = queries.clone();
         b.extend(hmm::pairwise_queries(n));
@@ -131,15 +130,8 @@ fn bench_query_engine(c: &mut Criterion) {
     };
     g.bench_function("hmm20_wide_cold_sequential", |b| {
         b.iter(|| {
-            engine.clear_caches();
-            black_box(engine.logprob_many(&wide).unwrap())
-        })
-    });
-    let pool = sppl_core::Pool::new(4);
-    g.bench_function("hmm20_wide_cold_parallel4", |b| {
-        b.iter(|| {
-            engine.clear_caches();
-            black_box(engine.par_logprob_many_in(&pool, &wide).unwrap())
+            model.clear_caches();
+            black_box(model.logprob_many(&wide).unwrap())
         })
     });
     g.finish();

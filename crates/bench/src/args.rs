@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use sppl_core::engine::default_threads;
-use sppl_core::{Pool, SharedCache};
+use sppl_core::SharedCache;
 
 /// Flags common to the JSON-emitting bench binaries.
 pub struct BenchArgs {
@@ -15,8 +15,9 @@ pub struct BenchArgs {
     pub test: bool,
     /// `--json`: additionally write a `BENCH_*.json` artifact.
     pub json: bool,
-    /// `--threads N`: parallel-path thread count (defaults to
-    /// [`default_threads`]).
+    /// `--threads N`: thread count for the binaries with a parallel
+    /// path (`condition_bench`'s ladder top, `serve_bench`'s server
+    /// workers); defaults to [`default_threads`].
     pub threads: usize,
     /// `--cache-snapshot PATH`: persist the run's [`SharedCache`] to
     /// `PATH` on exit, loading it first when the file already exists —
@@ -116,10 +117,5 @@ impl BenchArgs {
         } else {
             "full"
         }
-    }
-
-    /// A scoped pool sized by `--threads`.
-    pub fn pool(&self) -> Pool {
-        Pool::new(self.threads.min(u32::MAX as usize) as u32)
     }
 }

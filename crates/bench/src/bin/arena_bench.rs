@@ -1,37 +1,38 @@
-//! Arena evaluator vs the tree walker on the paper's batch workloads:
-//! the Fig. 3 hierarchical-HMM smoothing posterior and the Fig. 8
-//! rare-event chain network. Each workload compiles the session's model
-//! into an [`ArenaModel`](sppl_core::ArenaModel) and answers the same
-//! cold batch through both paths; the answers must be bit-identical
-//! (that is the arena's contract, enforced here with `bits_match`), and
-//! the table reports per-event latency plus the arena's speedup over
-//! the cold sequential and cold parallel tree walks.
+//! The session query route vs the tree walker on the paper's batch
+//! workloads: the Fig. 3 hierarchical-HMM smoothing posterior and the
+//! Fig. 8 rare-event chain network. Each workload answers the same cold
+//! batch twice: through the tree-walk reference (`Factory::logprob` on
+//! each canonical event, from cold node memos) and through
+//! `Model::logprob_many` on a fresh session, whose misses go through one
+//! batched pass of the model's arena compile (compiled inside the timed
+//! call). The answers must be bit-identical (asserted with
+//! `bits_match`), and the table reports per-event latency plus the
+//! route's speedup over the cold tree walk.
 //!
 //! Flags:
 //!
 //! * `--test` — smoke mode: smaller horizon / shorter chain (CI).
 //! * `--json` — additionally write machine-readable results to
 //!   `BENCH_arena.json` in the working directory.
-//! * `--threads N` — thread count for the parallel tree-walk baseline
-//!   (default: `SPPL_THREADS` or the machine's available parallelism).
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sppl_bench::args::BenchArgs;
 use sppl_bench::json::JsonObject;
-use sppl_bench::{bits_match, fmt_secs, timed, Table};
-use sppl_core::{Event, Model, Pool};
+use sppl_bench::{bits_match, fmt_secs, nproc, timed, tree_logprobs, Table};
+use sppl_core::stats::graph_stats;
+use sppl_core::{Event, Model};
 use sppl_models::{hmm, rare_event};
 
-/// Measurements for one workload, all over the same cold batch.
+/// Measurements for one workload, both over the same cold batch.
 struct Run {
     name: &'static str,
     events: usize,
     nodes: usize,
-    compile_s: f64,
     tree_cold_s: f64,
-    par_cold_s: f64,
-    arena_s: f64,
+    model_s: f64,
 }
 
 impl Run {
@@ -40,47 +41,33 @@ impl Run {
     }
 }
 
-/// Answers `batch` through the cold tree walker (sequential and
-/// parallel) and through a freshly compiled arena, asserting bit
-/// parity between all three.
-fn measure(name: &'static str, model: &Model, batch: &[Event], pool: &Pool) -> Run {
-    // Touch every code path once, then measure from cold caches; the
-    // arena takes no caches at all, so its pass is always "cold".
-    model.logprob_many(batch).expect("warmup");
+/// Answers `batch` through the cold tree walker and through a fresh
+/// session's query route, asserting bit parity between the two.
+fn measure(name: &'static str, model: &Model, batch: &[Event]) -> Run {
+    // Touch every code path once, then measure from cold caches.
+    tree_logprobs(model, batch);
     model.clear_caches();
-    let (tree, tree_cold_s) = timed(|| model.logprob_many(batch).expect("tree batch"));
-    model.clear_caches();
-    let (par, par_cold_s) = timed(|| {
-        model
-            .par_logprob_many_in(pool, batch)
-            .expect("parallel tree batch")
-    });
-    assert!(
-        bits_match(&tree, &par),
-        "parallel walk must be bit-identical"
-    );
+    let (tree, tree_cold_s) = timed(|| tree_logprobs(model, batch));
 
-    let (arena, compile_s) = timed(|| model.compile_arena());
-    let (fast, arena_s) = timed(|| arena.logprob_many(batch).expect("arena batch"));
+    // A fresh session: empty memo, and no arena until this call.
+    let session = Model::new(Arc::clone(model.factory_arc()), model.root().clone());
+    let (fast, model_s) = timed(|| session.logprob_many(batch).expect("model batch"));
     assert!(
         bits_match(&tree, &fast),
-        "{name}: arena must answer bit-identically to the tree walker"
+        "{name}: the query route must answer bit-identically to the tree walker"
     );
 
     Run {
         name,
         events: batch.len(),
-        nodes: arena.node_count(),
-        compile_s,
+        nodes: graph_stats(model.root()).physical_nodes,
         tree_cold_s,
-        par_cold_s,
-        arena_s,
+        model_s,
     }
 }
 
 fn main() {
     let args = BenchArgs::parse();
-    let pool = args.pool();
 
     // Fig. 3 workload: the smoothing + pairwise-persistence batch
     // against the HMM posterior (conditioning returns a Model, so the
@@ -97,7 +84,7 @@ fn main() {
         b.extend(hmm::pairwise_queries(n));
         b
     };
-    let fig3 = measure("fig3_hmm_posterior", &posterior, &batch, &pool);
+    let fig3 = measure("fig3_hmm_posterior", &posterior, &batch);
 
     // Fig. 8 workload: every prefix probability P[O[0..k] all 1] on the
     // chain network, through the prior model itself.
@@ -106,18 +93,16 @@ fn main() {
         .session()
         .expect("compiles");
     let prefixes: Vec<Event> = (1..=chain_len).map(rare_event::all_ones_event).collect();
-    let fig8 = measure("fig8_chain", &chain, &prefixes, &pool);
+    let fig8 = measure("fig8_chain", &chain, &prefixes);
 
     let mut table = Table::new([
         "Workload",
         "Events",
         "Nodes",
-        "Compile",
         "Tree cold",
-        "Par cold",
-        "Arena",
+        "Model",
         "ns/event (tree)",
-        "ns/event (arena)",
+        "ns/event (model)",
         "Speedup",
     ]);
     for run in [&fig3, &fig8] {
@@ -125,46 +110,41 @@ fn main() {
             run.name.to_string(),
             run.events.to_string(),
             run.nodes.to_string(),
-            fmt_secs(run.compile_s),
             fmt_secs(run.tree_cold_s),
-            fmt_secs(run.par_cold_s),
-            fmt_secs(run.arena_s),
+            fmt_secs(run.model_s),
             format!("{:.0}", run.per_event_ns(run.tree_cold_s)),
-            format!("{:.0}", run.per_event_ns(run.arena_s)),
-            format!("{:.2}x", run.tree_cold_s / run.arena_s),
+            format!("{:.0}", run.per_event_ns(run.model_s)),
+            format!("{:.2}x", run.tree_cold_s / run.model_s),
         ]);
     }
-    println!("arena evaluator vs cold tree walker (bit-identical answers asserted)\n");
-    table.print();
     println!(
-        "\nparallel tree walk used {} threads; the arena pass is single-threaded",
-        pool.thread_count()
+        "Model::logprob_many (arena compile included) vs cold tree walker \
+         (bit-identical answers asserted)\n"
     );
+    table.print();
 
     if args.json {
         let mut json = JsonObject::new()
             .str("bench", "arena")
             .str("mode", args.mode())
-            .int("threads", pool.thread_count() as u64)
+            .int("nproc", nproc() as u64)
             .bool("bits_identical", true);
         for run in [&fig3, &fig8] {
             let k = run.name;
             json = json
                 .int(&format!("{k}_events"), run.events as u64)
                 .int(&format!("{k}_nodes"), run.nodes as u64)
-                .num(&format!("{k}_compile_s"), run.compile_s)
                 .num(&format!("{k}_tree_cold_s"), run.tree_cold_s)
-                .num(&format!("{k}_par_cold_s"), run.par_cold_s)
-                .num(&format!("{k}_arena_s"), run.arena_s)
+                .num(&format!("{k}_model_s"), run.model_s)
                 .num(
                     &format!("{k}_tree_ns_per_event"),
                     run.per_event_ns(run.tree_cold_s),
                 )
                 .num(
-                    &format!("{k}_arena_ns_per_event"),
-                    run.per_event_ns(run.arena_s),
+                    &format!("{k}_model_ns_per_event"),
+                    run.per_event_ns(run.model_s),
                 )
-                .num(&format!("{k}_speedup"), run.tree_cold_s / run.arena_s);
+                .num(&format!("{k}_speedup"), run.tree_cold_s / run.model_s);
         }
         json.write("BENCH_arena.json")
             .expect("write BENCH_arena.json");

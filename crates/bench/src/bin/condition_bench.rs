@@ -187,7 +187,7 @@ fn main() {
     let mixture = measure_mixture(components, &ladder);
     let chain = measure_chain(chain_width, chain_depth, &ladder);
 
-    let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let available = sppl_bench::nproc();
 
     let mut table = Table::new(["Workload", "Size", "Seq", "Par (top)", "Speedup", "Bits"]);
     for (name, size, run) in [

@@ -1,17 +1,16 @@
 //! Fig. 3: hierarchical HMM smoothing and the linear growth of the
 //! optimized sum-product expression, plus the memoized-session speedup on
-//! repeated smoothing passes and the parallel-batch speedup of
-//! `par_logprob_many` over the sequential path — all through the
-//! session-first [`Model`](sppl_core::Model) API (conditioning returns a
-//! queryable posterior model).
+//! repeated smoothing passes and the speedup of the session's batched
+//! query route (`Model::logprob_many`, one arena pass over the misses)
+//! over the cold tree walk — all through the session-first
+//! [`Model`](sppl_core::Model) API (conditioning returns a queryable
+//! posterior model).
 //!
 //! Flags:
 //!
 //! * `--test` — smoke mode: smaller horizon and fewer passes (CI).
 //! * `--json` — additionally write machine-readable results to
 //!   `BENCH_fig3.json` in the working directory.
-//! * `--threads N` — thread count for the parallel batch (default:
-//!   `SPPL_THREADS` or the machine's available parallelism).
 //! * `--cache-snapshot PATH` — load a `SharedCache` snapshot from `PATH`
 //!   when it exists and save one on exit: run twice with the same path
 //!   and the second *process* answers every shared-cache query without
@@ -23,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sppl_bench::args::BenchArgs;
 use sppl_bench::json::JsonObject;
-use sppl_bench::{bits_match, fmt_count, fmt_secs, timed, Table};
+use sppl_bench::{bits_match, fmt_count, fmt_secs, nproc, timed, tree_logprobs, Table};
 use sppl_core::stats::graph_stats;
 use sppl_core::{Event, SharedCache};
 use sppl_models::hmm;
@@ -122,49 +121,40 @@ fn main() {
         posterior.factory().prob_cache_stats().entries,
     );
 
-    // Parallel batch inference: the smoothing marginals plus the pairwise
-    // persistence queries, answered cold by the sequential path and cold
-    // again by `par_logprob_many` over a scoped pool. Evaluations over
-    // the immutable posterior DAG are independent, so the batch is
-    // embarrassingly parallel; results must agree bit for bit.
+    // Batch inference: the smoothing marginals plus the pairwise
+    // persistence queries, answered cold by the tree-walk reference and
+    // cold by the session's query route (one arena pass over the
+    // misses); results must agree bit for bit.
     let batch: Vec<Event> = {
         let mut b = queries.clone();
         b.extend(hmm::pairwise_queries(n));
         b
     };
-    let pool = args.pool();
-    posterior.logprob_many(&batch).expect("warmup"); // touch every code path once
+    tree_logprobs(&posterior, &batch); // touch every code path once
     posterior.clear_caches();
-    let (seq_cold, seq_cold_t) =
-        timed(|| posterior.logprob_many(&batch).expect("sequential batch"));
+    let (tree_cold, tree_cold_t) = timed(|| tree_logprobs(&posterior, &batch));
     posterior.clear_caches();
-    let (par_cold, par_cold_t) = timed(|| {
-        posterior
-            .par_logprob_many_in(&pool, &batch)
-            .expect("parallel batch")
-    });
-    let results_match = bits_match(&seq_cold, &par_cold);
-    assert!(results_match, "parallel batch must be bit-identical");
-    let par_speedup = seq_cold_t / par_cold_t;
+    let (model_cold, model_cold_t) = timed(|| posterior.logprob_many(&batch).expect("model batch"));
+    let bits_identical = bits_match(&tree_cold, &model_cold);
+    assert!(
+        bits_identical,
+        "the query route must answer bit-identically to the tree walker"
+    );
+    let model_speedup = tree_cold_t / model_cold_t;
     println!(
-        "\n{}-event batch, cold caches: sequential {} vs parallel {} on {} threads — {:.2}x",
+        "\n{}-event batch, cold caches: tree walk {} vs Model::logprob_many {} — {:.2}x",
         batch.len(),
-        fmt_secs(seq_cold_t),
-        fmt_secs(par_cold_t),
-        pool.thread_count(),
-        par_speedup,
+        fmt_secs(tree_cold_t),
+        fmt_secs(model_cold_t),
+        model_speedup,
     );
 
-    // Warm parallel pass: everything is engine-cache hits.
-    let (_, par_warm_t) = timed(|| {
-        posterior
-            .par_logprob_many_in(&pool, &batch)
-            .expect("warm batch")
-    });
+    // Warm repeat: everything is memo hits.
+    let (_, warm_t) = timed(|| posterior.logprob_many(&batch).expect("warm batch"));
     let final_stats = posterior.stats();
     println!(
-        "warm parallel repeat: {} (engine hit rate now {:.0}%)",
-        fmt_secs(par_warm_t),
+        "warm repeat: {} (memo hit rate now {:.0}%)",
+        fmt_secs(warm_t),
         final_stats.hit_rate() * 100.0,
     );
 
@@ -199,7 +189,7 @@ fn main() {
     let (shared_answers, shared_fill_t) =
         timed(|| shared_posterior.logprob_many(&batch).expect("batch"));
     assert!(
-        bits_match(&seq_cold, &shared_answers),
+        bits_match(&model_cold, &shared_answers),
         "shared-cache session must agree bit-for-bit"
     );
     let shared = cache.stats();
@@ -246,17 +236,17 @@ fn main() {
             "restored snapshot must answer the batch without the evaluator ({rs:?})"
         );
         assert!(
-            bits_match(&seq_cold, &replay),
+            bits_match(&model_cold, &replay),
             "replay must be bit-identical"
         );
         warm_restart_pure_hits = true;
         println!(
             "warm restart replay: {} events in {} from {reloaded} restored entries \
-             (cold sequential pass was {}) — {:.0}x",
+             (cold pass was {}) — {:.0}x",
             batch.len(),
             fmt_secs(t),
-            fmt_secs(seq_cold_t),
-            seq_cold_t / t,
+            fmt_secs(model_cold_t),
+            model_cold_t / t,
         );
     }
 
@@ -267,18 +257,18 @@ fn main() {
             .int("steps", n as u64)
             .int("passes", passes as u64)
             .int("batch_size", batch.len() as u64)
-            .int("threads", u64::from(pool.thread_count()))
+            .int("nproc", nproc() as u64)
             .num("translate_s", translate_t)
             .num("constrain_s", constrain_t)
             .num("uncached_passes_s", uncached_t)
             .num("cached_passes_s", cached_t)
             .num("cached_speedup", uncached_t / cached_t)
-            .num("seq_cold_s", seq_cold_t)
-            .num("par_cold_s", par_cold_t)
-            .num("par_speedup", par_speedup)
-            .num("par_warm_s", par_warm_t)
+            .num("tree_cold_s", tree_cold_t)
+            .num("model_cold_s", model_cold_t)
+            .num("model_speedup", model_speedup)
+            .num("warm_s", warm_t)
             .num("engine_hit_rate", final_stats.hit_rate())
-            .bool("par_matches_seq_bitwise", results_match)
+            .bool("bits_identical", bits_identical)
             .int("shared_hits", shared.hits)
             .int("shared_misses", shared.misses)
             .int("shared_entries", shared.entries as u64)
@@ -289,7 +279,7 @@ fn main() {
             .num(
                 "warm_restart_speedup",
                 if warm_restart_batch_s > 0.0 {
-                    seq_cold_t / warm_restart_batch_s
+                    model_cold_t / warm_restart_batch_s
                 } else {
                     0.0
                 },

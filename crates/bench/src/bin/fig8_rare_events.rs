@@ -8,8 +8,6 @@
 //!   (CI).
 //! * `--json` — additionally write machine-readable results to
 //!   `BENCH_fig8.json` in the working directory.
-//! * `--threads N` — thread count for the parallel batch (default:
-//!   `SPPL_THREADS` or the machine's available parallelism).
 //! * `--cache-snapshot PATH` — load a `SharedCache` snapshot from `PATH`
 //!   when it exists and save one on exit (warm restart across
 //!   processes; pure hits asserted when a snapshot was loaded).
@@ -21,7 +19,7 @@ use rand::SeedableRng;
 use sppl_baseline::sampler::RejectionEstimator;
 use sppl_bench::args::BenchArgs;
 use sppl_bench::json::JsonObject;
-use sppl_bench::{bits_match, fmt_secs, timed};
+use sppl_bench::{bits_match, fmt_secs, nproc, timed, tree_logprobs};
 use sppl_core::event::Event;
 use sppl_core::SharedCache;
 use sppl_models::rare_event;
@@ -42,28 +40,29 @@ fn main() {
     });
     println!("chain network translated in {}\n", fmt_secs(translate_t));
 
-    // Batched exact answers through the session — every prefix
-    // probability P[O[0..k] all 1] for k = 1..=chain_len: cold (first
-    // pass, populating the cache), cold again through the parallel path,
-    // then warm (repeat of the same batch).
+    // Batched exact answers — every prefix probability P[O[0..k] all 1]
+    // for k = 1..=chain_len: cold through the tree-walk reference, cold
+    // through the session's query route (first pass, compiling the arena
+    // and populating the memo), then warm (repeat of the same batch).
     let events: Vec<Event> = (1..=chain_len).map(rare_event::all_ones_event).collect();
-    let (cold, cold_t) = timed(|| model.logprob_many(&events).expect("exact"));
-    let pool = args.pool();
     model.clear_caches();
-    let (par_cold, par_cold_t) =
-        timed(|| model.par_logprob_many_in(&pool, &events).expect("exact"));
-    let results_match = bits_match(&cold, &par_cold);
-    assert!(results_match, "parallel batch must be bit-identical");
+    let (tree, tree_cold_t) = timed(|| tree_logprobs(&model, &events));
+    model.clear_caches();
+    let (cold, cold_t) = timed(|| model.logprob_many(&events).expect("exact"));
+    let bits_identical = bits_match(&tree, &cold);
+    assert!(
+        bits_identical,
+        "the query route must answer bit-identically to the tree walker"
+    );
     let (warm, warm_t) = timed(|| model.logprob_many(&events).expect("exact"));
     assert_eq!(cold, warm, "warm batch must be bit-identical");
     let stats = model.stats();
     println!(
-        "batched exact answers over {} prefixes: cold {} vs parallel-cold {} ({} threads) \
+        "batched exact answers over {} prefixes: tree walk {} vs Model::logprob_many cold {} \
          vs warm {} ({} hits / {} misses / {} entries)\n",
         events.len(),
+        fmt_secs(tree_cold_t),
         fmt_secs(cold_t),
-        fmt_secs(par_cold_t),
-        pool.thread_count(),
         fmt_secs(warm_t),
         stats.hits,
         stats.misses,
@@ -172,14 +171,14 @@ fn main() {
             .str("mode", args.mode())
             .int("chain_len", chain_len as u64)
             .int("batch_size", events.len() as u64)
-            .int("threads", u64::from(pool.thread_count()))
+            .int("nproc", nproc() as u64)
             .num("translate_s", translate_t)
-            .num("seq_cold_s", cold_t)
-            .num("par_cold_s", par_cold_t)
-            .num("par_speedup", cold_t / par_cold_t)
+            .num("tree_cold_s", tree_cold_t)
+            .num("model_cold_s", cold_t)
+            .num("model_speedup", tree_cold_t / cold_t)
             .num("warm_s", warm_t)
             .num("engine_hit_rate", stats.hit_rate())
-            .bool("par_matches_seq_bitwise", results_match)
+            .bool("bits_identical", bits_identical)
             .int("shared_hits", shared.hits)
             .int("shared_misses", shared.misses)
             .int("shared_entries", shared.entries as u64)

@@ -18,6 +18,8 @@
 
 use std::time::Instant;
 
+use sppl_core::{Event, Model};
+
 /// Times a closure, returning `(result, seconds)`.
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -87,10 +89,38 @@ impl Table {
     }
 }
 
-/// True when two result series agree bit for bit (the parallel≡sequential
-/// check the fig bins assert and record in their JSON artifacts).
+/// True when two result series agree bit for bit (the parity check the
+/// bench bins assert and record in their JSON artifacts).
 pub fn bits_match(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The tree-walk reference for a batch: [`Factory::logprob`] on each
+/// canonical event, through the factory's node-level memo — the answers
+/// [`Model::logprob_many`] must reproduce bit for bit.
+///
+/// [`Factory::logprob`]: sppl_core::Factory::logprob
+///
+/// # Panics
+///
+/// Panics when an event fails to evaluate.
+pub fn tree_logprobs(model: &Model, events: &[Event]) -> Vec<f64> {
+    events
+        .iter()
+        .map(|e| {
+            model
+                .factory()
+                .logprob(model.root(), &e.canonical())
+                .expect("tree walk")
+        })
+        .collect()
+}
+
+/// The machine's available parallelism (one when unknown), recorded in
+/// the `BENCH_*.json` artifacts so their ratios can be read against the
+/// box that produced them.
+pub fn nproc() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Formats seconds compactly (`12 ms`, `3.42 s`).

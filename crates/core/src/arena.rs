@@ -22,12 +22,16 @@
 //!   then internal nodes in topo order with a vectorizable log-sum-exp
 //!   at every mixture.
 //!
-//! The arena's identity is the model's content digest
-//! ([`ArenaModel::digest`]): [`ArenaModel::compile`] keeps a
-//! process-wide registry keyed by [`ModelDigest`], so separately
-//! compiled sessions of the same model share one arena (digest-equal
-//! models answer bit-identically by construction — the same guarantee
-//! the [`SharedCache`](crate::SharedCache) relies on).
+//! [`ArenaModel::compile`] keeps a process-wide registry keyed by the
+//! model's content digest ([`ModelDigest`]), so separately compiled
+//! sessions of the same model share one arena (digest-equal models
+//! answer bit-identically by construction — the same guarantee the
+//! [`SharedCache`](crate::SharedCache) relies on).
+//!
+//! The arena is crate-private: it is the evaluator behind every
+//! [`Model`](crate::Model) query. A session compiles its arena on the
+//! first query its memo and shared cache cannot answer, and sends every
+//! miss of a call through one [`ArenaModel::logprob_many`] pass.
 //!
 //! # Bit parity
 //!
@@ -49,12 +53,12 @@
 //!     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
 //! );
 //! let model = Model::new(f, x);
-//! let arena = model.compile_arena();
 //! let batch = vec![var("X").le(0.0), var("X").gt(1.0)];
-//! let fast = arena.logprob_many(&batch).unwrap();
-//! let slow = model.logprob_many(&batch).unwrap();
-//! assert_eq!(fast[0].to_bits(), slow[0].to_bits());
-//! assert_eq!(fast[1].to_bits(), slow[1].to_bits());
+//! // One arena pass answers both misses, bit-identically to the tree walker.
+//! let fast = model.logprob_many(&batch).unwrap();
+//! for (e, lp) in batch.iter().zip(&fast) {
+//!     assert_eq!(lp.to_bits(), model.root().logprob(&e.canonical()).unwrap().to_bits());
+//! }
 //! ```
 
 use std::collections::{BTreeSet, HashMap};
@@ -123,10 +127,10 @@ struct LeafSpec {
 /// `BTreeMap` iteration order).
 type LaneClause = Vec<(u32, OutcomeSet)>;
 
-/// A prepared event: canonicalized, scope-checked, and (when the model
-/// contains products) solved into disjoint clause lanes.
-struct Prep {
-    canonical: Event,
+/// A prepared event: scope-checked and (when the model contains
+/// products) solved into disjoint clause lanes.
+struct Prep<'e> {
+    event: &'e Event,
     lanes: Vec<LaneClause>,
 }
 
@@ -140,36 +144,12 @@ struct Scratch {
     full: Vec<f64>,
 }
 
-/// A [`Model`](crate::Model) compiled into a flat, topologically-ordered
-/// arena for batched exact inference.
-///
-/// Obtain one with [`Model::compile_arena`](crate::Model::compile_arena)
-/// (or [`ArenaModel::compile`] from a raw [`Spe`]); query it with
-/// [`logprob`](ArenaModel::logprob) / [`prob`](ArenaModel::prob) and
-/// their batch forms — the same surface as the tree walker, with
-/// bit-identical answers. The arena is immutable, `Send + Sync`, and
-/// shared: compiling the same (digest-equal) model twice returns the
-/// same `Arc`.
-///
-/// ```
-/// use sppl_core::prelude::*;
-///
-/// let f = Factory::new();
-/// let x = f.leaf(
-///     Var::new("X"),
-///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-/// );
-/// let model = Model::new(f, x);
-/// let arena = model.compile_arena();
-/// let e = var("X").le(0.0);
-/// assert_eq!(
-///     arena.logprob(&e).unwrap().to_bits(),
-///     model.logprob(&e).unwrap().to_bits(),
-/// );
-/// ```
+/// A model compiled into a flat, topologically-ordered arena for
+/// batched exact inference (see the [module docs](self)). Immutable,
+/// `Send + Sync`, and shared: compiling the same (digest-equal) model
+/// twice returns the same `Arc`.
 #[derive(Debug)]
-pub struct ArenaModel {
-    digest: ModelDigest,
+pub(crate) struct ArenaModel {
     scope: BTreeSet<Var>,
     /// Scope variables in sorted order; index = arena variable id.
     vars: Vec<Var>,
@@ -220,20 +200,7 @@ impl ArenaModel {
     /// by [`ModelDigest`] holds weak handles, so arenas are shared
     /// across sessions for as long as anyone uses them and are freed
     /// when the last handle drops.
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let a = ArenaModel::compile(&x);
-    /// let b = ArenaModel::compile(&x);
-    /// assert!(std::sync::Arc::ptr_eq(&a, &b));
-    /// ```
-    pub fn compile(root: &Spe) -> Arc<ArenaModel> {
+    pub(crate) fn compile(root: &Spe) -> Arc<ArenaModel> {
         let digest = root.digest();
         {
             let map = registry().lock().unwrap_or_else(PoisonError::into_inner);
@@ -244,7 +211,7 @@ impl ArenaModel {
         // Build outside the lock: compilation is O(model size), and
         // holding the process-wide mutex for it would serialize every
         // concurrent compile of *unrelated* models too.
-        let arena = Arc::new(ArenaModel::build(root, digest));
+        let arena = Arc::new(ArenaModel::build(root));
         let mut map = registry().lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(existing) = map.get(&digest).and_then(Weak::upgrade) {
             // A racing compile won while we built; adopt its arena so
@@ -259,135 +226,19 @@ impl ArenaModel {
         arena
     }
 
-    /// The model's deep content digest — the arena's identity in the
-    /// compile registry, identical to
-    /// [`Model::model_digest`](crate::Model::model_digest).
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// assert_eq!(model.compile_arena().digest(), model.model_digest());
-    /// ```
-    pub fn digest(&self) -> ModelDigest {
-        self.digest
-    }
-
-    /// Number of arena nodes (the model's physical DAG size: shared
-    /// subexpressions are compiled once).
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// assert_eq!(ArenaModel::compile(&x).node_count(), 1);
-    /// ```
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The model's scope (every queryable variable, base and derived).
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// assert!(ArenaModel::compile(&x).scope().contains(&Var::new("X")));
-    /// ```
-    pub fn scope(&self) -> &BTreeSet<Var> {
-        &self.scope
-    }
-
-    /// Exact log-probability of `event`, bit-identical to
-    /// [`Model::logprob`](crate::Model::logprob).
+    /// Exact log-probability of every event, one struct-of-arrays pass
+    /// over the arena per chunk of events. The events must already be
+    /// [canonical](Event::canonical) (the session route canonicalizes
+    /// once, for its memo key); answers then equal [`Spe::logprob`] on
+    /// each event bit for bit.
     ///
     /// # Errors
     ///
-    /// The same errors as the tree walker: [`SpplError::UnknownVariable`]
-    /// for events over variables outside the scope,
-    /// [`SpplError::MultivariateTransform`] for literals violating
-    /// restriction R3.
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let e = var("X").le(0.0);
-    /// assert_eq!(
-    ///     model.compile_arena().logprob(&e).unwrap().to_bits(),
-    ///     model.logprob(&e).unwrap().to_bits(),
-    /// );
-    /// ```
-    pub fn logprob(&self, event: &Event) -> Result<f64, SpplError> {
-        Ok(self.logprob_many(std::slice::from_ref(event))?[0])
-    }
-
-    /// Exact probability of `event`, bit-identical to
-    /// [`Model::prob`](crate::Model::prob).
-    ///
-    /// # Errors
-    ///
-    /// As [`ArenaModel::logprob`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let p = model.compile_arena().prob(&var("X").le(0.0)).unwrap();
-    /// assert!((p - 0.5).abs() < 1e-12);
-    /// ```
-    pub fn prob(&self, event: &Event) -> Result<f64, SpplError> {
-        Ok(self.logprob(event)?.exp().clamp(0.0, 1.0))
-    }
-
-    /// Batched [`logprob`](ArenaModel::logprob): one struct-of-arrays
-    /// pass over the arena per chunk of events. Answers (and the error
-    /// on the first failing event) are bit-identical to
-    /// [`Model::logprob_many`](crate::Model::logprob_many).
-    ///
-    /// # Errors
-    ///
-    /// The first failing event's error, as
-    /// [`Model::logprob_many`](crate::Model::logprob_many).
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let batch = vec![var("X").le(0.0), var("X").le(1.0) & var("X").gt(-1.0)];
-    /// let fast = model.compile_arena().logprob_many(&batch).unwrap();
-    /// let slow = model.logprob_many(&batch).unwrap();
-    /// assert!(fast.iter().zip(&slow).all(|(a, b)| a.to_bits() == b.to_bits()));
-    /// ```
-    pub fn logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
+    /// The first failing event's error, as the tree walker reports it:
+    /// [`SpplError::UnknownVariable`] for events over variables outside
+    /// the scope, [`SpplError::MultivariateTransform`] for literals
+    /// violating restriction R3.
+    pub(crate) fn logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
         let mut out = Vec::with_capacity(events.len());
         let mut scratch = Scratch::default();
         let mut at = 0;
@@ -405,38 +256,11 @@ impl ArenaModel {
         Ok(out)
     }
 
-    /// Batched [`prob`](ArenaModel::prob), bit-identical to
-    /// [`Model::prob_many`](crate::Model::prob_many).
-    ///
-    /// # Errors
-    ///
-    /// As [`ArenaModel::logprob_many`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let ps = model.compile_arena().prob_many(&[var("X").le(0.0)]).unwrap();
-    /// assert!((ps[0] - 0.5).abs() < 1e-12);
-    /// ```
-    pub fn prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        Ok(self
-            .logprob_many(events)?
-            .into_iter()
-            .map(|lp| lp.exp().clamp(0.0, 1.0))
-            .collect())
-    }
-
     // ------------------------------------------------------------------
     // Compilation
     // ------------------------------------------------------------------
 
-    fn build(root: &Spe, digest: ModelDigest) -> ArenaModel {
+    fn build(root: &Spe) -> ArenaModel {
         let scope = root.scope().clone();
         let vars: Vec<Var> = scope.iter().cloned().collect();
         let var_ids: HashMap<Var, u32> = vars
@@ -446,7 +270,6 @@ impl ArenaModel {
             .collect();
 
         let mut arena = ArenaModel {
-            digest,
             scope,
             vars,
             nodes: Vec::new(),
@@ -602,14 +425,13 @@ impl ArenaModel {
     // Evaluation
     // ------------------------------------------------------------------
 
-    /// Canonicalizes and scope-checks one event; solves it into clause
-    /// lanes when the model contains products. Mirrors the tree walker's
-    /// error order exactly: the unknown-variable check (raised by every
-    /// leaf/product on the spine, all of which share the root's scope by
-    /// C4) wins over the clause solver's multivariate-literal check.
-    fn prepare(&self, event: &Event) -> Result<Prep, SpplError> {
-        let canonical = event.canonical();
-        for v in canonical.vars() {
+    /// Scope-checks one canonical event; solves it into clause lanes when
+    /// the model contains products. Mirrors the tree walker's error order
+    /// exactly: the unknown-variable check (raised by every leaf/product
+    /// on the spine, all of which share the root's scope by C4) wins over
+    /// the clause solver's multivariate-literal check.
+    fn prepare<'e>(&self, event: &'e Event) -> Result<Prep<'e>, SpplError> {
+        for v in event.vars() {
             if !self.scope.contains(&v) {
                 return Err(SpplError::UnknownVariable {
                     var: v.name().into(),
@@ -617,7 +439,7 @@ impl ArenaModel {
             }
         }
         let lanes = if self.spine_has_product {
-            solve_and_disjoin(&canonical)?
+            solve_and_disjoin(event)?
                 .iter()
                 .map(|clause| {
                     clause
@@ -635,7 +457,7 @@ impl ArenaModel {
         } else {
             Vec::new()
         };
-        Ok(Prep { canonical, lanes })
+        Ok(Prep { event, lanes })
     }
 
     /// Evaluates one chunk: phase 1 fills the leaf rows of the
@@ -739,7 +561,7 @@ impl ArenaModel {
                 let value = match self.nodes[n as usize] {
                     ANode::Leaf(li) => {
                         let leaf = &self.leaves[li as usize];
-                        let outcomes = leaf_event_outcomes(&leaf.var, &leaf.env, &prep.canonical);
+                        let outcomes = leaf_event_outcomes(&leaf.var, &leaf.env, prep.event);
                         self.measure_leaf(leaf, &outcomes).ln()
                     }
                     ANode::Sum { lo, hi } => {
@@ -876,7 +698,6 @@ mod tests {
         let a = ArenaModel::compile(&m);
         let b = ArenaModel::compile(&m);
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.digest(), m.digest());
     }
 
     #[test]
@@ -891,7 +712,7 @@ mod tests {
         for i in 0..64 {
             let m = mixed_product_at(&f, 9_000.0 + i as f64);
             let arena = ArenaModel::compile(&m);
-            assert!(arena.node_count() >= 1);
+            assert!(!arena.nodes.is_empty());
             // `arena` drops here; its registry entry goes dangling and the
             // next iteration's insert sweeps it.
         }
@@ -919,23 +740,25 @@ mod tests {
 
     #[test]
     fn matches_tree_walker_on_product_batch() {
-        // Parity target is the session surface (`Model`/`QueryEngine`),
-        // which canonicalizes events before evaluation — the arena does
-        // the same, so answers must match bit for bit.
+        // The arena takes canonical events, exactly what the session
+        // route hands it; the tree walker on the same events is the
+        // reference.
         let f = Factory::new();
         let m = mixed_product(&f);
         let arena = ArenaModel::compile(&m);
-        let model = crate::model::Model::new(f, m);
-        let batch = vec![
+        let batch: Vec<Event> = [
             var("X").le(1.0),
             var("X").le(1.0) & var("L").eq("a"),
             (var("X").gt(4.0) & var("A").eq(2.0)) | var("L").eq("b"),
             var("X").le(-50.0) & var("L").eq("a"),
             var("X").le(1.0) | var("X").gt(0.0),
-        ];
+        ]
+        .iter()
+        .map(Event::canonical)
+        .collect();
         let fast = arena.logprob_many(&batch).unwrap();
-        let slow = model.logprob_many(&batch).unwrap();
-        for ((event, fast), slow) in batch.iter().zip(&fast).zip(&slow) {
+        for (event, fast) in batch.iter().zip(&fast) {
+            let slow = m.logprob(event).unwrap();
             assert_eq!(fast.to_bits(), slow.to_bits(), "{event:?}");
         }
     }
@@ -945,10 +768,11 @@ mod tests {
         let f = Factory::new();
         let m = mixed_product(&f);
         let arena = ArenaModel::compile(&m);
-        let model = crate::model::Model::new(f, m);
-        let unknown = var("Nope").le(0.0) & var("X").le(1.0);
-        let tree = model.logprob(&unknown).unwrap_err();
-        let fast = arena.logprob(&unknown).unwrap_err();
+        let unknown = (var("Nope").le(0.0) & var("X").le(1.0)).canonical();
+        let tree = m.logprob(&unknown).unwrap_err();
+        let fast = arena
+            .logprob_many(&[var("X").le(0.0), unknown])
+            .unwrap_err();
         assert_eq!(format!("{tree}"), format!("{fast}"));
         assert!(matches!(fast, SpplError::UnknownVariable { .. }));
     }

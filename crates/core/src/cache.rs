@@ -1,14 +1,14 @@
 //! A bounded, sharded, persistable LRU cache for whole-query results —
-//! the cross-engine (and, via snapshots, cross-*process*) layer above the
-//! [`QueryEngine`](crate::engine::QueryEngine)'s per-engine memo.
+//! the cross-session (and, via snapshots, cross-*process*) layer above
+//! each [`Model`](crate::model::Model)'s own memo.
 //!
 //! A serving deployment answers queries against the same compiled model
-//! from many sessions: each session builds its own engine (and possibly
-//! its own [`Factory`](crate::spe::Factory)), but the hot query working
+//! from many sessions: each session has its own memo (and possibly its
+//! own [`Factory`](crate::spe::Factory)), but the hot query working
 //! set is shared. The [`SharedCache`] is one process-wide table keyed by
 //! `(`[`ModelDigest`]`, `[`Fingerprint`]`)` —
 //! [`Spe::digest`](crate::spe::Spe::digest) is a deep, *versioned*
-//! content digest (see [`crate::digest`]), so engines over separately
+//! content digest (see [`crate::digest`]), so sessions over separately
 //! compiled copies of the same model hit the same entries, in this
 //! process or the next one. Capacity is bounded with least-recently-used
 //! eviction, and hit/miss/eviction counts are exposed for monitoring.
@@ -19,8 +19,8 @@
 //! (currently 16) selected by key hash, each an exact LRU under its own
 //! mutex. Recency bookkeeping makes
 //! even `get` a write, so a single-mutex design would serialize a
-//! many-core *cold* fan-out (engines promote shared hits into their own
-//! caches, so only each engine's first sight of a key lands here — but a
+//! many-core *cold* fan-out (sessions promote shared hits into their own
+//! memos, so only each session's first sight of a key lands here — but a
 //! cold start is exactly when every lookup is a first sight). With
 //! sharding, concurrent lookups contend only when their keys collide on
 //! a shard. Global recency across shards is *approximate*: when the
@@ -101,7 +101,7 @@
 //!         Var::new("X"),
 //!         Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
 //!     );
-//!     QueryEngine::new(f, x).with_shared_cache(Arc::clone(&cache))
+//!     Model::new(f, x).with_shared_cache(Arc::clone(&cache))
 //! };
 //! let (a, b) = (build(), build()); // two sessions, two factories
 //! let e = Event::le(Transform::id(Var::new("X")), 0.0);
@@ -115,7 +115,7 @@
 //! cache.save_snapshot(&path).unwrap();
 //! let restored = Arc::new(SharedCache::new(1024));
 //! assert_eq!(restored.load_snapshot(&path).unwrap(), 1);
-//! let c = QueryEngine::new(Factory::new(), build().into_parts().1)
+//! let c = Model::new(Factory::new(), build().root().clone())
 //!     .with_shared_cache(Arc::clone(&restored));
 //! c.logprob(&e).unwrap(); // pure hit: no evaluator work in this "process"
 //! assert_eq!(restored.stats(), CacheStats { hits: 1, misses: 0, entries: 1 });
@@ -217,7 +217,7 @@ impl Shard {
     }
 }
 
-/// A bounded, sharded, persistable cross-engine LRU cache of `logprob`
+/// A bounded, sharded, persistable cross-session LRU cache of `logprob`
 /// results (see the [module docs](self)).
 ///
 /// Lookups touch exactly one shard's mutex, so concurrent cold traffic
@@ -317,7 +317,7 @@ impl SharedCache {
     /// First write wins: when the key is already present, only its
     /// recency is refreshed — the stored value is kept and returned.
     /// Callers must serve the *returned* value, not the one they
-    /// computed. (With content-canonical sum ordering two engines racing
+    /// computed. (With content-canonical sum ordering two sessions racing
     /// on one key compute identical bits anyway; this discipline keeps
     /// the consistency guarantee independent of that invariant.)
     pub fn insert(&self, model_digest: ModelDigest, fingerprint: Fingerprint, value: f64) -> f64 {
@@ -659,7 +659,7 @@ mod tests {
         let c = SharedCache::new(2);
         c.insert(md(0), same_shard_fp(1), 1.0);
         c.insert(md(0), same_shard_fp(2), 2.0);
-        // A racing recomputation must not displace what other engines
+        // A racing recomputation must not displace what other sessions
         // were already served.
         assert_eq!(c.insert(md(0), same_shard_fp(1), 10.0), 1.0);
         assert_eq!(c.stats().entries, 2);

@@ -84,9 +84,8 @@ pub fn par_condition_in(
     condition_ctx(factory, spe, event, ParCtx::with_pool(pool))
 }
 
-/// The memoization wrapper: pointer-keyed probe, then content-digest
-/// probe, then compute-and-fill (first-write-wins on both tables).
-/// Exactly one hit or one miss is counted per call.
+/// The memoization wrapper: pointer-keyed probe, then compute-and-fill
+/// (first-write-wins). Exactly one hit or one miss is counted per call.
 pub(crate) fn condition_ctx(
     factory: &Factory,
     spe: &Spe,
@@ -101,25 +100,12 @@ pub(crate) fn condition_ctx(
         factory.cond_counters.hit();
         return cached;
     }
-    // Content-addressed fast path: a pointer-distinct copy of this
-    // subgraph may already have been conditioned on this event (see the
-    // `cond_digest_cache` field docs). Promote hits under the pointer
-    // key so the next probe is a single lookup.
-    let dkey = (spe.digest(), event.fingerprint());
-    if let Some(cached) = factory.cond_digest_cache.get(&dkey) {
-        factory.cond_counters.hit();
-        let (_, winner) = factory.cond_cache.get_or_insert(key, (spe.clone(), cached));
-        return winner;
-    }
     factory.cond_counters.miss();
     let result = condition_uncached(factory, spe, event, par);
     // First-write-wins: racing workers that computed the same subproblem
     // all return the entry that landed first, so callers across threads
     // share one physical posterior.
     let (_, winner) = factory.cond_cache.get_or_insert(key, (spe.clone(), result));
-    let _ = factory
-        .cond_digest_cache
-        .get_or_insert(dkey, winner.clone());
     winner
 }
 

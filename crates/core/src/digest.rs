@@ -344,7 +344,7 @@ identity_newtype!(Fingerprint);
 
 impl Fingerprint {
     /// Order-sensitive combination with the next chain link, used by
-    /// [`QueryEngine::condition_chain`](crate::engine::QueryEngine::condition_chain)
+    /// [`Model::condition_chain`](crate::model::Model::condition_chain)
     /// prefix keys: `chain(a, b) ≠ chain(b, a)`, and the result never
     /// collides with a single-event fingerprint path by construction
     /// (distinct leading tag).

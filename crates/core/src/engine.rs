@@ -1,51 +1,45 @@
-//! The memoized query engine: repeated, batched, and parallel inference
-//! over one compiled sum-product expression.
+//! The session memo behind [`Model`]'s query route, plus the cache
+//! statistics and worker pool the rest of the crate shares.
 //!
-//! `prob`/`condition` are already memoized *within* a call over the
-//! deduplicated DAG ([`Factory::logprob`],
-//! [`condition`](crate::condition::condition)); the
-//! [`QueryEngine`] adds the *across-call* layer the paper's workflow
-//! implies (Fig. 7a: translate once, then answer many queries). It wraps a
-//! [`Factory`] plus a root [`Spe`] and memoizes whole-query results keyed
-//! by the [canonicalized](Event::canonical) event fingerprint, on top of
-//! the factory's persistent node-level tables, so:
+//! `prob`/`condition` are memoized *within* a call over the deduplicated
+//! DAG ([`Factory::logprob`], [`condition`](crate::condition::condition));
+//! a [`Model`] adds the *across-call* layer the paper's workflow implies
+//! (Fig. 7a: translate once, then answer many queries). Every
+//! `logprob`/`prob` question, single or batched, takes one route:
 //!
-//! * a repeated query is a single hash lookup returning a bit-identical
-//!   result;
-//! * structurally equivalent events built in different operand orders hit
-//!   the same entry;
-//! * batched queries ([`QueryEngine::logprob_many`]) share every sub-SPE
-//!   evaluation through the factory's node-level memo;
-//! * conditioning chains ([`QueryEngine::condition_chain`]) reuse both the
-//!   factory's per-step memo and an engine-level prefix cache.
+//! 1. each event is [canonicalized](crate::event::Event::canonical), so
+//!    structurally equivalent events built in different operand orders
+//!    share one key;
+//! 2. the session memo answers repeats in one hash lookup, then an
+//!    attached [`SharedCache`] answers what other sessions over the same
+//!    model content already computed;
+//! 3. every remaining miss of the call goes through one batched pass of
+//!    the session's arena — a flat, topologically ordered compile of the
+//!    model, built on the first miss and shared by content digest across
+//!    sessions, whose answers are bit-identical to the tree walker
+//!    [`Spe::logprob`];
+//! 4. each result is published under the same keys, with the shared
+//!    cache's stored value authoritative.
+//!
+//! Conditioning chains ([`Model::condition_chain`]) are memoized the same
+//! way: every prefix posterior is cached under the chained canonical
+//! fingerprints.
 //!
 //! # Concurrency
 //!
-//! The engine (and the factory underneath) is `Send + Sync`: every cache
-//! is a sharded lock map and every counter an atomic, so one engine can be
-//! shared by reference across threads. Per-event evaluations over the
-//! immutable SPE DAG are independent, which makes wide batches
-//! embarrassingly parallel: [`QueryEngine::par_logprob_many`] fans a batch
-//! out over a scoped thread pool (vendored under `crates/vendor/
-//! threadpool`; thread count from `SPPL_THREADS` or the machine's
-//! available parallelism) and returns results bit-identical to the
-//! sequential path — inference is a pure function of the DAG and the
-//! event, so scheduling cannot perturb values.
+//! A session (and the factory underneath) is `Send + Sync`: every table
+//! is a sharded lock map and every counter an atomic, so clones of one
+//! [`Model`] can query from many threads at once.
 //!
 //! # Invalidation
 //!
 //! Invalidation is tied to [`Factory::clear_caches`] through the factory's
 //! [cache generation](Factory::cache_generation): clearing the factory —
-//! directly or via [`QueryEngine::clear_caches`] — drops the engine's
-//! entries and resets its statistics. Every engine-cache entry is tagged
-//! with the generation current when its computation began and is served
-//! only while that tag matches, so a clear racing against in-flight
-//! queries can never resurrect a pre-clear entry.
-//!
-//! Engines answering queries for the *same model* from different sessions
-//! (even via separately compiled factories) can additionally share one
-//! bounded [`SharedCache`] keyed by `(model digest, event fingerprint)` —
-//! see [`QueryEngine::with_shared_cache`].
+//! directly or via [`Model::clear_caches`] — drops the session's entries
+//! and resets its statistics. Every entry is tagged with the generation
+//! current when its computation began and is served only while that tag
+//! matches, so a clear racing against in-flight queries can never
+//! resurrect a pre-clear entry.
 //!
 //! # Example
 //!
@@ -57,33 +51,35 @@
 //!     Var::new("X"),
 //!     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
 //! );
-//! let engine = QueryEngine::new(f, x);
-//! let e = Event::le(Transform::id(Var::new("X")), 0.0);
-//! let cold = engine.prob(&e).unwrap();
-//! let warm = engine.prob(&e).unwrap();
+//! let model = Model::new(f, x);
+//! let e = var("X").le(0.0);
+//! let cold = model.prob(&e).unwrap();
+//! let warm = model.prob(&e).unwrap();
 //! assert_eq!(cold.to_bits(), warm.to_bits());
-//! assert_eq!(engine.stats().hits, 1);
+//! assert_eq!(model.stats().hits, 1);
+//! // The answer is the tree walker's, bit for bit.
+//! assert_eq!(cold.to_bits(), model.root().prob(&e.canonical()).unwrap().to_bits());
 //! ```
+//!
+//! [`Model`]: crate::model::Model
+//! [`Model::condition_chain`]: crate::model::Model::condition_chain
+//! [`Model::clear_caches`]: crate::model::Model::clear_caches
+//! [`SharedCache`]: crate::cache::SharedCache
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use scoped_threadpool::Pool;
 
 use crate::arena::ArenaModel;
-use crate::cache::SharedCache;
-use crate::condition::condition_ctx;
-use crate::digest::{Fingerprint, ModelDigest};
-use crate::error::SpplError;
-use crate::event::Event;
-use crate::par::ParCtx;
+use crate::digest::Fingerprint;
 use crate::spe::{Factory, Spe};
 use crate::sync_map::ShardedMap;
 
 /// Hit/miss/entry statistics for a memoization cache. Every cache layer
-/// reports this shape; for the sharded [`SharedCache`] the counts are
-/// aggregated across all shards.
+/// reports this shape; for the sharded
+/// [`SharedCache`](crate::cache::SharedCache) the counts are aggregated
+/// across all shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -106,9 +102,11 @@ impl CacheStats {
     }
 }
 
-/// The batch-inference thread count: `SPPL_THREADS` when set to a positive
+/// The worker count for parallel symbolic operations and for servers
+/// sizing their request workers: `SPPL_THREADS` when set to a positive
 /// integer, otherwise the machine's available parallelism (one when even
-/// that is unknown).
+/// that is unknown). Queries never fan out over threads; a batch is one
+/// arena pass on the calling thread.
 pub fn default_threads() -> usize {
     std::env::var("SPPL_THREADS")
         .ok()
@@ -121,45 +119,31 @@ pub fn default_threads() -> usize {
         })
 }
 
-/// The process-wide inference pool used by [`QueryEngine::par_logprob_many`]
-/// and friends, sized by [`default_threads`] at first use. Exposed so
-/// benchmarks and servers can submit their own scoped work to the same
-/// workers instead of spawning a second pool.
+/// The process-wide pool behind the parallel symbolic operations
+/// ([`par_condition`](crate::condition::par_condition),
+/// [`par_constrain`](crate::density::par_constrain), the translator's
+/// branch fan-out, and the `SPPL_PAR_SYMBOLIC` opt-in), sized by
+/// [`default_threads`] at first use. Exposed so benchmarks and servers
+/// can submit their own scoped work to the same workers instead of
+/// spawning a second pool.
 ///
-/// **Do not call the `par_*` engine methods (or open another scope on
-/// this pool) from inside a job running on this pool**: the inner scope
-/// would block its worker waiting for chunks only the occupied workers
-/// could run — with all workers blocked the process deadlocks (the
-/// vendored pool does not support nested scopes). A server running
-/// request handlers as pool jobs must answer batches with the
-/// sequential API, or dispatch handlers on its own threads and leave
-/// this pool to the engine.
+/// **Do not call the `par_*` methods (or open another scope on this
+/// pool) from inside a job running on this pool**: the inner scope would
+/// block its worker waiting for chunks only the occupied workers could
+/// run — with all workers blocked the process deadlocks (the vendored
+/// pool does not support nested scopes).
 pub fn global_pool() -> &'static Pool {
     static POOL: OnceLock<Pool> = OnceLock::new();
     POOL.get_or_init(|| Pool::new(default_threads().min(u32::MAX as usize) as u32))
 }
 
-/// A memoized query engine over one compiled SPE (see the [module
-/// docs](self)).
-///
-/// The engine holds its [`Factory`] behind an `Arc`; build the model
-/// first, then hand both over ([`QueryEngine::new`] accepts either an
-/// owned factory or an existing `Arc<Factory>`, so engines can share one
-/// factory — the [`Model`](crate::model::Model) session API relies on
-/// this to give every posterior the same intern table and node-level
-/// memos as its parent). All methods take `&self` and the engine is
-/// `Send + Sync` — caches live behind sharded locks and atomics,
-/// matching the factory's own memo tables.
-pub struct QueryEngine {
-    factory: Arc<Factory>,
-    root: Spe,
-    /// Deep model digest, computed lazily (used only by the shared cache).
-    digest: OnceLock<ModelDigest>,
-    /// Arena-compiled form of `root`, built on first use and then shared
-    /// (the process-wide arena registry dedupes by digest underneath).
+/// A session's memo (see the [module docs](self)): the arena, the
+/// whole-query result tables, and their statistics. Owned by the
+/// session state behind [`Model`](crate::model::Model)'s `Arc`, so clones
+/// share it and posteriors get their own.
+pub(crate) struct Memo {
+    /// Arena-compiled form of the session's root, built on the first miss.
     arena: OnceLock<Arc<ArenaModel>>,
-    /// Optional cross-engine result cache.
-    shared: Option<Arc<SharedCache>>,
     /// Canonical event fingerprint → (generation tag, log-probability).
     logprob_cache: ShardedMap<Fingerprint, (u64, f64)>,
     /// Chain prefix key → (generation tag, posterior).
@@ -169,24 +153,11 @@ pub struct QueryEngine {
     seen_generation: AtomicU64,
 }
 
-/// Seed for conditioning-chain prefix keys; [`Fingerprint::chain`] keeps
-/// every chained key distinct from any single-event fingerprint path.
-const CHAIN_SEED: Fingerprint = Fingerprint::from_u128(0x51c5_a9b3_7f4e_d081);
-
-impl QueryEngine {
-    /// Wraps a factory and the root expression it built. Accepts either
-    /// an owned [`Factory`] or an `Arc<Factory>` shared with other
-    /// engines (posteriors conditioned from the same session keep the
-    /// parent's intern table and node-level memos this way).
-    pub fn new(factory: impl Into<Arc<Factory>>, root: Spe) -> QueryEngine {
-        let factory = factory.into();
-        let generation = factory.cache_generation();
-        QueryEngine {
-            factory,
-            root,
-            digest: OnceLock::new(),
+impl Memo {
+    /// An empty memo in sync with a factory at `generation`.
+    pub(crate) fn new(generation: u64) -> Memo {
+        Memo {
             arena: OnceLock::new(),
-            shared: None,
             logprob_cache: ShardedMap::new(),
             cond_cache: ShardedMap::new(),
             hits: AtomicU64::new(0),
@@ -195,86 +166,14 @@ impl QueryEngine {
         }
     }
 
-    /// Attaches a cross-engine [`SharedCache`]: `logprob`/`prob` lookups
-    /// that miss this engine's own cache consult (and fill) the shared
-    /// one, keyed by this model's [deep digest](Spe::digest). Engines over
-    /// separately compiled copies of the same model share entries; shared
-    /// hits still count as engine-level misses (the shared cache keeps its
-    /// own statistics).
-    pub fn with_shared_cache(mut self, cache: Arc<SharedCache>) -> QueryEngine {
-        self.shared = Some(cache);
-        self
-    }
-
-    /// The attached shared cache, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedCache>> {
-        self.shared.as_ref()
-    }
-
-    /// The root expression's deep content digest — the model half of the
-    /// shared-cache key, and the identity under which snapshot files
-    /// persist results ([`Spe::digest`] documents the stability
-    /// guarantee). Computed on first use and then cached.
-    pub fn model_digest(&self) -> ModelDigest {
-        *self.digest.get_or_init(|| self.root.digest())
-    }
-
-    /// The wrapped factory (for node-level cache statistics, or to build
-    /// further expressions sharing the intern table).
-    pub fn factory(&self) -> &Factory {
-        &self.factory
-    }
-
-    /// The shared handle to the wrapped factory, for building further
-    /// engines over the same intern table and node-level memos
-    /// (`Arc::clone` is the whole cost).
-    pub fn factory_arc(&self) -> &Arc<Factory> {
-        &self.factory
-    }
-
-    /// The root expression queries are answered against.
-    pub fn root(&self) -> &Spe {
-        &self.root
-    }
-
-    /// The arena-compiled form of this engine's model, built on first
-    /// use (see [`ArenaModel`]): a flat, topologically-ordered compile
-    /// of the SPE whose batched evaluation is bit-identical to this
-    /// engine's tree walker. Digest-equal engines share one arena
-    /// through the process-wide registry.
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let engine = QueryEngine::new(f, x);
-    /// let e = Event::le(Transform::id(Var::new("X")), 0.0);
-    /// assert_eq!(
-    ///     engine.compile_arena().logprob(&e).unwrap().to_bits(),
-    ///     engine.logprob(&e).unwrap().to_bits(),
-    /// );
-    /// ```
-    pub fn compile_arena(&self) -> Arc<ArenaModel> {
-        Arc::clone(self.arena.get_or_init(|| ArenaModel::compile(&self.root)))
-    }
-
-    /// Releases the factory handle and root. The factory comes back as
-    /// the shared `Arc` — other engines built over it stay valid.
-    pub fn into_parts(self) -> (Arc<Factory>, Spe) {
-        (self.factory, self.root)
-    }
-
-    /// Drops engine entries when the factory's caches were cleared behind
-    /// our back (engine keys pin no nodes, so stale entries would outlive
-    /// the node-level tables they were derived from). Generation tags on
-    /// the entries make this airtight under races: even before a lagging
-    /// thread syncs, tagged lookups refuse entries from older generations.
-    fn sync_generation(&self) {
-        let current = self.factory.cache_generation();
+    /// Drops every entry when `factory`'s caches were cleared behind our
+    /// back (memo keys pin no nodes, so stale entries would outlive the
+    /// node-level tables they were derived from), then returns the
+    /// generation new entries must be tagged with. Generation tags make
+    /// this airtight under races: even before a lagging thread syncs,
+    /// tagged lookups refuse entries from older generations.
+    pub(crate) fn sync(&self, factory: &Factory) -> u64 {
+        let current = factory.cache_generation();
         let mut seen = self.seen_generation.load(Ordering::SeqCst);
         // Only ever advance: a lagging thread that read an older factory
         // generation before a concurrent bump must not drag
@@ -298,341 +197,68 @@ impl QueryEngine {
                 Err(actual) => seen = actual,
             }
         }
+        factory.cache_generation()
     }
 
-    /// Natural log of the probability of `event` under the root,
-    /// memoized across calls (and across engines, when a shared cache is
-    /// attached).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Spe::logprob`].
-    pub fn logprob(&self, event: &Event) -> Result<f64, SpplError> {
-        self.sync_generation();
-        let generation = self.factory.cache_generation();
-        let canonical = event.canonical();
-        let key = canonical.fingerprint();
-        if let Some((tag, value)) = self.logprob_cache.get(&key) {
-            if tag == generation {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(value);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(shared) = &self.shared {
-            if let Some(value) = shared.get(self.model_digest(), key) {
-                // Promote into the engine-local cache so the next lookup
-                // is lock-cheap.
-                self.logprob_cache.insert(key, (generation, value));
-                return Ok(value);
-            }
-        }
-        let computed = self.factory.logprob(&self.root, &canonical)?;
-        // The shared cache is authoritative: serve whatever value is now
-        // stored under the key. (Since sum-child order became content-
-        // canonical, a racing engine computes identical bits anyway —
-        // this discipline keeps consistency independent of that
-        // invariant.)
-        let value = match &self.shared {
-            Some(shared) => shared.insert(self.model_digest(), key, computed),
-            None => computed,
-        };
-        // Tagged with the generation read *before* computing: if a
-        // clear_caches raced this evaluation, the tag is already stale and
-        // the entry will never be served.
+    /// The log-probability memoized under `key`, if it was stored in
+    /// `generation`.
+    pub(crate) fn logprob(&self, key: &Fingerprint, generation: u64) -> Option<f64> {
+        let (tag, value) = self.logprob_cache.get(key)?;
+        (tag == generation).then_some(value)
+    }
+
+    /// Memoizes `value` under `key`, tagged with `generation` — the one
+    /// read *before* computing, so an entry a racing clear made stale is
+    /// never served.
+    pub(crate) fn put_logprob(&self, key: Fingerprint, generation: u64, value: f64) {
         self.logprob_cache.insert(key, (generation, value));
-        Ok(value)
     }
 
-    /// The probability of `event`, clamped to `[0, 1]` (see
-    /// [`Spe::prob`] for why the clamp matters near one).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Spe::logprob`].
-    pub fn prob(&self, event: &Event) -> Result<f64, SpplError> {
-        Ok(self.logprob(event)?.exp().clamp(0.0, 1.0))
+    /// The posterior memoized under chain key `key`, if it was stored in
+    /// `generation`.
+    pub(crate) fn posterior(&self, key: &Fingerprint, generation: u64) -> Option<Spe> {
+        let (tag, posterior) = self.cond_cache.get(key)?;
+        (tag == generation).then_some(posterior)
     }
 
-    /// Batched [`QueryEngine::logprob`]: evaluates every event, sharing
-    /// sub-SPE results through the factory's node-level memo and
-    /// whole-query results through the engine cache. Fails on the first
-    /// erroring event.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Spe::logprob`].
-    pub fn logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        events.iter().map(|e| self.logprob(e)).collect()
+    /// Memoizes `posterior` under chain key `key`, tagged like
+    /// [`Memo::put_logprob`].
+    pub(crate) fn put_posterior(&self, key: Fingerprint, generation: u64, posterior: Spe) {
+        self.cond_cache.insert(key, (generation, posterior));
     }
 
-    /// Batched [`QueryEngine::prob`] with the same clamping.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Spe::logprob`].
-    pub fn prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        events.iter().map(|e| self.prob(e)).collect()
+    /// Adds one call's lookups to the statistics.
+    pub(crate) fn count(&self, hits: u64, misses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 
-    /// Parallel [`QueryEngine::logprob_many`] over the process-wide
-    /// [`global_pool`]: the batch is chunked across the pool's workers,
-    /// which share this engine's caches concurrently. Results are
-    /// bit-identical to the sequential path (inference is pure; the memo
-    /// tables only ever hand back values the same computation would
-    /// produce). Must not be called from a job already running on the
-    /// global pool — nested scopes deadlock (see [`global_pool`]); use
-    /// [`QueryEngine::logprob_many`] there, or
-    /// [`QueryEngine::par_logprob_many_in`] with a distinct pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Spe::logprob`]. Unlike the sequential path,
-    /// all events are evaluated even when one errors; the error returned
-    /// is the earliest-indexed one, matching what `logprob_many` would
-    /// have reported. A worker that *panics* mid-evaluation (an engine
-    /// bug, by definition) is reported as [`SpplError::Internal`] instead
-    /// of resurfacing the panic in the caller; the pool and the engine
-    /// caches remain usable.
-    pub fn par_logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.par_logprob_many_in(global_pool(), events)
+    /// The arena compile of `root`, built on first use (digest-equal
+    /// sessions share one through the arena registry).
+    pub(crate) fn arena(&self, root: &Spe) -> &ArenaModel {
+        self.arena.get_or_init(|| ArenaModel::compile(root))
     }
 
-    /// [`QueryEngine::par_logprob_many`] on a caller-provided pool (for
-    /// servers owning their own pool, or benchmarks varying thread
-    /// counts).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    pub fn par_logprob_many_in(
-        &self,
-        pool: &Pool,
-        events: &[Event],
-    ) -> Result<Vec<f64>, SpplError> {
-        if pool.thread_count() <= 1 || events.len() < 2 {
-            return self.logprob_many(events);
-        }
-        // More chunks than workers so an expensive event cannot leave the
-        // other workers idle behind one long chunk.
-        let jobs = (pool.thread_count() as usize * 4).min(events.len());
-        let chunk = events.len().div_ceil(jobs);
-        par_eval_chunks(pool, events, chunk, |event| self.logprob(event))
-    }
-
-    /// Parallel [`QueryEngine::prob_many`] with the same clamping.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    pub fn par_prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.par_prob_many_in(global_pool(), events)
-    }
-
-    /// [`QueryEngine::par_prob_many`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    pub fn par_prob_many_in(&self, pool: &Pool, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        Ok(self
-            .par_logprob_many_in(pool, events)?
-            .into_iter()
-            .map(|lp| lp.exp().clamp(0.0, 1.0))
-            .collect())
-    }
-
-    /// Conditions the root on `event` (Thm. 4.1), memoized across calls.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`condition`](crate::condition::condition).
-    pub fn condition(&self, event: &Event) -> Result<Spe, SpplError> {
-        self.condition_chain(std::slice::from_ref(event))
-    }
-
-    /// Sequentially conditions the root on each event in turn — the
-    /// filtering workflow `S | e₁ | e₂ | …`. Every prefix posterior is
-    /// cached, so extending an already-computed chain pays only for the
-    /// new suffix, and re-running a chain is pure lookups. An empty chain
-    /// returns the root.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`condition`](crate::condition::condition); in particular
-    /// [`SpplError::ZeroProbability`] if any prefix gives the next event
-    /// probability zero.
-    pub fn condition_chain(&self, events: &[Event]) -> Result<Spe, SpplError> {
-        self.condition_chain_ctx(events, ParCtx::env_default())
-    }
-
-    /// [`QueryEngine::condition`] with wide `Sum`/`Product` fan-outs
-    /// parallelized over the global pool. Bit-identical to the sequential
-    /// walk (see [`crate::condition::par_condition`]); must not be called
-    /// from inside a job running on the global pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`condition`](crate::condition::condition).
-    pub fn par_condition(&self, event: &Event) -> Result<Spe, SpplError> {
-        self.par_condition_chain(std::slice::from_ref(event))
-    }
-
-    /// [`QueryEngine::par_condition`] over a caller-supplied pool. A
-    /// single-worker pool degrades to the sequential walk.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`condition`](crate::condition::condition).
-    pub fn par_condition_in(&self, pool: &Pool, event: &Event) -> Result<Spe, SpplError> {
-        self.par_condition_chain_in(pool, std::slice::from_ref(event))
-    }
-
-    /// [`QueryEngine::condition_chain`] with each conditioning step's
-    /// wide fan-outs parallelized over the global pool. The chain itself
-    /// stays sequential — step *k+1* conditions step *k*'s posterior —
-    /// so parallelism lives inside each step, and every prefix posterior
-    /// is cached exactly as in the sequential chain.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::condition_chain`].
-    pub fn par_condition_chain(&self, events: &[Event]) -> Result<Spe, SpplError> {
-        self.condition_chain_ctx(events, ParCtx::with_pool(global_pool()))
-    }
-
-    /// [`QueryEngine::par_condition_chain`] over a caller-supplied pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::condition_chain`].
-    pub fn par_condition_chain_in(&self, pool: &Pool, events: &[Event]) -> Result<Spe, SpplError> {
-        self.condition_chain_ctx(events, ParCtx::with_pool(pool))
-    }
-
-    fn condition_chain_ctx(&self, events: &[Event], par: ParCtx<'_>) -> Result<Spe, SpplError> {
-        self.sync_generation();
-        let generation = self.factory.cache_generation();
-        let mut current = self.root.clone();
-        let mut key = CHAIN_SEED;
-        for event in events {
-            let canonical = event.canonical();
-            key = key.chain(canonical.fingerprint());
-            if let Some((tag, posterior)) = self.cond_cache.get(&key) {
-                if tag == generation {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    current = posterior;
-                    continue;
-                }
-            }
-            current = condition_ctx(&self.factory, &current, &canonical, par)?;
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.cond_cache.insert(key, (generation, current.clone()));
-        }
-        Ok(current)
-    }
-
-    /// Engine-level cache statistics: hits and misses across the
-    /// `logprob` and `condition` paths, and total entries stored. For the
-    /// node-level tables underneath, see [`Factory::prob_cache_stats`] and
-    /// [`Factory::cond_cache_stats`]; for the cross-engine layer, see
-    /// [`SharedCache::stats`].
-    pub fn stats(&self) -> CacheStats {
-        self.sync_generation();
+    /// Hits and misses across the `logprob` and `condition` paths, and
+    /// the entries both tables hold.
+    pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.logprob_cache.len() + self.cond_cache.len(),
         }
     }
-
-    /// Clears the engine caches, the factory caches underneath, and all
-    /// statistics. An attached [`SharedCache`] is *not* cleared — its
-    /// entries are pure values shared with other engines; clear it
-    /// explicitly via [`SharedCache::clear`] if the memory must go.
-    pub fn clear_caches(&self) {
-        self.factory.clear_caches();
-        // clear_caches bumped the generation; syncing drops engine entries
-        // and resets the engine counters.
-        self.sync_generation();
-    }
-}
-
-/// Fans `items` out over `pool` in `chunk`-sized jobs, evaluating each
-/// with `eval` and preserving input order. The workhorse behind the
-/// `par_*_many` methods.
-///
-/// Error discipline: every item is evaluated even when one errors, and
-/// the earliest-indexed error wins — matching the sequential path. A
-/// panicking job is contained here rather than resurfacing in the caller:
-/// the scope's recorded panic is caught, any slot the panicked worker
-/// never filled becomes [`SpplError::Internal`] carrying the panic
-/// message, and the pool stays usable (its workers catch job panics and
-/// keep running). Without this containment a single panicking evaluation
-/// would abort the whole batch with an opaque payload and leave the
-/// caller unable to distinguish an engine bug from a bad query.
-fn par_eval_chunks<T, F>(
-    pool: &Pool,
-    items: &[T],
-    chunk: usize,
-    eval: F,
-) -> Result<Vec<f64>, SpplError>
-where
-    T: Sync,
-    F: Fn(&T) -> Result<f64, SpplError> + Sync,
-{
-    let mut out: Vec<Option<Result<f64, SpplError>>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    // The JoinGuard inside `scoped` waits for every job even on the
-    // unwind path, so by the time `catch_unwind` returns all borrows of
-    // `out` have ended and the filled slots are safe to read.
-    let panicked = catch_unwind(AssertUnwindSafe(|| {
-        pool.scoped(|scope| {
-            let eval = &eval;
-            for (evs, outs) in items.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                scope.execute(move || {
-                    for (item, slot) in evs.iter().zip(outs.iter_mut()) {
-                        *slot = Some(eval(item));
-                    }
-                });
-            }
-        });
-    }))
-    .err()
-    .map(|payload| {
-        payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string())
-    });
-    let collected: Result<Vec<f64>, SpplError> = {
-        let internal = |slot: Option<Result<f64, SpplError>>| {
-            slot.unwrap_or_else(|| {
-                Err(SpplError::Internal {
-                    message: format!(
-                        "parallel batch worker panicked: {}",
-                        panicked.as_deref().unwrap_or("no panic recorded")
-                    ),
-                })
-            })
-        };
-        out.into_iter().map(internal).collect()
-    };
-    match (collected, panicked) {
-        // A panic with every slot filled would mean the panic escaped the
-        // evaluation loop itself; refuse to return values computed under
-        // a broken scope.
-        (Ok(_), Some(message)) => Err(SpplError::Internal {
-            message: format!("parallel batch scope panicked: {message}"),
-        }),
-        (result, _) => result,
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::cache::SharedCache;
+    use crate::error::SpplError;
+    use crate::event::Event;
+    use crate::model::Model;
     use crate::transform::Transform;
     use crate::var::Var;
     use sppl_dists::{Cdf, DistReal, Distribution};
@@ -646,140 +272,55 @@ mod tests {
         )
     }
 
-    fn engine_xy() -> QueryEngine {
+    fn model_xy() -> Model {
         let f = Factory::new();
         let p = f
             .product(vec![normal(&f, "X", 0.0), normal(&f, "Y", 0.0)])
             .unwrap();
-        QueryEngine::new(f, p)
+        Model::new(f, p)
     }
 
     fn le(name: &str, v: f64) -> Event {
         Event::le(Transform::id(Var::new(name)), v)
     }
 
+    /// The tree walker's answer: the reference every route result equals.
+    fn tree(model: &Model, e: &Event) -> f64 {
+        model.root().logprob(&e.canonical()).unwrap()
+    }
+
     #[test]
     fn matches_direct_logprob() {
-        let engine = engine_xy();
+        let model = model_xy();
         let e = Event::and(vec![le("X", 0.0), le("Y", 0.0)]);
-        let direct = engine.root().logprob(&e).unwrap();
-        assert_eq!(engine.logprob(&e).unwrap(), direct);
-        assert!(approx_eq(engine.prob(&e).unwrap(), 0.25, 1e-12));
+        assert_eq!(
+            model.logprob(&e).unwrap().to_bits(),
+            tree(&model, &e).to_bits()
+        );
+        assert!(approx_eq(model.prob(&e).unwrap(), 0.25, 1e-12));
     }
 
     #[test]
     fn batched_equals_individual() {
-        let engine = engine_xy();
+        let model = model_xy();
         let events = vec![le("X", 0.0), le("Y", 1.0), le("X", -1.0)];
-        let batch = engine.logprob_many(&events).unwrap();
-        let single: Vec<f64> = events
-            .iter()
-            .map(|e| engine.root().logprob(e).unwrap())
-            .collect();
-        assert_eq!(batch, single);
-        let probs = engine.prob_many(&events).unwrap();
+        let batch = model.logprob_many(&events).unwrap();
+        for (e, lp) in events.iter().zip(&batch) {
+            assert_eq!(lp.to_bits(), tree(&model, e).to_bits());
+        }
+        let probs = model.prob_many(&events).unwrap();
         for (lp, p) in batch.iter().zip(&probs) {
             assert_eq!(lp.exp().clamp(0.0, 1.0).to_bits(), p.to_bits());
         }
     }
 
     #[test]
-    fn parallel_batch_is_bit_identical() {
-        let engine = engine_xy();
-        let events: Vec<Event> = (0..96)
-            .map(|i| le(if i % 2 == 0 { "X" } else { "Y" }, f64::from(i) / 16.0))
-            .collect();
-        let seq = engine.logprob_many(&events).unwrap();
-        engine.clear_caches();
-        let pool = Pool::new(4);
-        let par = engine.par_logprob_many_in(&pool, &events).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
-        let par_probs = engine.par_prob_many_in(&pool, &events).unwrap();
-        for (lp, p) in par.iter().zip(&par_probs) {
-            assert_eq!(lp.exp().clamp(0.0, 1.0).to_bits(), p.to_bits());
-        }
-    }
-
-    #[test]
-    fn worker_panic_becomes_internal_error_and_pool_survives() {
-        let pool = Pool::new(2);
-        let items: Vec<u32> = (0..16).collect();
-        let result = par_eval_chunks(&pool, &items, 2, |&i| {
-            if i == 5 {
-                panic!("evaluator exploded on item {i}");
-            }
-            Ok(f64::from(i))
-        });
-        match result {
-            Err(SpplError::Internal { message }) => {
-                assert!(
-                    message.contains("evaluator exploded"),
-                    "panic message must be preserved, got: {message}"
-                );
-            }
-            other => panic!("expected SpplError::Internal, got {other:?}"),
-        }
-        // The pool is not poisoned: the same pool serves the next batch.
-        let again = par_eval_chunks(&pool, &items, 4, |&i| Ok(f64::from(i) * 2.0)).unwrap();
-        assert_eq!(again.len(), items.len());
-        assert_eq!(again[7], 14.0);
-    }
-
-    #[test]
-    fn earliest_error_beats_later_panic() {
-        // A structured error in an earlier chunk outranks a panic in a
-        // later one, matching the sequential earliest-index discipline.
-        let pool = Pool::new(2);
-        let items: Vec<u32> = (0..8).collect();
-        let result = par_eval_chunks(&pool, &items, 1, |&i| {
-            if i == 7 {
-                panic!("late panic");
-            }
-            if i == 1 {
-                Err(SpplError::Numeric {
-                    message: "early structured error".into(),
-                })
-            } else {
-                Ok(f64::from(i))
-            }
-        });
-        assert!(
-            matches!(result, Err(SpplError::Numeric { .. })),
-            "{result:?}"
-        );
-    }
-
-    #[test]
-    fn parallel_error_matches_sequential() {
-        let engine = engine_xy();
-        let mut events: Vec<Event> = (0..16).map(|i| le("X", f64::from(i))).collect();
-        events.insert(7, le("Nope", 0.0));
-        let seq_err = engine.logprob_many(&events).unwrap_err();
-        let par_err = engine
-            .par_logprob_many_in(&Pool::new(3), &events)
-            .unwrap_err();
-        assert_eq!(seq_err, par_err);
-    }
-
-    #[test]
-    fn parallel_on_single_thread_pool_falls_back() {
-        let engine = engine_xy();
-        let events = vec![le("X", 0.0), le("Y", 0.5)];
-        let pool = Pool::new(1);
-        let got = engine.par_logprob_many_in(&pool, &events).unwrap();
-        assert_eq!(got, engine.logprob_many(&events).unwrap());
-    }
-
-    #[test]
     fn condition_chain_matches_conjunction() {
-        let engine = engine_xy();
+        let model = model_xy();
         let e1 = le("X", 0.0);
         let e2 = le("Y", 0.0);
-        let chained = engine.condition_chain(&[e1.clone(), e2.clone()]).unwrap();
-        let joint = engine
+        let chained = model.condition_chain(&[e1.clone(), e2.clone()]).unwrap();
+        let joint = model
             .condition(&Event::and(vec![e1.clone(), e2.clone()]))
             .unwrap();
         let probe = Event::and(vec![le("X", -1.0), le("Y", -1.0)]);
@@ -789,40 +330,44 @@ mod tests {
             1e-12
         ));
         // Empty chain is the prior.
-        assert!(engine.condition_chain(&[]).unwrap().same(engine.root()));
+        assert!(model
+            .condition_chain(&[])
+            .unwrap()
+            .root()
+            .same(model.root()));
     }
 
     #[test]
     fn chain_prefixes_are_cached() {
-        let engine = engine_xy();
+        let model = model_xy();
         let chain = [le("X", 0.0), le("Y", 0.0)];
-        let a = engine.condition_chain(&chain).unwrap();
-        let before = engine.stats();
-        let b = engine.condition_chain(&chain).unwrap();
-        let after = engine.stats();
-        assert!(a.same(&b));
+        let a = model.condition_chain(&chain).unwrap();
+        let before = model.stats();
+        let b = model.condition_chain(&chain).unwrap();
+        let after = model.stats();
+        assert!(a.root().same(b.root()));
         assert_eq!(after.hits, before.hits + 2);
         assert_eq!(after.misses, before.misses);
     }
 
     #[test]
     fn zero_probability_chain_errors() {
-        let engine = engine_xy();
+        let model = model_xy();
         let impossible = Event::in_interval(
             Transform::id(Var::new("X")).pow_int(2),
             Interval::open(f64::NEG_INFINITY, 0.0),
         );
         assert!(matches!(
-            engine.condition_chain(&[le("Y", 0.0), impossible]),
+            model.condition_chain(&[le("Y", 0.0), impossible]),
             Err(SpplError::ZeroProbability { .. })
         ));
     }
 
     #[test]
     fn unknown_variable_propagates() {
-        let engine = engine_xy();
+        let model = model_xy();
         assert!(matches!(
-            engine.logprob(&le("Nope", 0.0)),
+            model.logprob(&le("Nope", 0.0)),
             Err(SpplError::UnknownVariable { .. })
         ));
     }
@@ -835,14 +380,14 @@ mod tests {
             let p = f
                 .product(vec![normal(&f, "X", 0.0), normal(&f, "Y", 0.0)])
                 .unwrap();
-            QueryEngine::new(f, p).with_shared_cache(Arc::clone(&cache))
+            Model::new(f, p).with_shared_cache(Arc::clone(&cache))
         };
         let b = {
             let f = Factory::new();
             let p = f
                 .product(vec![normal(&f, "Y", 0.0), normal(&f, "X", 0.0)])
                 .unwrap();
-            QueryEngine::new(f, p).with_shared_cache(Arc::clone(&cache))
+            Model::new(f, p).with_shared_cache(Arc::clone(&cache))
         };
         assert_eq!(
             a.model_digest(),
@@ -858,10 +403,9 @@ mod tests {
         assert_eq!(
             after.hits,
             before.hits + 1,
-            "engine b must hit the shared cache"
+            "session b must hit the shared cache"
         );
-        // Engine b recorded an engine-level miss but never touched its
-        // factory's evaluator for the whole query.
+        // Session b recorded a memo miss; the shared cache answered it.
         assert_eq!(b.stats().misses, 1);
     }
 

@@ -49,8 +49,8 @@ pub enum SpplError {
         /// What the snapshot reader or writer rejected.
         message: String,
     },
-    /// An engine invariant was violated at runtime — e.g. a parallel-batch
-    /// worker panicked mid-evaluation. Inference state is still consistent
+    /// An engine invariant was violated at runtime — e.g. a serving batch
+    /// panicked mid-evaluation. Inference state is still consistent
     /// (caches only ever hold completed results), but the failing batch
     /// produced no answer. This is always a bug report, never an expected
     /// outcome of a well-formed query.

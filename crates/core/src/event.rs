@@ -457,8 +457,8 @@ impl Event {
     /// — regardless of operand order or nesting — share one fingerprint.
     /// Literal sets are untouched (they are already canonical).
     ///
-    /// This is the cache key used by
-    /// [`QueryEngine`](crate::engine::QueryEngine): canonicalization is
+    /// This is the memo key of every [`Model`](crate::model::Model)
+    /// query, and the event the arena evaluates: canonicalization is
     /// purely structural (associativity, commutativity, idempotence of
     /// `∧`/`∨`), so the canonical event denotes the same set of outcomes.
     pub fn canonical(&self) -> Event {

@@ -22,16 +22,18 @@
 //! * [`mod@condition`] — the `condition` algorithm (Lst. 6, Thm. 4.1),
 //! * [`par`] — the parallel fan-out scaffolding behind `par_condition`/
 //!   `par_constrain` and the `SPPL_PAR_SYMBOLIC` opt-in,
-//! * [`engine`] — the memoized [`QueryEngine`]:
-//!   batched `logprob`/`condition` over one compiled SPE with
-//!   canonicalized-event caching and cache statistics,
-//! * [`arena`] — the [`ArenaModel`] batch evaluator: digest-keyed
-//!   compilation of a model into a flat, topologically-ordered arena
-//!   with struct-of-arrays batch evaluation, bit-identical to [`prob`],
 //! * [`model`] — the session-first [`Model`] handle:
-//!   `Arc<Factory>` + root + engine in one `Clone + Send + Sync` object
-//!   whose `condition`/`constrain` return posteriors as first-class
-//!   models (the public face of Thm. 4.1's closure property),
+//!   `Arc<Factory>` + root + session memo in one `Clone + Send + Sync`
+//!   object whose `condition`/`constrain` return posteriors as
+//!   first-class models (the public face of Thm. 4.1's closure
+//!   property), and whose queries take one route: canonicalize, memo,
+//!   [`SharedCache`], then one batched arena pass for the misses,
+//! * [`engine`] — the session memo behind that route, [`CacheStats`],
+//!   and the worker pool of the parallel symbolic operations,
+//! * `arena` (crate-private) — the batch evaluator every query miss goes
+//!   through: digest-keyed compilation of a model into a flat,
+//!   topologically-ordered arena with struct-of-arrays evaluation,
+//!   bit-identical to [`prob`],
 //! * [`density`] — the lexicographic density semantics `P₀` (Lst. 1d) and
 //!   `condition0`/`constrain` for measure-zero events (Lst. 7),
 //! * [`simulate`] — ancestral sampling (Prop. A.1),
@@ -74,7 +76,7 @@
 //! assert!((posterior.prob(&event).unwrap() - 1.0).abs() < 1e-9);
 //! ```
 
-pub mod arena;
+mod arena;
 pub mod cache;
 pub mod condition;
 pub mod density;
@@ -94,12 +96,11 @@ pub mod transform;
 pub mod var;
 pub mod wire;
 
-pub use arena::ArenaModel;
 pub use cache::SharedCache;
 pub use condition::{condition, par_condition, par_condition_in};
 pub use density::{constrain, par_constrain, par_constrain_in, Assignment};
 pub use digest::{Fingerprint, ModelDigest, DIGEST_VERSION};
-pub use engine::{default_threads, global_pool, CacheStats, QueryEngine};
+pub use engine::{default_threads, global_pool, CacheStats};
 pub use error::SpplError;
 pub use event::{var, Event, Scalar};
 pub use model::Model;
@@ -114,12 +115,11 @@ pub use scoped_threadpool::Pool;
 
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
-    pub use crate::arena::ArenaModel;
     pub use crate::cache::SharedCache;
     pub use crate::condition::condition;
     pub use crate::density::{constrain, Assignment};
     pub use crate::digest::{Fingerprint, ModelDigest, DIGEST_VERSION};
-    pub use crate::engine::{default_threads, global_pool, CacheStats, QueryEngine};
+    pub use crate::engine::{default_threads, global_pool, CacheStats};
     pub use crate::error::SpplError;
     pub use crate::event::{var, Event, Scalar};
     pub use crate::model::Model;

@@ -17,7 +17,14 @@
 //!
 //! A `Model` is `Clone + Send + Sync` and all methods take `&self`:
 //! clone it into as many threads or request handlers as needed — clones
-//! share one embedded [`QueryEngine`] and therefore one set of caches.
+//! share one session state behind one `Arc`, and therefore one memo.
+//!
+//! Every query — [`Model::logprob`], [`Model::prob`] and their batch
+//! forms — takes one route (the [`engine`](crate::engine) module docs
+//! spell it out): canonicalize each event, answer it from the session
+//! memo or the attached [`SharedCache`], and send every remaining miss
+//! of the call through one batched pass of the model's arena compile,
+//! whose answers equal the tree walker [`Spe::logprob`] bit for bit.
 //!
 //! # Example
 //!
@@ -46,29 +53,45 @@
 //! assert!((posterior.prob(&var("X").gt(0.0)).unwrap()).abs() < 1e-12);
 //! ```
 
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 use scoped_threadpool::Pool;
 
-use crate::arena::ArenaModel;
 use crate::cache::SharedCache;
+use crate::condition::condition_ctx;
 use crate::density::{constrain, par_constrain, par_constrain_in, Assignment};
-use crate::digest::ModelDigest;
-use crate::engine::{CacheStats, QueryEngine};
+use crate::digest::{Fingerprint, ModelDigest};
+use crate::engine::{global_pool, CacheStats, Memo};
 use crate::error::SpplError;
 use crate::event::Event;
+use crate::par::ParCtx;
 use crate::simulate::Sample;
 use crate::spe::{Factory, Spe};
 
 /// A queryable probabilistic-model session (see the [module docs](self)):
-/// `Arc<Factory>` + root [`Spe`] + embedded memoized [`QueryEngine`],
-/// closed under [`condition`](Model::condition) /
-/// [`constrain`](Model::constrain).
+/// `Arc<Factory>` + root [`Spe`] + a memoized query route, closed under
+/// [`condition`](Model::condition) / [`constrain`](Model::constrain).
 #[derive(Clone)]
 pub struct Model {
-    engine: Arc<QueryEngine>,
+    inner: Arc<Inner>,
 }
+
+/// A session's state, shared by every clone of its [`Model`].
+struct Inner {
+    factory: Arc<Factory>,
+    root: Spe,
+    /// Deep model digest, computed on first use.
+    digest: OnceLock<ModelDigest>,
+    /// Optional cross-session result cache.
+    shared: Option<Arc<SharedCache>>,
+    memo: Memo,
+}
+
+/// Seed for conditioning-chain prefix keys; [`Fingerprint::chain`] keeps
+/// every chained key distinct from any single-event fingerprint path.
+const CHAIN_SEED: Fingerprint = Fingerprint::from_u128(0x51c5_a9b3_7f4e_d081);
 
 impl Model {
     /// Wraps a factory and the root expression it built into a session.
@@ -87,34 +110,29 @@ impl Model {
     /// assert!(model.root().is_leaf());
     /// ```
     pub fn new(factory: impl Into<Arc<Factory>>, root: Spe) -> Model {
-        Model::from_engine(QueryEngine::new(factory, root))
+        Model::session(factory.into(), root, None)
     }
 
-    /// Wraps an already-configured engine (e.g. one built with
-    /// [`QueryEngine::with_shared_cache`]) into a session handle.
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::from_engine(QueryEngine::new(f, x));
-    /// assert_eq!(model.stats(), CacheStats::default());
-    /// ```
-    pub fn from_engine(engine: QueryEngine) -> Model {
+    fn session(factory: Arc<Factory>, root: Spe, shared: Option<Arc<SharedCache>>) -> Model {
+        let memo = Memo::new(factory.cache_generation());
         Model {
-            engine: Arc::new(engine),
+            inner: Arc::new(Inner {
+                factory,
+                root,
+                digest: OnceLock::new(),
+                shared,
+                memo,
+            }),
         }
     }
 
-    /// Attaches a cross-session [`SharedCache`]; posteriors derived from
-    /// this model inherit the attachment. When this handle has clones
-    /// (the engine `Arc` is shared), the returned model gets a fresh
-    /// engine over the same factory and root — factory-level memos are
-    /// unaffected, only engine-local entries start cold.
+    /// Attaches a cross-session [`SharedCache`]: queries that miss this
+    /// session's memo consult (and fill) the shared cache, keyed by this
+    /// model's [deep digest](Spe::digest), so sessions over separately
+    /// compiled copies of the same model share entries. Posteriors
+    /// derived from the returned model inherit the attachment. The
+    /// returned session starts with an empty memo; the factory's
+    /// node-level memos are unaffected.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -131,87 +149,50 @@ impl Model {
     /// assert_eq!(cache.stats().entries, 1);
     /// ```
     pub fn with_shared_cache(self, cache: Arc<SharedCache>) -> Model {
-        let engine = match Arc::try_unwrap(self.engine) {
-            Ok(engine) => engine,
-            Err(shared) => {
-                QueryEngine::new(Arc::clone(shared.factory_arc()), shared.root().clone())
-            }
-        };
-        Model::from_engine(engine.with_shared_cache(cache))
+        Model::session(
+            Arc::clone(&self.inner.factory),
+            self.inner.root.clone(),
+            Some(cache),
+        )
     }
 
     /// The attached shared cache, if any.
     pub fn shared_cache(&self) -> Option<&Arc<SharedCache>> {
-        self.engine.shared_cache()
+        self.inner.shared.as_ref()
     }
 
     /// The factory this session builds in (for node-level cache
     /// statistics, or to construct further expressions over the same
     /// intern table).
     pub fn factory(&self) -> &Factory {
-        self.engine.factory()
+        &self.inner.factory
     }
 
     /// The shared factory handle. Posteriors returned by
     /// [`Model::condition`] / [`Model::constrain`] satisfy
     /// `Arc::ptr_eq(parent.factory_arc(), posterior.factory_arc())`.
     pub fn factory_arc(&self) -> &Arc<Factory> {
-        self.engine.factory_arc()
+        &self.inner.factory
     }
 
     /// The compiled sum-product expression queries are answered against.
     pub fn root(&self) -> &Spe {
-        self.engine.root()
-    }
-
-    /// The embedded memoized query engine (for code that still wants the
-    /// lower-level surface, e.g. custom pool plumbing).
-    pub fn engine(&self) -> &QueryEngine {
-        &self.engine
+        &self.inner.root
     }
 
     /// The root expression's deep content digest — the model half of the
     /// [`SharedCache`] key and the identity under which snapshots persist
     /// results. Equal for any two sessions over identical model content,
     /// across factories, processes, and builds of one
-    /// [`DIGEST_VERSION`](crate::digest::DIGEST_VERSION).
+    /// [`DIGEST_VERSION`](crate::digest::DIGEST_VERSION). Computed on
+    /// first use and then cached.
     pub fn model_digest(&self) -> ModelDigest {
-        self.engine.model_digest()
-    }
-
-    /// Compiles this model (prior or posterior — any `Model`) into an
-    /// [`ArenaModel`]: a flat, topologically-ordered arena whose batched
-    /// `logprob_many`/`prob_many` answer bit-identically to this
-    /// session's tree walker, without per-query memo-table traffic. The
-    /// arena is built on first use, cached on the session, and shared
-    /// across sessions by content digest, so calling this repeatedly —
-    /// or from a digest-equal session — returns the same `Arc`.
-    ///
-    /// Use it for wide, mostly-distinct event batches over a fixed
-    /// model; stay on [`Model::logprob`] when queries repeat (the
-    /// engine's memo answers repeats in one hash lookup).
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let arena = model.compile_arena();
-    /// let batch = vec![var("X").le(0.0), var("X").gt(1.5)];
-    /// let fast = arena.logprob_many(&batch).unwrap();
-    /// let slow = model.logprob_many(&batch).unwrap();
-    /// assert!(fast.iter().zip(&slow).all(|(a, b)| a.to_bits() == b.to_bits()));
-    /// ```
-    pub fn compile_arena(&self) -> Arc<ArenaModel> {
-        self.engine.compile_arena()
+        *self.inner.digest.get_or_init(|| self.inner.root.digest())
     }
 
     /// Natural log of the probability of `event`, memoized across calls
-    /// (and across sessions when a shared cache is attached).
+    /// (and across sessions when a shared cache is attached). A
+    /// one-event [`Model::logprob_many`].
     ///
     /// # Errors
     ///
@@ -230,7 +211,7 @@ impl Model {
     /// assert!((lp - 0.5f64.ln()).abs() < 1e-12);
     /// ```
     pub fn logprob(&self, event: &Event) -> Result<f64, SpplError> {
-        self.engine.logprob(event)
+        Ok(self.logprob_many(std::slice::from_ref(event))?[0])
     }
 
     /// The probability of `event`, clamped to `[0, 1]` (see [`Spe::prob`]
@@ -252,16 +233,25 @@ impl Model {
     /// assert!((model.prob(&var("X").le(0.0)).unwrap() - 0.5).abs() < 1e-12);
     /// ```
     pub fn prob(&self, event: &Event) -> Result<f64, SpplError> {
-        self.engine.prob(event)
+        Ok(self.logprob(event)?.exp().clamp(0.0, 1.0))
     }
 
-    /// Batched [`Model::logprob`]: evaluates every event, sharing sub-SPE
-    /// results through the factory's node-level memo. Fails on the first
-    /// erroring event.
+    /// Natural log of the probability of every event. Each event is
+    /// canonicalized and looked up in the session memo, then in the
+    /// attached [`SharedCache`]; every remaining miss goes through one
+    /// batched pass of the model's arena compile (built on the first
+    /// miss, shared by content digest across sessions), and each result
+    /// is published under the same keys — the shared cache's stored
+    /// value wins. Every event counts one hit or one miss in
+    /// [`Model::stats`]; a shared-cache answer counts as a miss, and a
+    /// repeat within one call as a hit, exactly as on separate calls.
+    /// Answers equal the tree walker [`Spe::logprob`] on the canonical
+    /// event, bit for bit.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Spe::logprob`].
+    /// The earliest failing event's error, under the same conditions as
+    /// [`Spe::logprob`].
     ///
     /// ```
     /// use sppl_core::prelude::*;
@@ -276,14 +266,68 @@ impl Model {
     /// assert_eq!(lps.len(), 2);
     /// ```
     pub fn logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.engine.logprob_many(events)
+        let Inner {
+            factory,
+            root,
+            shared,
+            memo,
+            ..
+        } = &*self.inner;
+        let generation = memo.sync(factory);
+        let shared = shared.as_ref().map(|cache| (cache, self.model_digest()));
+        let mut out = Vec::with_capacity(events.len());
+        // This call's misses in order, their keys, and the first slot of
+        // each key; `fills` maps output positions to those slots.
+        let mut misses: Vec<Event> = Vec::new();
+        let mut keys: Vec<Fingerprint> = Vec::new();
+        let mut slots: HashMap<Fingerprint, usize> = HashMap::new();
+        let mut fills: Vec<(usize, usize)> = Vec::new();
+        let (mut hits, mut missed) = (0, 0);
+        for event in events {
+            let canonical = event.canonical();
+            let key = canonical.fingerprint();
+            if let Some(value) = memo.logprob(&key, generation) {
+                hits += 1;
+                out.push(value);
+            } else if let Some(&slot) = slots.get(&key) {
+                hits += 1;
+                fills.push((out.len(), slot));
+                out.push(f64::NAN);
+            } else if let Some(value) = shared.and_then(|(cache, digest)| cache.get(digest, key)) {
+                missed += 1;
+                memo.put_logprob(key, generation, value);
+                out.push(value);
+            } else {
+                missed += 1;
+                slots.insert(key, misses.len());
+                fills.push((out.len(), misses.len()));
+                out.push(f64::NAN);
+                keys.push(key);
+                misses.push(canonical);
+            }
+        }
+        memo.count(hits, missed);
+        if misses.is_empty() {
+            return Ok(out);
+        }
+        let mut values = memo.arena(root).logprob_many(&misses)?;
+        for (value, key) in values.iter_mut().zip(keys) {
+            if let Some((cache, digest)) = shared {
+                *value = cache.insert(digest, key, *value);
+            }
+            memo.put_logprob(key, generation, *value);
+        }
+        for (at, slot) in fills {
+            out[at] = values[slot];
+        }
+        Ok(out)
     }
 
     /// Batched [`Model::prob`] with the same clamping.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Spe::logprob`].
+    /// Same conditions as [`Model::logprob_many`].
     ///
     /// ```
     /// use sppl_core::prelude::*;
@@ -298,114 +342,11 @@ impl Model {
     /// assert!((ps[0] + ps[1] - 1.0).abs() < 1e-12);
     /// ```
     pub fn prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.engine.prob_many(events)
-    }
-
-    /// Parallel [`Model::logprob_many`] over the process-wide
-    /// [`global_pool`](crate::engine::global_pool), bit-identical to the
-    /// sequential path. Must not be called from a job already running on
-    /// the global pool (see [`QueryEngine::par_logprob_many`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let events: Vec<Event> = (0..8).map(|i| var("X").le(f64::from(i))).collect();
-    /// assert_eq!(
-    ///     model.par_logprob_many(&events).unwrap(),
-    ///     model.logprob_many(&events).unwrap(),
-    /// );
-    /// ```
-    pub fn par_logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.engine.par_logprob_many(events)
-    }
-
-    /// [`Model::par_logprob_many`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let pool = Pool::new(2);
-    /// let events = vec![var("X").le(0.0), var("X").le(1.0)];
-    /// assert_eq!(
-    ///     model.par_logprob_many_in(&pool, &events).unwrap(),
-    ///     model.logprob_many(&events).unwrap(),
-    /// );
-    /// ```
-    pub fn par_logprob_many_in(
-        &self,
-        pool: &Pool,
-        events: &[Event],
-    ) -> Result<Vec<f64>, SpplError> {
-        self.engine.par_logprob_many_in(pool, events)
-    }
-
-    /// Parallel [`Model::prob_many`] with the same clamping.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let events = vec![var("X").le(0.0), var("X").gt(0.0)];
-    /// let ps = model.par_prob_many(&events).unwrap();
-    /// assert!((ps[0] + ps[1] - 1.0).abs() < 1e-12);
-    /// ```
-    pub fn par_prob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.engine.par_prob_many(events)
-    }
-
-    /// [`Model::par_prob_many`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QueryEngine::par_logprob_many`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let pool = Pool::new(2);
-    /// let events = vec![var("X").le(0.0), var("X").le(1.0)];
-    /// assert_eq!(
-    ///     model.par_prob_many_in(&pool, &events).unwrap(),
-    ///     model.prob_many(&events).unwrap(),
-    /// );
-    /// ```
-    pub fn par_prob_many_in(&self, pool: &Pool, events: &[Event]) -> Result<Vec<f64>, SpplError> {
-        self.engine.par_prob_many_in(pool, events)
+        Ok(self
+            .logprob_many(events)?
+            .into_iter()
+            .map(|lp| lp.exp().clamp(0.0, 1.0))
+            .collect())
     }
 
     /// Conditions the model on a positive-probability `event` (Thm. 4.1)
@@ -437,12 +378,12 @@ impl Model {
     /// assert!((posterior.prob(&var("X").gt(0.0)).unwrap() - 1.0).abs() < 1e-9);
     /// ```
     pub fn condition(&self, event: &Event) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.condition(event)?))
+        self.condition_chain(std::slice::from_ref(event))
     }
 
     /// Sequentially conditions on each event in turn — the filtering
     /// workflow `S | e₁ | e₂ | …` — returning the final posterior as a
-    /// `Model`. Every prefix posterior is cached in the engine, so
+    /// `Model`. Every prefix posterior is cached in the session memo, so
     /// extending an already-computed chain pays only for the new suffix.
     /// **Empty-chain semantics**: `condition_chain(&[])` is the identity
     /// — it returns a model over this session's own root (matching
@@ -473,7 +414,7 @@ impl Model {
     /// assert!(model.condition_chain(&[]).unwrap().root().same(model.root()));
     /// ```
     pub fn condition_chain(&self, events: &[Event]) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.condition_chain(events)?))
+        self.condition_chain_ctx(events, ParCtx::env_default())
     }
 
     /// Conditions on a conjunction of (possibly measure-zero) equality
@@ -538,7 +479,7 @@ impl Model {
     /// );
     /// ```
     pub fn par_condition(&self, event: &Event) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.par_condition(event)?))
+        self.par_condition_chain(std::slice::from_ref(event))
     }
 
     /// [`Model::par_condition`] on a caller-provided pool. A
@@ -562,7 +503,7 @@ impl Model {
     /// assert!((par.prob(&var("X").gt(0.0)).unwrap() - 1.0).abs() < 1e-9);
     /// ```
     pub fn par_condition_in(&self, pool: &Pool, event: &Event) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.par_condition_in(pool, event)?))
+        self.par_condition_chain_in(pool, std::slice::from_ref(event))
     }
 
     /// [`Model::condition_chain`] with each step's wide fan-outs
@@ -590,7 +531,7 @@ impl Model {
     /// assert!(par.root().same(seq.root()));
     /// ```
     pub fn par_condition_chain(&self, events: &[Event]) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.par_condition_chain(events)?))
+        self.par_condition_chain_in(global_pool(), events)
     }
 
     /// [`Model::par_condition_chain`] on a caller-provided pool.
@@ -618,7 +559,7 @@ impl Model {
         pool: &Pool,
         events: &[Event],
     ) -> Result<Model, SpplError> {
-        Ok(self.child(self.engine.par_condition_chain_in(pool, events)?))
+        self.condition_chain_ctx(events, ParCtx::with_pool(pool))
     }
 
     /// [`Model::constrain`] with wide `Sum`/`Product` fan-outs
@@ -723,36 +664,68 @@ impl Model {
         self.root().sample_many(rng, n)
     }
 
-    /// Engine-level cache statistics for this session (shared by all
-    /// clones of this handle, *not* by posteriors — each posterior model
-    /// has its own engine over the shared factory).
+    /// Memo statistics for this session: hits and misses across the
+    /// `logprob` and `condition` paths, and the entries stored. Shared by
+    /// all clones of this handle, *not* by posteriors — each posterior
+    /// model has its own memo over the shared factory. For the
+    /// node-level tables underneath, see [`Factory::prob_cache_stats`]
+    /// and [`Factory::cond_cache_stats`]; for the cross-session layer,
+    /// see [`SharedCache::stats`].
     pub fn stats(&self) -> CacheStats {
-        self.engine.stats()
+        self.inner.memo.sync(&self.inner.factory);
+        self.inner.memo.stats()
     }
 
-    /// Clears this session's engine cache and the shared factory's
-    /// node-level caches. **The factory is shared**: sibling sessions and
-    /// posteriors over the same factory drop their engine entries too
+    /// Clears this session's memo and the shared factory's node-level
+    /// caches. **The factory is shared**: sibling sessions and
+    /// posteriors over the same factory drop their memo entries too
     /// (their entries are generation-tagged against the factory). An
-    /// attached [`SharedCache`] is not touched.
+    /// attached [`SharedCache`] is not touched — its entries are pure
+    /// values shared with other sessions; clear it explicitly via
+    /// [`SharedCache::clear`] if the memory must go.
     pub fn clear_caches(&self) {
-        self.engine.clear_caches();
+        self.inner.factory.clear_caches();
+        // clear_caches bumped the generation; syncing drops memo entries
+        // and resets the counters.
+        self.inner.memo.sync(&self.inner.factory);
+    }
+
+    /// Conditions the root on each event in turn, caching every prefix
+    /// posterior under the chained canonical fingerprints, and returns
+    /// the final posterior as a session.
+    fn condition_chain_ctx(&self, events: &[Event], par: ParCtx<'_>) -> Result<Model, SpplError> {
+        let Inner {
+            factory,
+            root,
+            memo,
+            ..
+        } = &*self.inner;
+        let generation = memo.sync(factory);
+        let mut current = root.clone();
+        let mut key = CHAIN_SEED;
+        for event in events {
+            let canonical = event.canonical();
+            key = key.chain(canonical.fingerprint());
+            if let Some(posterior) = memo.posterior(&key, generation) {
+                memo.count(1, 0);
+                current = posterior;
+                continue;
+            }
+            current = condition_ctx(factory, &current, &canonical, par)?;
+            memo.count(0, 1);
+            memo.put_posterior(key, generation, current.clone());
+        }
+        Ok(self.child(current))
     }
 
     /// A posterior session over `root`, sharing this session's factory
     /// and shared-cache attachment.
     fn child(&self, root: Spe) -> Model {
-        let mut engine = QueryEngine::new(Arc::clone(self.factory_arc()), root);
-        if let Some(cache) = self.shared_cache() {
-            engine = engine.with_shared_cache(Arc::clone(cache));
-        }
-        Model::from_engine(engine)
-    }
-}
-
-impl From<QueryEngine> for Model {
-    fn from(engine: QueryEngine) -> Model {
-        Model::from_engine(engine)
+        Model::session(
+            Arc::clone(&self.inner.factory),
+            root,
+            self.inner.shared.clone(),
+        )
     }
 }
 

@@ -165,7 +165,7 @@ impl Spe {
     /// (Merkle-style), so node identity is order-insensitive.
     ///
     /// This is the "model digest" half of the
-    /// [`SharedCache`](crate::cache::SharedCache) key, letting engines
+    /// [`SharedCache`](crate::cache::SharedCache) key, letting sessions
     /// over separately compiled copies of the same model — even in
     /// different processes, via snapshots — share one cache. Each
     /// physical node caches its digest, so repeated calls (and the
@@ -291,31 +291,14 @@ impl Default for FactoryOptions {
 /// The factory is `Send + Sync`: the intern table and both memo tables
 /// are sharded `ShardedMap`s, and the statistics/generation counters are
 /// atomics, so one factory can serve interning and memoized inference from
-/// many threads at once ([`QueryEngine::par_logprob_many`] relies on
-/// this).
-///
-/// [`QueryEngine::par_logprob_many`]:
-///     crate::engine::QueryEngine::par_logprob_many
+/// many threads at once (clones of one [`Model`](crate::model::Model) and
+/// the parallel symbolic operations rely on this).
 pub struct Factory {
     options: FactoryOptions,
     intern: ShardedMap<u64, Vec<Spe>>,
     pub(crate) prob_cache: ShardedMap<(usize, Fingerprint), (Spe, f64)>,
     #[allow(clippy::type_complexity)]
     pub(crate) cond_cache: ShardedMap<(usize, Fingerprint), (Spe, Result<Spe, SpplError>)>,
-    /// Content-addressed companion to `cond_cache`, probed on a pointer
-    /// miss: conditioning is a pure function of (node content, event), so
-    /// a posterior computed for one physical copy of a subgraph serves
-    /// every content-identical copy in this factory. With deduplication
-    /// on, equal content already *is* one pointer, so this layer only
-    /// pays off when `dedup` is disabled (the Table 1 ablation) or for
-    /// construction paths that bypass interning. Entries hold no pointer
-    /// keys, so nothing needs pinning. Cross-*factory* reuse is
-    /// deliberately out of scope: a posterior is an `Spe` interned in its
-    /// owning factory, and handing its nodes to another factory would
-    /// violate that factory's dedup invariant (two physical nodes for one
-    /// content), so sharing across factories goes through the digest-keyed
-    /// `SharedCache` value layer instead.
-    pub(crate) cond_digest_cache: ShardedMap<(ModelDigest, Fingerprint), Result<Spe, SpplError>>,
     pub(crate) prob_counters: CacheCounters,
     pub(crate) cond_counters: CacheCounters,
     generation: AtomicU64,
@@ -381,7 +364,6 @@ impl Factory {
             intern: ShardedMap::new(),
             prob_cache: ShardedMap::new(),
             cond_cache: ShardedMap::new(),
-            cond_digest_cache: ShardedMap::new(),
             prob_counters: CacheCounters::default(),
             cond_counters: CacheCounters::default(),
             generation: AtomicU64::new(0),
@@ -668,14 +650,15 @@ impl Factory {
 
     /// Clears the memoization caches and resets their hit/miss statistics
     /// (the intern table is kept), and bumps the cache generation so that
-    /// engines layered on this factory (see
-    /// [`QueryEngine`](crate::engine::QueryEngine)) drop their own entries.
+    /// sessions layered on this factory (see [`Model`](crate::model::Model))
+    /// drop their own memo entries.
     ///
     /// Safe to call while other threads are mid-query: the generation is
-    /// bumped *before* the tables are swept, and engines tag every entry
+    /// bumped *before* the tables are swept, and sessions tag every entry
     /// they store with the generation current when its computation began,
     /// so an entry derived from pre-clear state is never served after the
-    /// bump (see `QueryEngine`'s generation discipline). Memo values are
+    /// bump (see the [`engine`](crate::engine) module's invalidation
+    /// discipline). Memo values are
     /// pure functions of (node, event), so racing fills that land after
     /// the sweep are still correct — the clear is about memory and
     /// statistics, not semantics.
@@ -683,7 +666,6 @@ impl Factory {
         self.generation.fetch_add(1, Ordering::SeqCst);
         self.prob_cache.clear();
         self.cond_cache.clear();
-        self.cond_digest_cache.clear();
         self.prob_counters.reset();
         self.cond_counters.reset();
     }

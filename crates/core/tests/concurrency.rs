@@ -1,11 +1,12 @@
 //! Concurrency guarantees of the core: `Send + Sync` bounds hold at
-//! compile time, parallel batches agree bit-for-bit with the sequential
-//! path, the intern table keeps its pointer-identity invariant under
+//! compile time, threads sharing one `Model` answer bit-for-bit like the
+//! tree walker, parallel symbolic operations agree with the sequential
+//! walk, the intern table keeps its pointer-identity invariant under
 //! racing builders, and cache-generation invalidation never serves a
 //! pre-clear entry across a racing `clear_caches`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use sppl_core::prelude::*;
 
@@ -15,7 +16,7 @@ const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<Spe>();
     assert_send_sync::<Factory>();
-    assert_send_sync::<QueryEngine>();
+    assert_send_sync::<Model>();
     assert_send_sync::<SharedCache>();
     assert_send_sync::<Event>();
     assert_send_sync::<SpplError>();
@@ -53,10 +54,10 @@ fn build_model(f: &Factory) -> Spe {
     .unwrap()
 }
 
-fn engine() -> QueryEngine {
+fn model() -> Model {
     let f = Factory::new();
     let m = build_model(&f);
-    QueryEngine::new(f, m)
+    Model::new(f, m)
 }
 
 /// A wide batch of distinct events mixing conjunctions, disjunctions, and
@@ -81,45 +82,56 @@ fn batch(n: usize) -> Vec<Event> {
         .collect()
 }
 
+/// Four threads share one cold `Model` and ask overlapping batches at
+/// once, racing the arena's first compile and the memo inserts. Every
+/// answer must equal the tree walker's bits, and every event of every
+/// batch must count exactly one hit or one miss.
 #[test]
-fn par_batch_bit_identical_to_sequential_on_wide_batch() {
+fn threads_sharing_one_model_batches_match_tree_walker() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 4;
+    const WIDTH: usize = 64;
+    let model = model();
     let events = batch(128);
-    let eng = engine();
-    let seq = eng.logprob_many(&events).unwrap();
-
-    // Same compiled model, caches dropped: the parallel run starts cold.
-    // (Bit-identity holds even across *separately built* factories —
-    // sum children are canonically ordered by content digest — but this
-    // test pins the per-instance guarantee under concurrency.)
-    eng.clear_caches();
-    let pool = Pool::new(8);
-    let par = eng.par_logprob_many_in(&pool, &events).unwrap();
-    assert_eq!(seq.len(), par.len());
-    for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
-        assert_eq!(s.to_bits(), p.to_bits(), "event {i} diverged");
-    }
-
-    // Re-running the parallel batch is answered from cache, still
-    // bit-identical.
-    let warm = eng.par_logprob_many_in(&pool, &events).unwrap();
-    for (s, w) in seq.iter().zip(&warm) {
-        assert_eq!(s.to_bits(), w.to_bits());
-    }
-    // Through the global pool too.
-    let global = eng.par_logprob_many(&events).unwrap();
-    for (s, g) in seq.iter().zip(&global) {
-        assert_eq!(s.to_bits(), g.to_bits());
-    }
+    let reference: Vec<u64> = events
+        .iter()
+        .map(|e| model.root().logprob(&e.canonical()).unwrap().to_bits())
+        .collect();
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let model = model.clone();
+            let (events, reference, start) = (&events, &reference, &start);
+            s.spawn(move || {
+                start.wait();
+                for round in 0..ROUNDS {
+                    // Neighbouring threads' windows overlap by half.
+                    let lo = t * WIDTH / 2 + round * 8;
+                    let window: Vec<Event> = (lo..lo + WIDTH)
+                        .map(|i| events[i % events.len()].clone())
+                        .collect();
+                    let got = model.logprob_many(&window).unwrap();
+                    for (i, g) in (lo..lo + WIDTH).zip(&got) {
+                        let j = i % events.len();
+                        assert_eq!(g.to_bits(), reference[j], "event {j} diverged");
+                    }
+                }
+            });
+        }
+    });
+    let stats = model.stats();
+    assert_eq!(stats.hits + stats.misses, (THREADS * ROUNDS * WIDTH) as u64);
+    assert!(stats.entries <= events.len());
 }
 
 #[test]
 fn many_threads_querying_one_engine_agree() {
-    let eng = Arc::new(engine());
+    let eng = model();
     let events = batch(64);
     let reference = eng.logprob_many(&events).unwrap();
     std::thread::scope(|s| {
         for t in 0..8 {
-            let eng = Arc::clone(&eng);
+            let eng = eng.clone();
             let events = &events;
             let reference = &reference;
             s.spawn(move || {
@@ -151,20 +163,20 @@ fn concurrent_interning_preserves_pointer_identity() {
 }
 
 /// Regression test for generation invalidation under races: readers
-/// hammer the engine while a writer repeatedly clears all caches.
+/// hammer one session while a writer repeatedly clears all caches.
 /// Every answer must stay bit-identical to the reference (no stale or
 /// torn entry may ever be served), and a final quiescent clear must leave
 /// empty statistics.
 #[test]
 fn clear_caches_racing_queries_never_serves_stale_entries() {
-    let eng = Arc::new(engine());
+    let eng = model();
     let events = batch(48);
     let reference = eng.logprob_many(&events).unwrap();
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|s| {
         for t in 0..4 {
-            let eng = Arc::clone(&eng);
+            let eng = eng.clone();
             let events = &events;
             let reference = &reference;
             let stop = &stop;
@@ -185,7 +197,7 @@ fn clear_caches_racing_queries_never_serves_stale_entries() {
         // Clear through both entry points, repeatedly, while the readers
         // run. Each clear bumps the factory generation.
         let clearer = {
-            let eng = Arc::clone(&eng);
+            let eng = eng.clone();
             let stop = &stop;
             s.spawn(move || {
                 for k in 0..200 {
@@ -208,7 +220,7 @@ fn clear_caches_racing_queries_never_serves_stale_entries() {
     assert_eq!(eng.stats(), CacheStats::default());
     assert_eq!(eng.factory().prob_cache_stats(), CacheStats::default());
     assert_eq!(eng.factory().cond_cache_stats(), CacheStats::default());
-    // ...and the engine still answers correctly afterwards.
+    // ...and the session still answers correctly afterwards.
     let again = eng.logprob_many(&events).unwrap();
     for (a, r) in again.iter().zip(&reference) {
         assert_eq!(a.to_bits(), r.to_bits());
@@ -217,7 +229,7 @@ fn clear_caches_racing_queries_never_serves_stale_entries() {
 
 #[test]
 fn conditioning_races_queries_without_deadlock() {
-    let eng = Arc::new(engine());
+    let eng = model();
     let x = Transform::id(Var::new("X"));
     let y = Transform::id(Var::new("Y"));
     let chain = [Event::le(x.clone(), 1.5), Event::gt(y.clone(), -2.0)];
@@ -226,7 +238,7 @@ fn conditioning_races_queries_without_deadlock() {
     let expected_probe = expected_posterior.prob(&probe).unwrap();
     std::thread::scope(|s| {
         for _ in 0..4 {
-            let eng = Arc::clone(&eng);
+            let eng = eng.clone();
             let chain = &chain;
             let probe = &probe;
             s.spawn(move || {
@@ -243,16 +255,16 @@ fn conditioning_races_queries_without_deadlock() {
 #[test]
 fn shared_cache_concurrent_engines_stay_consistent() {
     let cache = Arc::new(SharedCache::new(256));
-    let engines: Vec<Arc<QueryEngine>> = (0..3)
+    let engines: Vec<Model> = (0..3)
         .map(|_| {
             let f = Factory::new();
             let m = build_model(&f);
-            Arc::new(QueryEngine::new(f, m).with_shared_cache(Arc::clone(&cache)))
+            Model::new(f, m).with_shared_cache(Arc::clone(&cache))
         })
         .collect();
     let events = batch(64);
-    // Prefill through the first engine: the reference values land in the
-    // shared cache, so every other engine is served those exact bits
+    // Prefill through the first session: the reference values land in the
+    // shared cache, so every other session is served those exact bits
     // rather than recomputing. (Separately compiled factories now agree
     // bit for bit on their own — digest-canonical sum order — so the
     // shared cache is pure speedup; this test keeps the consistency
@@ -260,11 +272,11 @@ fn shared_cache_concurrent_engines_stay_consistent() {
     let reference = engines[0].logprob_many(&events).unwrap();
     std::thread::scope(|s| {
         for eng in &engines {
-            let eng = Arc::clone(eng);
+            let eng = eng.clone();
             let events = &events;
             let reference = &reference;
             s.spawn(move || {
-                let got = eng.par_logprob_many(events).unwrap();
+                let got = eng.logprob_many(events).unwrap();
                 for (g, r) in got.iter().zip(reference) {
                     assert_eq!(g.to_bits(), r.to_bits());
                 }
@@ -275,7 +287,7 @@ fn shared_cache_concurrent_engines_stay_consistent() {
     assert!(stats.entries > 0 && stats.entries <= 256);
     assert!(
         stats.hits > 0,
-        "later engines must be served from the shared cache"
+        "later sessions must be served from the shared cache"
     );
 }
 

@@ -1,4 +1,4 @@
-//! Differential testing of the memoized [`QueryEngine`] against the
+//! Differential testing of the memoized [`Model`] query route against the
 //! structure-blind enumerative baseline: both are exact engines for the
 //! same semantics, so on any discrete program they can both solve their
 //! answers must agree to floating-point tolerance — cold, warm, and
@@ -7,11 +7,10 @@
 use proptest::prelude::*;
 
 use sppl_baseline::enumerative::{Data, EnumOutcome, EnumerativeEngine};
-use sppl_core::engine::QueryEngine;
 use sppl_core::event::Event;
 use sppl_core::transform::Transform;
 use sppl_core::var::Var;
-use sppl_core::Factory;
+use sppl_core::{Factory, Model};
 use sppl_lang::compile;
 
 /// One generated variable: `p1`/`p0` index the probability grid; `kind`
@@ -86,10 +85,10 @@ fn enum_prob(source: &str, event: &Event) -> f64 {
     }
 }
 
-fn query_engine(source: &str) -> QueryEngine {
+fn query_engine(source: &str) -> Model {
     let factory = Factory::new();
     let spe = compile(&factory, source).expect("generated program compiles");
-    QueryEngine::new(factory, spe)
+    Model::new(factory, spe)
 }
 
 fn var_spec() -> impl Strategy<Value = VarSpec> {
@@ -151,12 +150,7 @@ proptest! {
 
         let engine = query_engine(&source);
         let posterior = engine.condition_chain(std::slice::from_ref(&evidence)).unwrap();
-        let via_engine = engine
-            .factory()
-            .logprob(&posterior, &query)
-            .unwrap()
-            .exp()
-            .clamp(0.0, 1.0);
+        let via_engine = posterior.prob(&query).unwrap();
         prop_assert!(
             (via_engine - expected).abs() < 1e-9,
             "Bayes mismatch: condition-then-query={} joint/evidence={}\n{}",
@@ -164,6 +158,6 @@ proptest! {
         );
         // Conditioning twice hits the chain cache and returns the same node.
         let again = engine.condition(&evidence).unwrap();
-        prop_assert!(again.same(&posterior));
+        prop_assert!(again.root().same(posterior.root()));
     }
 }

@@ -1,7 +1,10 @@
-//! Cache invariants of the [`QueryEngine`]: repeated queries are
+//! Cache invariants of a [`Model`]'s query route: repeated queries are
 //! bit-identical hits, canonicalization folds structurally equivalent
-//! events onto one entry, and invalidation is tied to the factory's
+//! events onto one entry, a batch mixing every kind of answer matches
+//! per-event calls, and invalidation is tied to the factory's
 //! `clear_caches`.
+
+use std::sync::Arc;
 
 use sppl_core::prelude::*;
 
@@ -12,13 +15,13 @@ fn normal(f: &Factory, name: &str, mu: f64) -> Spe {
     )
 }
 
-/// X ⊗ Y engine (independent standard normals).
-fn engine() -> QueryEngine {
+/// X ⊗ Y session (independent standard normals).
+fn engine() -> Model {
     let f = Factory::new();
     let p = f
         .product(vec![normal(&f, "X", 0.0), normal(&f, "Y", 0.0)])
         .unwrap();
-    QueryEngine::new(f, p)
+    Model::new(f, p)
 }
 
 fn le(name: &str, v: f64) -> Event {
@@ -46,7 +49,7 @@ fn repeated_condition_is_a_hit_returning_the_same_node() {
     let p1 = engine.condition(&e).unwrap();
     let p2 = engine.condition(&e).unwrap();
     assert!(
-        p1.same(&p2),
+        p1.root().same(p2.root()),
         "cached posterior must be the same physical node"
     );
     let s = engine.stats();
@@ -77,7 +80,17 @@ fn structurally_equal_events_share_one_entry() {
 
 #[test]
 fn clear_caches_resets_stats_and_entries() {
-    let engine = engine();
+    // A mixture: conditioning weighs its children through the factory's
+    // node-level memo (queries never touch it), so the clear has a
+    // filled node memo to sweep.
+    let f = Factory::new();
+    let mixture = f
+        .sum(vec![
+            (normal(&f, "X", -1.0), 0.5f64.ln()),
+            (normal(&f, "X", 1.0), 0.5f64.ln()),
+        ])
+        .unwrap();
+    let engine = Model::new(f, mixture);
     let e = le("X", 1.0);
     engine.logprob(&e).unwrap();
     engine.logprob(&e).unwrap();
@@ -125,4 +138,75 @@ fn batched_stats_account_every_lookup() {
     assert_eq!((s.hits, s.misses, s.entries), (8, 8, 8));
     // The second pass was answered entirely from cache.
     assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+}
+
+/// A session whose memo holds `memo_hit` and whose shared cache holds
+/// `shared_hit`, filled there by another session over the same model.
+fn primed(memo_hit: &Event, shared_hit: &Event) -> Model {
+    let cache = Arc::new(SharedCache::new(64));
+    engine()
+        .with_shared_cache(Arc::clone(&cache))
+        .logprob(shared_hit)
+        .unwrap();
+    let model = engine().with_shared_cache(cache);
+    model.logprob(memo_hit).unwrap();
+    model
+}
+
+#[test]
+fn mixed_batch_matches_per_event_calls() {
+    let memo_hit = le("X", 0.5);
+    let shared_hit = Event::and(vec![le("X", 0.25), le("Y", -0.5)]);
+    let fresh = [le("Y", 1.0), Event::or(vec![le("X", -1.0), le("Y", 2.0)])];
+
+    // Memo hit, shared-cache hit, two fresh misses, and a repeat within
+    // the call: bit-identical to per-event calls and to the tree walker,
+    // with the same accounting.
+    let events = vec![
+        fresh[0].clone(),
+        memo_hit.clone(),
+        shared_hit.clone(),
+        fresh[1].clone(),
+        fresh[0].clone(),
+    ];
+    let batched = primed(&memo_hit, &shared_hit);
+    let single = primed(&memo_hit, &shared_hit);
+    let before = batched.stats();
+    let got = batched.logprob_many(&events).unwrap();
+    for (e, g) in events.iter().zip(&got) {
+        let want = single.logprob(e).unwrap();
+        let tree = batched.root().logprob(&e.canonical()).unwrap();
+        assert_eq!(g.to_bits(), want.to_bits(), "{e}");
+        assert_eq!(g.to_bits(), tree.to_bits(), "{e}");
+    }
+    let after = batched.stats();
+    assert_eq!(after, single.stats());
+    // The memo hit and the in-call repeat hit; the shared-cache answer
+    // and both fresh events miss.
+    assert_eq!(
+        (after.hits - before.hits, after.misses - before.misses),
+        (2, 3)
+    );
+
+    // Unknown variables: the earliest error, and the same hits and
+    // misses as per-event calls.
+    let events = vec![
+        le("X", 2.0),
+        memo_hit.clone(),
+        le("Nope", 0.0),
+        shared_hit.clone(),
+        le("Zzz", 1.0),
+    ];
+    let batched = primed(&memo_hit, &shared_hit);
+    let single = primed(&memo_hit, &shared_hit);
+    let err = batched.logprob_many(&events).unwrap_err();
+    let per_event: Vec<Result<f64, SpplError>> = events.iter().map(|e| single.logprob(e)).collect();
+    let first = per_event
+        .into_iter()
+        .find_map(Result::err)
+        .expect("an unknown variable fails");
+    assert_eq!(err, first);
+    assert!(matches!(&err, SpplError::UnknownVariable { var } if var.as_str() == "Nope"));
+    let (b, s) = (batched.stats(), single.stats());
+    assert_eq!((b.hits, b.misses), (s.hits, s.misses));
 }

@@ -129,17 +129,16 @@ pub fn hidden_state_event(t: usize) -> Event {
 
 /// The full batch of smoothing queries `Z[t] = 1` for `t = 0..n_step`,
 /// in time order — the input to
-/// [`QueryEngine::logprob_many`](sppl_core::engine::QueryEngine::logprob_many)
-/// on the smoothing posterior.
+/// [`Model::logprob_many`](sppl_core::Model::logprob_many) on the
+/// smoothing posterior.
 pub fn smoothing_queries(n_step: usize) -> Vec<Event> {
     (0..n_step).map(hidden_state_event).collect()
 }
 
 /// Pairwise regime-persistence queries `Z[t] = 1 ∧ Z[t+1] = 1` for
 /// `t = 0..n_step-1` — a second, disjoint family of smoothing marginals
-/// used to widen batches for the parallel-inference benchmarks
-/// ([`QueryEngine::par_logprob_many`](sppl_core::engine::QueryEngine::par_logprob_many))
-/// and stress tests.
+/// used to widen batches for the batch-inference benchmarks and stress
+/// tests.
 pub fn pairwise_queries(n_step: usize) -> Vec<Event> {
     (0..n_step.saturating_sub(1))
         .map(|t| Event::and(vec![hidden_state_event(t), hidden_state_event(t + 1)]))
@@ -152,9 +151,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sppl_core::density::constrain;
-    use sppl_core::engine::QueryEngine;
     use sppl_core::stats::{graph_stats, physical_node_count};
-    use sppl_core::Factory;
+    use sppl_core::{Factory, Model};
 
     #[test]
     fn five_step_smoothing_tracks_truth() {
@@ -165,14 +163,14 @@ mod tests {
         let x = [5.1, 4.9, 15.2, 14.8, 15.0];
         let y = [5.0, 3.0, 8.0, 8.0, 9.0];
         let post = constrain(&f, &m, &observation_assignment(&x, &y)).unwrap();
-        let engine = QueryEngine::new(f, post);
-        let series = engine.prob_many(&smoothing_queries(n)).unwrap();
+        let model = Model::new(f, post);
+        let series = model.prob_many(&smoothing_queries(n)).unwrap();
         assert!(series[0] < 0.5, "Z[0] should look low, got {}", series[0]);
         assert!(series[3] > 0.9, "Z[3] should look high, got {}", series[3]);
         // A warm batch is answered entirely from cache, bit-identically.
-        let warm = engine.prob_many(&smoothing_queries(n)).unwrap();
+        let warm = model.prob_many(&smoothing_queries(n)).unwrap();
         assert_eq!(series, warm);
-        assert_eq!(engine.stats().hits, n as u64);
+        assert_eq!(model.stats().hits, n as u64);
     }
 
     #[test]
@@ -211,9 +209,9 @@ mod tests {
         // P[Z_t=1 ∧ Z_{t+1}=1] ≤ P[Z_t=1] on any posterior.
         let f = Factory::new();
         let m = hierarchical_hmm(5).compile(&f).unwrap();
-        let engine = QueryEngine::new(f, m);
-        let joint = engine.prob(&qs[0]).unwrap();
-        let single = engine.prob(&hidden_state_event(0)).unwrap();
+        let model = Model::new(f, m);
+        let joint = model.prob(&qs[0]).unwrap();
+        let single = model.prob(&hidden_state_event(0)).unwrap();
         assert!(joint > 0.0 && joint <= single);
     }
 

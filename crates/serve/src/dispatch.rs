@@ -15,26 +15,19 @@
 //! 2. **Batching windows.** The first query to arrive while no window is
 //!    open becomes the *window leader*: it waits out a short window
 //!    (bounded by `max_batch`), takes everything that accumulated,
-//!    groups it by model, and evaluates each group as a batch: groups of
-//!    [`ARENA_BATCH_MIN`] or more route through the model's cached
-//!    [`ArenaModel`](sppl_core::ArenaModel) (the flat vectorized
-//!    evaluator, fed the wide inputs single queries never could),
-//!    smaller groups through
-//!    [`logprob_many`](sppl_core::Model::logprob_many) /
-//!    [`par_logprob_many`](sppl_core::Model::par_logprob_many).
-//!    Followers simply park on their slots.
+//!    groups it by model, and answers each group with one
+//!    [`logprob_many`](sppl_core::Model::logprob_many) call — the
+//!    model's one query route, whose misses share a single batched
+//!    arena pass, so a window feeds the evaluator the wide inputs single
+//!    queries never could. Followers simply park on their slots.
 //!
-//! Bit-identity holds by construction: every batch path is bit-identical
-//! to per-event [`logprob`](sppl_core::Model::logprob) (a `logprob_many`
-//! batch *is* that loop, the parallel path is the bit-stable evaluator
-//! from the parallel-symbolic work, and the arena's contract is
-//! bit-identity with the tree walker), `prob` is derived from the
-//! coalesced log-probability by exactly the `exp().clamp(0.0, 1.0)` the
-//! engine applies, and a batch-level error falls back to per-event
-//! evaluation so each waiter sees precisely the `Result` a direct call
-//! would produce. The arena route also keeps the [`SharedCache`]
-//! authoritative: it probes per event, evaluates only the misses, and
-//! publishes results under exactly the keys the engine would use.
+//! Bit-identity holds by construction: `logprob_many` answers each event
+//! exactly as a per-event [`logprob`](sppl_core::Model::logprob) call
+//! would (same route, same memo and [`SharedCache`] keys), `prob` is
+//! derived from the coalesced log-probability by exactly the
+//! `exp().clamp(0.0, 1.0)` the model applies, and a batch-level error
+//! falls back to per-event evaluation so each waiter sees precisely the
+//! `Result` a direct call would produce.
 //!
 //! [`SharedCache`]: sppl_core::SharedCache
 
@@ -43,15 +36,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use sppl_core::{default_threads, Event, Model, SpplError};
+use sppl_core::{Event, Model, SpplError};
 
 use crate::protocol::{batch_hist_bucket, query_key, QueryKey};
-
-/// Smallest same-model batch routed through the arena evaluator. Below
-/// this, the tree walker's memo reuse wins; at or above it, the flat
-/// arena's vectorized passes do (`BENCH_arena.json` records the
-/// per-event speedups that justify the route).
-pub const ARENA_BATCH_MIN: usize = 4;
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -78,8 +65,8 @@ pub struct ServeCounters {
     pub batch_hist: [AtomicU64; 7],
     /// Background snapshot saves completed.
     pub snapshot_saves: AtomicU64,
-    /// Batch groups evaluated through the arena evaluator (batches of
-    /// at least [`ARENA_BATCH_MIN`] uncached events).
+    /// Same-model groups of two or more events answered by one
+    /// [`Model::logprob_many`] call (one batched pass over their misses).
     pub arena_batches: AtomicU64,
 }
 
@@ -343,64 +330,20 @@ impl Dispatcher {
         guard.flush_rest_ok();
     }
 
-    /// Evaluates one same-model group. Batches of [`ARENA_BATCH_MIN`] or
-    /// more route through the model's cached [`ArenaModel`]
-    /// (bit-identical to the tree walker by the arena's contract);
-    /// smaller groups keep the tree paths. On any batch-level error,
-    /// re-evaluate per event so each query gets its own precise
-    /// `Result`.
+    /// Evaluates one same-model group with one [`Model::logprob_many`]
+    /// call. On a batch-level error, re-evaluate per event so each query
+    /// gets its own precise `Result`.
     fn evaluate_group(&self, model: &Arc<Model>, events: &[Event]) -> Vec<Result<f64, SpplError>> {
-        if events.len() == 1 {
-            return vec![model.logprob(&events[0])];
-        }
-        if events.len() >= ARENA_BATCH_MIN {
-            if let Some(results) = self.arena_group(model, events) {
-                return results;
+        match model.logprob_many(events) {
+            Ok(values) => {
+                if events.len() > 1 {
+                    self.counters.arena_batches.fetch_add(1, Ordering::Relaxed);
+                }
+                values.into_iter().map(Ok).collect()
             }
-        }
-        let batched = if default_threads() > 1 {
-            model.par_logprob_many(events)
-        } else {
-            model.logprob_many(events)
-        };
-        match batched {
-            Ok(values) => values.into_iter().map(Ok).collect(),
+            Err(err) if events.len() == 1 => vec![Err(err)],
             Err(_) => events.iter().map(|e| model.logprob(e)).collect(),
         }
-    }
-
-    /// The arena route, preserving the engine's shared-cache discipline:
-    /// probe per event, evaluate only the misses through the arena, and
-    /// publish results under exactly the keys `Model::logprob` would use
-    /// (the shared cache stays authoritative — later single queries and
-    /// warm-start snapshots see the same entries either way). Returns
-    /// `None` (fall back to the tree paths) when the model has no shared
-    /// cache or the arena reports a batch-level error.
-    fn arena_group(
-        &self,
-        model: &Arc<Model>,
-        events: &[Event],
-    ) -> Option<Vec<Result<f64, SpplError>>> {
-        let cache = model.shared_cache()?;
-        let digest = model.model_digest();
-        let keys: Vec<_> = events.iter().map(|e| query_key(digest, e).1).collect();
-        let mut values: Vec<Option<f64>> = keys.iter().map(|&k| cache.get(digest, k)).collect();
-        let missing: Vec<usize> = values
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        if !missing.is_empty() {
-            let arena = model.compile_arena();
-            let miss_events: Vec<Event> = missing.iter().map(|&i| events[i].clone()).collect();
-            let computed = arena.logprob_many(&miss_events).ok()?;
-            for (&i, value) in missing.iter().zip(computed) {
-                values[i] = Some(cache.insert(digest, keys[i], value));
-            }
-        }
-        self.counters.arena_batches.fetch_add(1, Ordering::Relaxed);
-        Some(values.into_iter().map(|v| Ok(v.expect("filled"))).collect())
     }
 
     /// Removes the key's slot (so later arrivals hit the now-warm cache

@@ -860,7 +860,8 @@ pub struct StatsSnapshot {
     pub compile_cache_misses: u64,
     /// Full source → SPE translations performed (zero on a warm cache).
     pub translations: u64,
-    /// Batching windows evaluated through the arena evaluator.
+    /// Same-model groups of two or more queries answered by one batched
+    /// `logprob_many` call.
     pub arena_batches: u64,
     /// Shared-cache hits.
     pub cache_hits: u64,

@@ -185,7 +185,7 @@ fn racing_clients_coalesce_into_one_evaluation() {
     // owner's cleanup re-evaluates against the warm engine memo instead,
     // so the split is bounded, not exact.
     assert!(
-        stats.coalesced + stats.cache_hits <= n as u64 - 1,
+        stats.coalesced + stats.cache_hits < n as u64,
         "more coalesces/hits than racers ({stats:?})"
     );
     server.shutdown();
@@ -309,11 +309,9 @@ fn restarted_server_warm_starts_from_rotated_snapshots() {
 
 #[test]
 fn arena_batches_are_bit_identical_to_direct_calls() {
-    use sppl_serve::dispatch::ARENA_BATCH_MIN;
-
-    // Enough distinct concurrent queries on one model to clear the
-    // arena threshold inside a single batching window.
-    let n = (ARENA_BATCH_MIN * 2).max(8);
+    // Enough distinct concurrent queries on one model that a single
+    // batching window groups several of them into one batched call.
+    let n = 8;
     let server = start(ServeConfig {
         workers: n + 2,
         batch_window: Duration::from_millis(200),

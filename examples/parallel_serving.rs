@@ -1,11 +1,12 @@
 //! Serving-shaped inference: two independent sessions (each its own
-//! [`Model`] with its own factory) answer wide query batches in parallel
-//! over a thread pool, sharing one bounded cross-session LRU cache keyed
-//! by the model's content digest. Conditioning returns posterior models
-//! that inherit the cache automatically.
+//! [`Model`] with its own factory, as two request handlers would hold)
+//! answer wide query batches — each batch one `logprob_many` call, whose
+//! misses share a single batched arena pass — sharing one bounded
+//! cross-session LRU cache keyed by the model's content digest.
+//! Conditioning returns posterior models that inherit the cache
+//! automatically.
 //!
-//! Run with `cargo run --release --example parallel_serving`; set
-//! `SPPL_THREADS` to pin the pool width.
+//! Run with `cargo run --release --example parallel_serving`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,9 +32,6 @@ fn open_session(cache: &Arc<SharedCache>) -> Model {
 }
 
 fn main() {
-    let threads = default_threads();
-    println!("pool: {threads} threads (set SPPL_THREADS to override)");
-
     let cache = Arc::new(SharedCache::new(10_000));
     let mut batch = hmm::smoothing_queries(N_STEP);
     batch.extend(hmm::pairwise_queries(N_STEP));
@@ -42,7 +40,7 @@ fn main() {
     // Session 1 pays for the evaluations and fills the shared cache.
     let session1 = open_session(&cache);
     let t = Instant::now();
-    let answers1 = session1.par_logprob_many(&batch).expect("batch");
+    let answers1 = session1.logprob_many(&batch).expect("batch");
     println!(
         "session 1 (cold): {:5.1} ms  shared cache {:?}",
         t.elapsed().as_secs_f64() * 1000.0,
@@ -55,7 +53,7 @@ fn main() {
     let session2 = open_session(&cache);
     assert_eq!(session1.model_digest(), session2.model_digest());
     let t = Instant::now();
-    let answers2 = session2.par_logprob_many(&batch).expect("batch");
+    let answers2 = session2.logprob_many(&batch).expect("batch");
     println!(
         "session 2 (shared-cache warm): {:5.1} ms  shared cache {:?}",
         t.elapsed().as_secs_f64() * 1000.0,

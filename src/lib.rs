@@ -14,11 +14,11 @@
 //! * [`Model::compile`](sppl_analyze::CompileModel::compile) — SPPL source →
 //!   statically analyzed, queryable session (see [`analyze`]),
 //! * [`Model::prob`](sppl_core::Model::prob) /
-//!   [`logprob`](sppl_core::Model::logprob) — exact probability of any
-//!   event over (possibly transformed) program variables, memoized;
-//!   `*_many` batches share sub-expression evaluations and
-//!   [`par_*_many`](sppl_core::Model::par_logprob_many) fan wide batches
-//!   over a thread pool with bit-identical results,
+//!   [`logprob`](sppl_core::Model::logprob) and their `*_many` batch
+//!   forms — exact probability of any event over (possibly transformed)
+//!   program variables, all on one route: a memo, the shared cache, then
+//!   one batched pass of the model's arena compile for every miss,
+//!   bit-identical to the tree walker,
 //! * [`Model::condition`](sppl_core::Model::condition) /
 //!   [`constrain`](sppl_core::Model::constrain) — the full posterior
 //!   given an event (or measure-zero equality observations), as a new
@@ -74,17 +74,16 @@
 //! | legacy | session-first |
 //! |---|---|
 //! | `let f = Factory::new(); let spe = compile(&f, src)?` | `let m = Model::compile(src)?` |
-//! | `spe.prob(&e)` / `QueryEngine::new(f, spe).prob(&e)` | `m.prob(&e)` |
+//! | `spe.prob(&e)` (tree walker, no memo) | `m.prob(&e)` |
 //! | `condition(&f, &spe, &e)` → bare `Spe` | `m.condition(&e)` → queryable `Model` |
 //! | `constrain(&f, &spe, &obs)` → bare `Spe` | `m.constrain(&obs)` → queryable `Model` |
 //! | `Event::and(vec![Event::le(Transform::id(Var::new("X")), 1.0), …])` | `var("X").le(1.0) & …` |
-//! | rebuild engine per posterior, re-attach `SharedCache` | automatic: posteriors inherit both |
+//! | re-attach `SharedCache` per posterior | automatic: posteriors inherit it |
 //!
 //! Hand-built expressions still work: construct nodes with a
 //! [`Factory`](sppl_core::Factory) and wrap them with
 //! [`Model::new`](sppl_core::Model::new) (the factory may be shared, as
-//! an `Arc`). The engine layer ([`QueryEngine`](sppl_core::QueryEngine))
-//! stays public for code that wants explicit pool plumbing.
+//! an `Arc`).
 //!
 //! # Crate map
 //!

@@ -1,10 +1,12 @@
-//! Differential proptest: the arena evaluator ([`ArenaModel`]) answers
-//! bit-identically (`to_bits` equality) to the session tree walker
-//! ([`Model`]) — on random mixed discrete/continuous models, on random
-//! event batteries (conjunctions, disjunctions, transform literals,
-//! derived variables), on *posteriors* obtained through `condition` and
-//! `condition_chain`, and on the paper's golden Indian-GPA values.
-//! Errors must agree too: same variant, same rendered message.
+//! Differential proptest: [`Model`] queries, answered by the arena
+//! evaluator behind the session's query route, are bit-identical
+//! (`to_bits` equality) to the tree walker [`Spe::logprob`] on the
+//! canonical event — on random mixed discrete/continuous models, on
+//! random event batteries (conjunctions, disjunctions, transform
+//! literals, derived variables), on *posteriors* obtained through
+//! `condition` and `condition_chain`, and on the paper's golden
+//! Indian-GPA values. Errors must agree too: same variant, same rendered
+//! message.
 
 use proptest::prelude::*;
 use sppl::core::spe::Env;
@@ -152,12 +154,16 @@ fn battery(spec: &Spec, t: f64) -> Vec<Event> {
     events
 }
 
+/// The tree walker's answer on the canonical event: the reference every
+/// `Model` answer must equal bit for bit.
+fn tree_logprob(model: &Model, event: &Event) -> Result<f64, SpplError> {
+    model.root().logprob(&event.canonical())
+}
+
 fn assert_bit_parity(model: &Model, events: &[Event]) {
-    let arena = model.compile_arena();
-    assert_eq!(arena.digest(), model.model_digest());
-    let fast = arena.logprob_many(events).expect("battery evaluates");
-    let slow = model.logprob_many(events).expect("battery evaluates");
-    for ((event, fast), slow) in events.iter().zip(&fast).zip(&slow) {
+    let fast = model.logprob_many(events).expect("battery evaluates");
+    for (event, fast) in events.iter().zip(&fast) {
+        let slow = tree_logprob(model, event).expect("battery evaluates");
         assert_eq!(
             fast.to_bits(),
             slow.to_bits(),
@@ -165,9 +171,10 @@ fn assert_bit_parity(model: &Model, events: &[Event]) {
         );
     }
     // The probability surface shares the same exp/clamp epilogue.
-    let fast_p = arena.prob_many(events).expect("battery evaluates");
+    let fast_p = model.prob_many(events).expect("battery evaluates");
     for (event, fast_p) in events.iter().zip(&fast_p) {
-        let slow_p = model.prob(event).expect("battery evaluates");
+        let slow_p = tree_logprob(model, event).expect("battery evaluates");
+        let slow_p = slow_p.exp().clamp(0.0, 1.0);
         assert_eq!(fast_p.to_bits(), slow_p.to_bits(), "prob on {event:?}");
     }
 }
@@ -207,7 +214,6 @@ proptest! {
     fn errors_agree_with_tree_walker(spec in spec_strategy(), t_code in 0..60u32) {
         let t = f64::from(t_code) / 10.0 - 3.0;
         let model = build_model(&spec);
-        let arena = model.compile_arena();
         // Unknown variable, alone and mixed into valid structure: same
         // variant, same message, regardless of position.
         for bad in [
@@ -215,14 +221,14 @@ proptest! {
             var("Zzz").le(0.0) & var("X").le(t),
             var("X").gt(t) | var("Zzz").eq(1.0),
         ] {
-            let tree = model.logprob(&bad).expect_err("unknown variable");
-            let fast = arena.logprob(&bad).expect_err("unknown variable");
+            let tree = tree_logprob(&model, &bad).expect_err("unknown variable");
+            let fast = model.logprob(&bad).expect_err("unknown variable");
             prop_assert_eq!(format!("{tree}"), format!("{fast}"));
         }
-        // A failing batch reports the same first error.
+        // A failing batch reports the first failing event's error.
         let batch = vec![var("X").le(t), var("Zzz").le(0.0)];
-        let tree = model.logprob_many(&batch).expect_err("unknown variable");
-        let fast = arena.logprob_many(&batch).expect_err("unknown variable");
+        let tree = tree_logprob(&model, &batch[1]).expect_err("unknown variable");
+        let fast = model.logprob_many(&batch).expect_err("unknown variable");
         prop_assert_eq!(format!("{tree}"), format!("{fast}"));
     }
 }
@@ -245,10 +251,9 @@ fn paper_golden_values_through_the_arena() {
     "#,
     )
     .expect("paper model compiles");
-    let arena = model.compile_arena();
 
     // P[GPA ≤ 4] = 0.68 exactly (atom at 4 included).
-    let p = arena.prob(&var("GPA").le(4.0)).unwrap();
+    let p = model.prob(&var("GPA").le(4.0)).unwrap();
     assert!((p - 0.68).abs() < 1e-9, "got {p}");
 
     let queries = vec![
@@ -261,15 +266,12 @@ fn paper_golden_values_through_the_arena() {
     ];
     assert_bit_parity(&model, &queries);
 
-    // The Fig. 2f/2g posterior, compiled to an arena from the posterior
-    // Model: P[Nationality = India | evidence] ≈ 0.3318.
+    // The Fig. 2f/2g posterior, answered through the posterior Model's
+    // own arena: P[Nationality = India | evidence] ≈ 0.3318.
     let evidence = (var("Nationality").eq("USA") & var("GPA").gt(3.0))
         | var("GPA").in_interval(Interval::open(8.0, 10.0));
     let posterior = model.condition(&evidence).unwrap();
-    let p_india = posterior
-        .compile_arena()
-        .prob(&var("Nationality").eq("India"))
-        .unwrap();
+    let p_india = posterior.prob(&var("Nationality").eq("India")).unwrap();
     assert!((p_india - 0.3318).abs() < 1e-3, "got {p_india}");
     assert_bit_parity(&posterior, &queries);
 }

@@ -103,7 +103,7 @@ fn hmm_smoothing_flow_recovers_hidden_states() {
 
 /// The parallel-serving workflow at a reduced trace length: two sessions
 /// over the same model share a bounded cache (posteriors inherit it);
-/// batches fan out over the global pool and agree bit-for-bit.
+/// their batches agree bit-for-bit.
 #[test]
 fn parallel_serving_flow_shares_answers_across_sessions() {
     let n_step = 12;
@@ -123,12 +123,12 @@ fn parallel_serving_flow_shares_answers_across_sessions() {
     batch.extend(hmm::pairwise_queries(n_step));
 
     let session1 = open_session();
-    let answers1 = session1.par_logprob_many(&batch).expect("batch");
+    let answers1 = session1.logprob_many(&batch).expect("batch");
     let misses_before = cache.stats().misses;
 
     let session2 = open_session();
     assert_eq!(session1.model_digest(), session2.model_digest());
-    let answers2 = session2.par_logprob_many(&batch).expect("batch");
+    let answers2 = session2.logprob_many(&batch).expect("batch");
     assert!(answers1
         .iter()
         .zip(&answers2)

@@ -1,10 +1,10 @@
 //! API-parity suite: every [`Model`] query must be **bit-identical** to
-//! the legacy `Factory`/`QueryEngine`/free-function path on the paper's
-//! models — the session-first surface is a re-packaging, not a
-//! re-implementation. Also pins the redesign's headline guarantees:
-//! posteriors share the parent's factory pointer-identically, and a
-//! conditioning chain keeps serving (and filling) the parent's
-//! [`SharedCache`].
+//! the legacy path on the paper's models — a hand-threaded
+//! `Factory`/`Spe` pair, the free `condition`/`constrain` functions, and
+//! the tree walker [`Spe::logprob`] on the canonical event. Also pins the
+//! redesign's headline guarantees: posteriors share the parent's factory
+//! pointer-identically, and a conditioning chain keeps serving (and
+//! filling) the parent's [`SharedCache`].
 
 use std::sync::Arc;
 
@@ -21,6 +21,16 @@ use common::{build_event, build_source, lit_specs, var_spec};
 fn gpa_evidence() -> Event {
     (var("Nationality").eq("USA") & var("GPA").gt(3.0))
         | var("GPA").in_interval(Interval::open(8.0, 10.0))
+}
+
+/// The legacy answer: the tree walker on the canonical event.
+fn tree(spe: &Spe, event: &Event) -> f64 {
+    spe.logprob(&event.canonical()).unwrap()
+}
+
+/// `tree`'s probability, with the clamp every `prob` applies.
+fn tree_prob(spe: &Spe, event: &Event) -> f64 {
+    tree(spe, event).exp().clamp(0.0, 1.0)
 }
 
 /// A spread of Indian-GPA queries touching atoms, intervals, nominals,
@@ -47,48 +57,41 @@ fn indian_gpa_model_matches_legacy_path_bit_for_bit() {
     let factory = Arc::new(Factory::new());
     let spe = compile(&factory, &source).expect("compiles");
 
-    // Legacy: hand-threaded (Factory, Spe) pair plus a separate engine.
-    let legacy = QueryEngine::new(Arc::clone(&factory), spe.clone());
-
     // Session-first.
-    let model = Model::new(factory, spe);
+    let model = Model::new(Arc::clone(&factory), spe.clone());
 
     for q in gpa_queries() {
         assert_eq!(
-            legacy.logprob(&q).unwrap().to_bits(),
+            tree(&spe, &q).to_bits(),
             model.logprob(&q).unwrap().to_bits(),
             "logprob diverged on {q}"
         );
         assert_eq!(
-            legacy.prob(&q).unwrap().to_bits(),
+            tree_prob(&spe, &q).to_bits(),
             model.prob(&q).unwrap().to_bits(),
             "prob diverged on {q}"
         );
     }
 
-    // Batched and parallel variants agree with each other and the
-    // single-query path.
+    // Batched variants agree with the legacy path too.
     let batch = gpa_queries();
-    let legacy_many = legacy.logprob_many(&batch).unwrap();
     let model_many = model.logprob_many(&batch).unwrap();
-    let model_par = model.par_logprob_many(&batch).unwrap();
     let model_probs = model.prob_many(&batch).unwrap();
-    let model_par_probs = model.par_prob_many(&batch).unwrap();
-    for i in 0..batch.len() {
-        assert_eq!(legacy_many[i].to_bits(), model_many[i].to_bits());
-        assert_eq!(model_many[i].to_bits(), model_par[i].to_bits());
-        assert_eq!(model_probs[i].to_bits(), model_par_probs[i].to_bits());
+    for (i, q) in batch.iter().enumerate() {
+        assert_eq!(tree(&spe, q).to_bits(), model_many[i].to_bits());
+        assert_eq!(tree_prob(&spe, q).to_bits(), model_probs[i].to_bits());
     }
 
-    // Posterior parity: legacy condition() hands back a bare Spe; the
+    // Posterior parity: the free condition() hands back a bare Spe; the
     // model's posterior must answer identically (and from an identical
     // expression — conditioning is memoized in the shared factory).
     let evidence = gpa_evidence();
-    let legacy_posterior = legacy.condition(&evidence).unwrap();
+    let legacy_posterior = condition(&factory, &spe, &evidence.canonical()).unwrap();
     let model_posterior = model.condition(&evidence).unwrap();
+    assert!(legacy_posterior.same(model_posterior.root()));
     for q in gpa_queries() {
         assert_eq!(
-            legacy_posterior.logprob(&q).unwrap().to_bits(),
+            tree(&legacy_posterior, &q).to_bits(),
             model_posterior.logprob(&q).unwrap().to_bits(),
             "posterior logprob diverged on {q}"
         );
@@ -117,37 +120,36 @@ fn hmm_smoothing_matches_legacy_path_bit_for_bit() {
     let factory = Arc::new(Factory::new());
     let spe = compile(&factory, &source).expect("compiles");
 
-    // Legacy: constrain through the free function, query through an
-    // engine built by hand over the posterior.
+    // Legacy: constrain through the free function, query the posterior
+    // with the tree walker.
     let legacy_posterior = constrain(&factory, &spe, &observations).expect("positive density");
-    let legacy = QueryEngine::new(Arc::clone(&factory), legacy_posterior);
 
     // Session-first: constrain returns the posterior session directly.
-    let model = Model::new(factory, spe);
+    let model = Model::new(Arc::clone(&factory), spe);
     let posterior = model.constrain(&observations).expect("positive density");
 
     let mut batch = hmm::smoothing_queries(N);
     batch.extend(hmm::pairwise_queries(N));
-    let legacy_answers = legacy.logprob_many(&batch).unwrap();
     let model_answers = posterior.logprob_many(&batch).unwrap();
-    let model_par = posterior.par_logprob_many(&batch).unwrap();
-    for i in 0..batch.len() {
+    for (i, q) in batch.iter().enumerate() {
         assert_eq!(
-            legacy_answers[i].to_bits(),
+            tree(&legacy_posterior, q).to_bits(),
             model_answers[i].to_bits(),
             "smoothing query {i} diverged"
         );
-        assert_eq!(model_answers[i].to_bits(), model_par[i].to_bits());
     }
 
-    // condition_chain parity against the engine's chain on the same
-    // posterior, including the documented empty-chain identity.
+    // condition_chain parity against stepwise free-function conditioning
+    // of the same posterior, including the documented empty-chain
+    // identity.
     let chain = [hmm::hidden_state_event(0), hmm::hidden_state_event(1)];
-    let legacy_chained = legacy.condition_chain(&chain).unwrap();
+    let legacy_chained = chain.iter().fold(legacy_posterior, |spe, e| {
+        condition(&factory, &spe, &e.canonical()).unwrap()
+    });
     let model_chained = posterior.condition_chain(&chain).unwrap();
     let probe = hmm::hidden_state_event(2);
     assert_eq!(
-        legacy_chained.logprob(&probe).unwrap().to_bits(),
+        tree(&legacy_chained, &probe).to_bits(),
         model_chained.logprob(&probe).unwrap().to_bits()
     );
     assert!(posterior
@@ -169,20 +171,19 @@ fn independently_compiled_session_agrees_bit_for_bit() {
     let source = indian_gpa::model().source;
     let factory = Factory::new();
     let spe = compile(&factory, &source).expect("compiles");
-    let legacy = QueryEngine::new(factory, spe);
     let model = Model::compile(&source).expect("compiles");
-    assert_eq!(legacy.model_digest(), model.model_digest());
+    assert_eq!(spe.digest(), model.model_digest());
     for q in gpa_queries() {
-        let a = legacy.prob(&q).unwrap();
+        let a = tree_prob(&spe, &q);
         let b = model.prob(&q).unwrap();
         assert_eq!(a.to_bits(), b.to_bits(), "{q}: {a} vs {b}");
-        let (la, lb) = (legacy.logprob(&q).unwrap(), model.logprob(&q).unwrap());
+        let (la, lb) = (tree(&spe, &q), model.logprob(&q).unwrap());
         assert_eq!(la.to_bits(), lb.to_bits(), "{q}: logprob {la} vs {lb}");
     }
     // The guarantee survives conditioning: posteriors derived in each
     // compilation answer identically too (condition re-normalizes sums,
     // which re-canonicalizes them by content).
-    let legacy_post = legacy.condition(&gpa_evidence()).unwrap();
+    let legacy_post = condition(&factory, &spe, &gpa_evidence().canonical()).unwrap();
     let model_post = model.condition(&gpa_evidence()).unwrap();
     assert_eq!(
         legacy_post.digest(),
@@ -191,7 +192,7 @@ fn independently_compiled_session_agrees_bit_for_bit() {
     );
     for q in gpa_queries() {
         assert_eq!(
-            legacy_post.logprob(&q).unwrap().to_bits(),
+            tree(&legacy_post, &q).to_bits(),
             model_post.logprob(&q).unwrap().to_bits(),
             "posterior diverged on {q}"
         );
@@ -244,8 +245,8 @@ fn condition_chain_shares_factory_and_serves_shared_cache_hits() {
         hits_before + 1,
         "rerun chain must be served from the shared cache"
     );
-    // The twin's engine saw a local miss (fresh engine) but the shared
-    // layer answered; its own cache is now promoted for the next call.
+    // The twin's memo saw a local miss (fresh session) but the shared
+    // layer answered; its own memo is now promoted for the next call.
     assert_eq!(twin.stats().misses, 1);
     twin.prob(&probe).unwrap();
     assert_eq!(twin.stats().hits, 1);
@@ -253,21 +254,25 @@ fn condition_chain_shares_factory_and_serves_shared_cache_hits() {
 
 #[test]
 fn posterior_queries_reuse_parent_factory_node_memos() {
-    // Conditioning chains stay warm at the node level too: the posterior
-    // shares the factory, so sub-expressions shared between the prior and
-    // the posterior (untouched product factors) hit the same memo table.
+    // A posterior shares its parent's factory, so conditioning anywhere
+    // along a chain fills and reuses one node-level memo. Queries answer
+    // through each session's memo and arena and leave that node-level
+    // memo untouched.
     let model = indian_gpa::model().session().expect("compiles");
-    model.prob(&var("GPA").le(4.0)).unwrap();
-    let node_entries_before = model.factory().prob_cache_stats().entries;
-    assert!(node_entries_before > 0);
     let posterior = model.condition(&var("GPA").gt(3.0)).unwrap();
-    posterior.prob(&var("GPA").le(4.0)).unwrap();
-    let stats = posterior.factory().prob_cache_stats();
+    assert!(Arc::ptr_eq(model.factory_arc(), posterior.factory_arc()));
+    let before = model.factory().prob_cache_stats();
     assert!(
-        stats.entries > node_entries_before,
-        "posterior evaluation must extend the shared node-level memo, not a fresh one"
+        before.entries > 0,
+        "conditioning a mixture weighs its children through the node memo"
     );
-    assert!(stats.hits > 0, "shared sub-expressions must hit");
+    model.prob(&var("GPA").le(4.0)).unwrap();
+    posterior.prob(&var("GPA").le(4.0)).unwrap();
+    assert_eq!(
+        posterior.factory().prob_cache_stats(),
+        before,
+        "queries must leave the shared node-level memo unchanged"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -374,14 +379,12 @@ fn hmm_par_constrain_matches_sequential_bit_for_bit_across_thread_counts() {
 }
 
 #[test]
-fn digest_keyed_cond_cache_serves_duplicate_models_when_dedup_is_off() {
+fn twin_models_condition_identically_when_dedup_is_off() {
     use sppl::core::spe::FactoryOptions;
 
-    // With dedup ON, two compiles of one source intern to one pointer
-    // and the pointer-keyed cond cache already short-circuits; the
-    // digest-keyed companion only has observable work to do when equal
-    // content lives at distinct addresses — exactly the dedup-off
-    // configuration.
+    // With dedup off, two compiles of one source live at distinct
+    // addresses; conditioning each must still give content-identical
+    // posteriors that answer bit for bit alike.
     let factory = Arc::new(Factory::with_options(FactoryOptions {
         dedup: false,
         factorize: true,
@@ -395,26 +398,17 @@ fn digest_keyed_cond_cache_serves_duplicate_models_when_dedup_is_off() {
 
     let evidence = gpa_evidence();
     let pa = condition(&factory, &a, &evidence).unwrap();
-    let before = factory.cond_cache_stats();
     let pb = condition(&factory, &b, &evidence).unwrap();
-    let after = factory.cond_cache_stats();
-    assert!(
-        after.hits > before.hits,
-        "conditioning the twin must be served by the digest-keyed fast \
-         path ({} hits before, {} after)",
-        before.hits,
-        after.hits
-    );
-    assert!(
-        pa.same(&pb),
-        "the digest fast path must hand back the one already-computed posterior"
+    assert_eq!(
+        pa.digest(),
+        pb.digest(),
+        "twin posteriors must share content"
     );
 
-    let legacy = QueryEngine::new(Arc::clone(&factory), pa);
-    let twin = QueryEngine::new(factory, pb);
+    let twin = Model::new(factory, pb);
     for q in gpa_queries() {
         assert_eq!(
-            legacy.logprob(&q).unwrap().to_bits(),
+            tree(&pa, &q).to_bits(),
             twin.logprob(&q).unwrap().to_bits(),
             "posterior answers diverged on {q}"
         );

@@ -1,8 +1,9 @@
 //! End-to-end parallel inference stress: the real HMM smoothing workload
 //! (translate → constrain → wide batched queries) run through
-//! `Model::par_logprob_many` across thread counts and through a shared
-//! cross-session cache, asserting exact agreement with the sequential
-//! API.
+//! `Model::par_constrain_in` across thread counts, through a shared
+//! cross-session cache, and through session clones on several threads,
+//! asserting exact agreement with the sequential path and the tree
+//! walker.
 
 use std::sync::Arc;
 
@@ -13,9 +14,16 @@ use sppl::prelude::*;
 
 const N_STEP: usize = 24;
 
+/// The observations of a fixed simulated trace.
+fn observations() -> Assignment {
+    let mut rng = StdRng::seed_from_u64(99);
+    let trace = hmm::simulate_trace(&mut rng, N_STEP);
+    hmm::observation_assignment(&trace.x, &trace.y)
+}
+
 /// One smoothing session: translate, optionally attach a shared cache,
-/// and condition on a fixed simulated trace. The posterior comes back as
-/// a queryable [`Model`] inheriting the cache.
+/// and condition on [`observations`]. The posterior comes back as a
+/// queryable [`Model`] inheriting the cache.
 fn smoothing_model(cache: Option<&Arc<SharedCache>>) -> Model {
     let mut model = hmm::hierarchical_hmm(N_STEP)
         .session()
@@ -23,11 +31,7 @@ fn smoothing_model(cache: Option<&Arc<SharedCache>>) -> Model {
     if let Some(cache) = cache {
         model = model.with_shared_cache(Arc::clone(cache));
     }
-    let mut rng = StdRng::seed_from_u64(99);
-    let trace = hmm::simulate_trace(&mut rng, N_STEP);
-    model
-        .constrain(&hmm::observation_assignment(&trace.x, &trace.y))
-        .expect("positive density")
+    model.constrain(&observations()).expect("positive density")
 }
 
 /// Smoothing marginals plus pairwise persistence queries: a 47-event
@@ -43,25 +47,34 @@ fn par_smoothing_matches_sequential_across_thread_counts() {
     let posterior = smoothing_model(None);
     let events = wide_batch();
     assert!(events.len() >= 40);
-    let reference = posterior.logprob_many(&events).unwrap();
+    let reference: Vec<f64> = events
+        .iter()
+        .map(|e| posterior.root().logprob(&e.canonical()).unwrap())
+        .collect();
+    let prior = hmm::hierarchical_hmm(N_STEP)
+        .session()
+        .expect("HMM compiles");
     for threads in [2u32, 4, 8] {
-        posterior.clear_caches();
+        prior.clear_caches();
         let pool = Pool::new(threads);
-        let par = posterior.par_logprob_many_in(&pool, &events).unwrap();
-        assert_eq!(par.len(), reference.len());
-        for (i, (p, r)) in par.iter().zip(&reference).enumerate() {
+        let par = prior
+            .par_constrain_in(&pool, &observations())
+            .expect("positive density");
+        assert_eq!(par.model_digest(), posterior.model_digest());
+        let answers = par.logprob_many(&events).unwrap();
+        assert_eq!(answers.len(), reference.len());
+        for (i, (p, r)) in answers.iter().zip(&reference).enumerate() {
             assert_eq!(
                 p.to_bits(),
                 r.to_bits(),
                 "event {i} diverged at {threads} threads"
             );
         }
-    }
-    // Probabilities too, via the global pool.
-    posterior.clear_caches();
-    let probs = posterior.par_prob_many(&events).unwrap();
-    for (p, r) in probs.iter().zip(&reference) {
-        assert_eq!(p.to_bits(), r.exp().clamp(0.0, 1.0).to_bits());
+        // Probabilities too, through the same clamp.
+        let probs = par.prob_many(&events).unwrap();
+        for (p, r) in probs.iter().zip(&reference) {
+            assert_eq!(p.to_bits(), r.exp().clamp(0.0, 1.0).to_bits());
+        }
     }
 }
 
@@ -70,7 +83,7 @@ fn shared_cache_serves_second_session_without_reevaluation() {
     let cache = Arc::new(SharedCache::new(4096));
     let session1 = smoothing_model(Some(&cache));
     let events = wide_batch();
-    let reference = session1.par_logprob_many(&events).unwrap();
+    let reference = session1.logprob_many(&events).unwrap();
 
     // A second session over the same model content: the posterior is
     // rebuilt from scratch in its own factory, but every query is served
@@ -78,7 +91,7 @@ fn shared_cache_serves_second_session_without_reevaluation() {
     let session2 = smoothing_model(Some(&cache));
     assert_eq!(session1.model_digest(), session2.model_digest());
     let misses_before = cache.stats().misses;
-    let got = session2.par_logprob_many(&events).unwrap();
+    let got = session2.logprob_many(&events).unwrap();
     for (g, r) in got.iter().zip(&reference) {
         assert_eq!(g.to_bits(), r.to_bits());
     }

@@ -30,7 +30,6 @@ const SNAPSHOT: &[&str] = &[
     "models",
     "num",
     "prelude",
-    "prelude::ArenaModel",
     "prelude::Assignment",
     "prelude::CacheStats",
     "prelude::Cdf",
@@ -49,7 +48,6 @@ const SNAPSHOT: &[&str] = &[
     "prelude::Outcome",
     "prelude::OutcomeSet",
     "prelude::Pool",
-    "prelude::QueryEngine",
     "prelude::RealSet",
     "prelude::Sample",
     "prelude::Scalar",
