@@ -11,10 +11,10 @@
 //! | flag | default | meaning |
 //! |---|---|---|
 //! | `--addr HOST:PORT` | `127.0.0.1:0` | bind address (`:0` = ephemeral) |
-//! | `--workers N` | CPU threads | connection-handler threads |
+//! | `--workers N` | max(CPU threads, 8) | connection-handler threads |
 //! | `--cache-capacity N` | 65536 | shared-cache entry bound |
-//! | `--batch-window-us N` | 500 | batching-window length (µs) |
-//! | `--max-batch N` | 64 | max queries per window |
+//! | `--batch-window-us N` | 500 | window length for single queries (µs); a batched request is evaluated whole |
+//! | `--max-batch N` | 64 | max single queries per window; a batched request is evaluated whole |
 //! | `--cache-snapshot PATH` | off | warm start + rotate snapshots at PATH |
 //! | `--snapshot-interval-ms N` | 5000 | background save interval |
 //! | `--snapshot-keep K` | 3 | snapshot generations kept by GC |

@@ -1,7 +1,7 @@
 //! Query dispatch: request coalescing (singleflight) layered under
-//! batching windows.
+//! batching windows, plus a windowless path for batched requests.
 //!
-//! Two mechanisms turn concurrent wire traffic into fewer, larger
+//! Three mechanisms turn concurrent wire traffic into fewer, larger
 //! evaluations without changing a single answered bit:
 //!
 //! 1. **Coalescing.** Every in-flight query owns a *slot* keyed by
@@ -12,14 +12,21 @@
 //!    instead of evaluating, and the one result fans back out to every
 //!    waiter. The `coalesced` counter in `stats` counts the parked
 //!    queries.
-//! 2. **Batching windows.** The first query to arrive while no window is
-//!    open becomes the *window leader*: it waits out a short window
-//!    (bounded by `max_batch`), takes everything that accumulated,
-//!    groups it by model, and answers each group with one
+//! 2. **Batching windows** (single queries). The first query to arrive
+//!    while no window is open becomes the *window leader*: it waits out
+//!    a short window (bounded by `max_batch`), takes everything that
+//!    accumulated, groups it by model, and answers each group with one
 //!    [`logprob_many`](sppl_core::Model::logprob_many) call — the
 //!    model's one query route, whose misses share a single batched
 //!    arena pass, so a window feeds the evaluator the wide inputs single
 //!    queries never could. Followers simply park on their slots.
+//! 3. **Batched requests.** A request that brings its own events
+//!    ([`Dispatcher::logprob_many`]) has nothing to wait for: each
+//!    distinct event is probed and claimed (or coalesced) like a single
+//!    query, the request's own misses are evaluated at once as one
+//!    batch, and only then does it park on slots owned by other
+//!    requests. A request never waits while holding unevaluated slots,
+//!    so no wait cycle can form.
 //!
 //! Bit-identity holds by construction: `logprob_many` answers each event
 //! exactly as a per-event [`logprob`](sppl_core::Model::logprob) call
@@ -52,21 +59,26 @@ pub struct ServeCounters {
     pub requests: AtomicU64,
     /// Error responses sent.
     pub errors: AtomicU64,
-    /// Queries that parked on another query's in-flight slot.
+    /// Queries that parked on another request's in-flight slot (a
+    /// repeat within one batched request is not counted).
     pub coalesced: AtomicU64,
-    /// Batching windows executed.
+    /// Batches evaluated: one per batching window of single queries,
+    /// plus one per batched request that had misses of its own.
     pub batches: AtomicU64,
-    /// Queries evaluated through batching windows.
+    /// Queries evaluated in those batches: a window's queries, or a
+    /// batched request's distinct misses (shared-cache hits and
+    /// coalesced events are not evaluated, so not counted).
     pub batched_queries: AtomicU64,
-    /// Largest batch any single window evaluated.
+    /// Largest batch any one window or batched request evaluated.
     pub max_batch: AtomicU64,
-    /// Windows per batch-size bucket (see
+    /// Batches per batch-size bucket (see
     /// [`BATCH_HIST_BUCKETS`](crate::protocol::BATCH_HIST_BUCKETS)).
     pub batch_hist: [AtomicU64; 7],
     /// Background snapshot saves completed.
     pub snapshot_saves: AtomicU64,
-    /// Same-model groups of two or more events answered by one
-    /// [`Model::logprob_many`] call (one batched pass over their misses).
+    /// Same-model groups of two or more events, from a window or a
+    /// batched request, answered by one [`Model::logprob_many`] call
+    /// (one batched pass over their misses).
     pub arena_batches: AtomicU64,
 }
 
@@ -123,6 +135,26 @@ impl Slot {
     }
 }
 
+/// Where a query's answer comes from, decided on arrival.
+enum Claim {
+    /// A finished evaluation, found in the shared cache.
+    Cached(f64),
+    /// Another request's in-flight evaluation of the same key.
+    Coalesced(Arc<Slot>),
+    /// A fresh slot this caller owns and must see evaluated.
+    Owned(Arc<Slot>),
+}
+
+impl Claim {
+    /// The answer; blocks until the slot's evaluation completes.
+    fn wait(&self) -> Result<f64, SpplError> {
+        match self {
+            Claim::Cached(value) => Ok(*value),
+            Claim::Coalesced(slot) | Claim::Owned(slot) => slot.wait(),
+        }
+    }
+}
+
 /// One enqueued query awaiting a batching window.
 struct Pending {
     key: QueryKey,
@@ -154,6 +186,12 @@ struct Window {
 /// let event = var("X").le(0.5);
 /// let served = dispatcher.logprob(&model, &event).unwrap();
 /// assert_eq!(served.to_bits(), model.logprob(&event).unwrap().to_bits());
+///
+/// // A batched request skips the window and is evaluated whole.
+/// let events = [var("X").le(-1.0), var("X").gt(2.0), event];
+/// let served = dispatcher.logprob_many(&model, &events).unwrap();
+/// let direct = model.logprob_many(&events).unwrap();
+/// assert!(served.iter().zip(&direct).all(|(s, d)| s.to_bits() == d.to_bits()));
 /// ```
 pub struct Dispatcher {
     slots: Mutex<HashMap<QueryKey, Arc<Slot>>>,
@@ -165,10 +203,14 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// A dispatcher whose windows stay open for `window_len` or until
-    /// `max_batch` queries accumulate, whichever is first. A zero
-    /// `window_len` still batches whatever arrives while an evaluation
-    /// is in progress.
+    /// A dispatcher whose windows of single queries stay open for
+    /// `window_len` or until `max_batch` queries accumulate, whichever
+    /// is first. The leader closes its window before evaluating, so a
+    /// query arriving during that evaluation leads a window of its own.
+    /// A zero `window_len` therefore evaluates every single query alone
+    /// (identical in-flight queries still coalesce). Batched requests
+    /// ([`Dispatcher::logprob_many`]) use neither setting: each is
+    /// evaluated whole.
     pub fn new(window_len: Duration, max_batch: usize) -> Dispatcher {
         Dispatcher::with_counters(window_len, max_batch, Arc::new(ServeCounters::new()))
     }
@@ -206,36 +248,16 @@ impl Dispatcher {
     /// Exactly the [`SpplError`] the direct call would produce.
     pub fn logprob(&self, model: &Arc<Model>, event: &Event) -> Result<f64, SpplError> {
         let key = query_key(model.model_digest(), event);
-        // Fast path: a finished evaluation is in the shared cache; no
-        // reason to hold the query through a window. `probe` records no
-        // miss — the evaluation behind the slot does.
-        if let Some(cache) = model.shared_cache() {
-            if let Some(value) = cache.probe(key.0, key.1) {
-                return Ok(value);
-            }
+        let claim = self.claim(model, key);
+        if let Claim::Owned(slot) = &claim {
+            self.enqueue(Pending {
+                key,
+                model: Arc::clone(model),
+                event: event.clone(),
+                slot: Arc::clone(slot),
+            });
         }
-        let (slot, owner) = {
-            let mut slots = lock(&self.slots);
-            match slots.get(&key) {
-                Some(slot) => (Arc::clone(slot), false),
-                None => {
-                    let slot = Arc::new(Slot::new());
-                    slots.insert(key, Arc::clone(&slot));
-                    (slot, true)
-                }
-            }
-        };
-        if !owner {
-            self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-            return slot.wait();
-        }
-        self.enqueue(Pending {
-            key,
-            model: Arc::clone(model),
-            event: event.clone(),
-            slot: Arc::clone(&slot),
-        });
-        slot.wait()
+        claim.wait()
     }
 
     /// The probability of `event` under `model`: the coalesced
@@ -248,6 +270,90 @@ impl Dispatcher {
     /// Exactly the [`SpplError`] the direct call would produce.
     pub fn prob(&self, model: &Arc<Model>, event: &Event) -> Result<f64, SpplError> {
         Ok(self.logprob(model, event)?.exp().clamp(0.0, 1.0))
+    }
+
+    /// The log-probability of every event of one batched request under
+    /// `model`, bit-identical to [`Model::logprob_many`]. No window:
+    /// each distinct event is answered from the shared cache, coalesced
+    /// onto another request's in-flight evaluation, or claimed; the
+    /// claimed misses are evaluated at once as one batch, and only then
+    /// does the request wait on the evaluations it coalesced onto. A
+    /// repeat within the request shares its first occurrence's answer.
+    ///
+    /// # Errors
+    ///
+    /// The earliest failing event's error, exactly as
+    /// [`Model::logprob_many`] (and a per-event [`Model::logprob`] on
+    /// that event) would produce it.
+    pub fn logprob_many(
+        &self,
+        model: &Arc<Model>,
+        events: &[Event],
+    ) -> Result<Vec<f64>, SpplError> {
+        let digest = model.model_digest();
+        // One claim per distinct key; `at` maps each event to its claim.
+        let mut firsts: HashMap<QueryKey, usize> = HashMap::new();
+        let mut claims: Vec<Claim> = Vec::new();
+        let mut at = Vec::with_capacity(events.len());
+        let mut owned = Vec::new();
+        for event in events {
+            let key = query_key(digest, event);
+            let next = claims.len();
+            let index = *firsts.entry(key).or_insert(next);
+            at.push(index);
+            if index < next {
+                continue;
+            }
+            let claim = self.claim(model, key);
+            if let Claim::Owned(slot) = &claim {
+                owned.push(Pending {
+                    key,
+                    model: Arc::clone(model),
+                    event: event.clone(),
+                    slot: Arc::clone(slot),
+                });
+            }
+            claims.push(claim);
+        }
+        self.execute(owned);
+        let answers: Vec<Result<f64, SpplError>> = claims.iter().map(Claim::wait).collect();
+        at.into_iter().map(|i| answers[i].clone()).collect()
+    }
+
+    /// Batched [`Dispatcher::prob`]: [`Dispatcher::logprob_many`] with
+    /// the engine's own clamping, hence bit-identical to
+    /// [`Model::prob_many`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Dispatcher::logprob_many`].
+    pub fn prob_many(&self, model: &Arc<Model>, events: &[Event]) -> Result<Vec<f64>, SpplError> {
+        Ok(self
+            .logprob_many(model, events)?
+            .into_iter()
+            .map(|lp| lp.exp().clamp(0.0, 1.0))
+            .collect())
+    }
+
+    /// Decides where `key`'s answer comes from. A finished evaluation in
+    /// the shared cache answers at once (`probe` records no miss — the
+    /// evaluation behind a slot does); otherwise the caller coalesces
+    /// onto the key's in-flight slot or owns a fresh one.
+    fn claim(&self, model: &Model, key: QueryKey) -> Claim {
+        if let Some(value) = model
+            .shared_cache()
+            .and_then(|cache| cache.probe(key.0, key.1))
+        {
+            return Claim::Cached(value);
+        }
+        let mut slots = lock(&self.slots);
+        if let Some(slot) = slots.get(&key) {
+            self.counters.coalesced.fetch_add(1, Ordering::Relaxed);
+            return Claim::Coalesced(Arc::clone(slot));
+        }
+        let slot = Arc::new(Slot::new());
+        slots.insert(key, Arc::clone(&slot));
+        Claim::Owned(slot)
     }
 
     fn enqueue(&self, pending: Pending) {
@@ -287,10 +393,11 @@ impl Dispatcher {
         self.execute(batch);
     }
 
-    /// Evaluates one window's batch, grouped by model, and completes
-    /// every slot. Every pending query is completed even if an
-    /// evaluation panics (the drop guard answers the rest with an
-    /// internal error rather than leaving waiters parked forever).
+    /// Evaluates one batch (a window's queries, or a batched request's
+    /// own misses), grouped by model, and completes every slot. Every
+    /// pending query is completed even if an evaluation panics (the drop
+    /// guard answers the rest with an internal error rather than leaving
+    /// waiters parked forever).
     fn execute(&self, batch: Vec<Pending>) {
         if batch.is_empty() {
             return;
@@ -512,6 +619,118 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    fn batched_request_evaluates_each_distinct_key_once() {
+        let (model, cache) = model_with_cache(256);
+        let direct = compile_model("X ~ normal(0, 1)\nY ~ bernoulli(p=0.5)").unwrap();
+        // A window closes only when it holds two queries, so the single
+        // query stays in flight until the test releases it.
+        let dispatcher = Dispatcher::new(Duration::from_secs(600), 2);
+        let counters = dispatcher.counters();
+        let in_flight = var("X").gt(0.75);
+        let release = var("X").gt(1.5);
+        let (a, b, c) = (var("X").le(-0.5), var("Y").eq(1.0), var("X").le(0.25));
+        let batch = [
+            a.clone(),
+            b.clone(),
+            a,
+            in_flight.clone(),
+            c,
+            b,
+            in_flight.clone(),
+        ];
+        let key = query_key(model.model_digest(), &in_flight);
+        let (single, served) = std::thread::scope(|scope| {
+            let single = scope.spawn(|| dispatcher.logprob(&model, &in_flight).unwrap());
+            while !lock(&dispatcher.slots).contains_key(&key) {
+                std::thread::yield_now();
+            }
+            let batched = scope.spawn(|| dispatcher.logprob_many(&model, &batch).unwrap());
+            // Once the batch has coalesced onto the single's slot, a
+            // second single query fills the window and releases both.
+            while counters.coalesced.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            dispatcher.logprob(&model, &release).unwrap();
+            (single.join().unwrap(), batched.join().unwrap())
+        });
+        let want = direct.logprob_many(&batch).unwrap();
+        assert_eq!(served.len(), batch.len());
+        for (got, want) in served.iter().zip(&want) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+        assert_eq!(single.to_bits(), want[3].to_bits());
+        // One evaluation per distinct key: a, b, c, the in-flight one and
+        // the release.
+        assert_eq!(cache.stats().misses, 5);
+        // Only the in-flight key coalesced; repeats within the batch are
+        // answered from their first occurrence.
+        assert_eq!(counters.coalesced.load(Ordering::Relaxed), 1);
+        // The batch's three misses in one call, and the window of two.
+        assert_eq!(counters.batches.load(Ordering::Relaxed), 2);
+        assert_eq!(counters.batched_queries.load(Ordering::Relaxed), 5);
+        assert_eq!(counters.max_batch.load(Ordering::Relaxed), 3);
+        assert_eq!(counters.arena_batches.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn batched_prob_and_logprob_match_model_many() {
+        let (model, _) = model_with_cache(256);
+        let direct = compile_model("X ~ normal(0, 1)\nY ~ bernoulli(p=0.5)").unwrap();
+        let dispatcher = Dispatcher::new(Duration::from_millis(100), 8);
+        let events: Vec<Event> = (0..12)
+            .map(|i| var("X").le(i as f64 / 3.0 - 2.0))
+            .chain([var("Y").eq(0.0), var("X").gt(1.0) | var("Y").eq(1.0)])
+            .collect();
+        let got = dispatcher.prob_many(&model, &events).unwrap();
+        let want = direct.prob_many(&events).unwrap();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits());
+        }
+        // Asked again, every answer is a shared-cache hit, same bits.
+        let got = dispatcher.logprob_many(&model, &events).unwrap();
+        let want = direct.logprob_many(&events).unwrap();
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits());
+        }
+        assert_eq!(dispatcher.counters().batches.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn crossing_batched_requests_do_not_deadlock() {
+        let (model, cache) = model_with_cache(1024);
+        let direct = compile_model("X ~ normal(0, 1)\nY ~ bernoulli(p=0.5)").unwrap();
+        let dispatcher = Dispatcher::new(Duration::from_millis(50), 64);
+        let events: Vec<Event> = (0..12).map(|i| var("X").le(i as f64 / 4.0 - 1.5)).collect();
+        let want = direct.logprob_many(&events).unwrap();
+        let n = 4;
+        let barrier = Barrier::new(n);
+        std::thread::scope(|scope| {
+            for t in 0..n {
+                let (dispatcher, model, barrier) = (&dispatcher, &model, &barrier);
+                let (events, want) = (&events, &want);
+                scope.spawn(move || {
+                    // Each request asks the same keys in a different
+                    // order, so requests can coalesce onto one another's
+                    // slots in both directions.
+                    let mut order: Vec<usize> = (0..events.len()).collect();
+                    order.rotate_left(t * 3);
+                    if t % 2 == 1 {
+                        order.reverse();
+                    }
+                    let batch: Vec<Event> = order.iter().map(|&i| events[i].clone()).collect();
+                    barrier.wait();
+                    let got = dispatcher.logprob_many(model, &batch).unwrap();
+                    for (&i, g) in order.iter().zip(&got) {
+                        assert_eq!(g.to_bits(), want[i].to_bits());
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.stats().misses, events.len() as u64);
     }
 
     #[test]

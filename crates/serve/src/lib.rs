@@ -11,8 +11,9 @@
 //!
 //! - [`dispatch`]: request **coalescing** (concurrent identical queries
 //!   dedupe into one evaluation via a singleflight slot map) under
-//!   **batching windows** (queries in a short window merge into one
-//!   `logprob_many` batch) — every answer bit-identical to a direct
+//!   **batching windows** (single queries in a short window merge into
+//!   one `logprob_many` batch), while a batched request skips the window
+//!   and is evaluated whole — every answer bit-identical to a direct
 //!   [`Model`](sppl_core::Model) call;
 //! - [`registry`]: the digest → model map shared by every connection,
 //!   all models attached to one process-wide

@@ -838,17 +838,22 @@ pub struct StatsSnapshot {
     pub requests: u64,
     /// Error responses sent.
     pub errors: u64,
-    /// Queries answered from a concurrently in-flight evaluation of the
-    /// same `(model digest, event fingerprint)` key.
+    /// Queries answered from another request's concurrently in-flight
+    /// evaluation of the same `(model digest, event fingerprint)` key (a
+    /// repeat within one batched request is not counted).
     pub coalesced: u64,
-    /// Batching windows executed.
+    /// Batches evaluated: one per batching window of single queries,
+    /// plus one per batched request that had misses of its own.
     pub batches: u64,
-    /// Queries evaluated through batching windows.
+    /// Queries evaluated in those batches: a window's queries, or a
+    /// batched request's distinct misses (its shared-cache hits and
+    /// coalesced events are not evaluated, so not counted).
     pub batched_queries: u64,
-    /// Largest single window batch.
+    /// Largest batch any one window or batched request evaluated.
     pub max_batch: u64,
-    /// Batch-size histogram: count of windows whose batch size fell in
-    /// each bucket (`1`, `2`, `3-4`, `5-8`, `9-16`, `17-32`, `33+`).
+    /// Batch-size histogram: count of batches (windows and batched
+    /// requests) whose size fell in each bucket (`1`, `2`, `3-4`, `5-8`,
+    /// `9-16`, `17-32`, `33+`).
     pub batch_hist: [u64; 7],
     /// Registered models (roots and posteriors).
     pub models: u64,
@@ -860,8 +865,8 @@ pub struct StatsSnapshot {
     pub compile_cache_misses: u64,
     /// Full source → SPE translations performed (zero on a warm cache).
     pub translations: u64,
-    /// Same-model groups of two or more queries answered by one batched
-    /// `logprob_many` call.
+    /// Same-model groups of two or more queries, from a window or a
+    /// batched request, answered by one batched `logprob_many` call.
     pub arena_batches: u64,
     /// Shared-cache hits.
     pub cache_hits: u64,

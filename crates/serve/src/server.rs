@@ -24,7 +24,7 @@ use sppl_core::digest::ModelDigest;
 use sppl_core::{serialize_spe, Model, SharedCache, SpplError};
 
 use crate::dispatch::{Dispatcher, ServeCounters};
-use crate::protocol::{to_assignment, Request, Response, StatsSnapshot, WireError};
+use crate::protocol::{to_assignment, Request, Response, StatsSnapshot, WireError, WireEvent};
 use crate::registry::{scope_names, ModelRegistry};
 use crate::snapshot::SnapshotRotation;
 
@@ -60,9 +60,10 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Registered-model bound (roots + posteriors).
     pub registry_capacity: usize,
-    /// Batching-window length.
+    /// Batching-window length for single queries (a batched request
+    /// is evaluated whole, without a window).
     pub batch_window: Duration,
-    /// Maximum queries per window.
+    /// Maximum single queries per window.
     pub max_batch: usize,
     /// Snapshot lifecycle, if any.
     pub snapshot: Option<SnapshotPolicy>,
@@ -227,16 +228,18 @@ impl ServerState {
                 prob,
             } => {
                 let model = self.model(*model)?;
-                let mut values = Vec::with_capacity(events.len());
-                for wire_event in events {
-                    let event = wire_event.to_event()?;
-                    let value = if *prob {
-                        self.dispatcher.prob(&model, &event)
-                    } else {
-                        self.dispatcher.logprob(&model, &event)
-                    };
-                    values.push(value.map_err(query_error)?);
-                }
+                let values = match events.as_slice() {
+                    [wire_event] => {
+                        let event = wire_event.to_event()?;
+                        let value = if *prob {
+                            self.dispatcher.prob(&model, &event)
+                        } else {
+                            self.dispatcher.logprob(&model, &event)
+                        };
+                        vec![value.map_err(query_error)?]
+                    }
+                    _ => self.query_many(&model, events, *prob)?,
+                };
                 Ok(Response::Values {
                     values,
                     single: *single,
@@ -294,6 +297,37 @@ impl ServerState {
             Ok(model) => Ok(model.with_shared_cache(Arc::clone(&self.cache))),
             Err(e) => Err(WireError::new("compile", e.to_string())),
         }
+    }
+
+    /// Answers a batched query in one dispatcher call. The wire events
+    /// are converted first; the ones before the first malformed event are
+    /// still evaluated, because one of them may fail earlier in event
+    /// order. The error is the first in event order, the same response
+    /// as answering the events one by one.
+    fn query_many(
+        &self,
+        model: &Arc<Model>,
+        wire_events: &[WireEvent],
+        prob: bool,
+    ) -> Result<Vec<f64>, WireError> {
+        let mut events = Vec::with_capacity(wire_events.len());
+        let mut malformed = Ok(());
+        for wire_event in wire_events {
+            match wire_event.to_event() {
+                Ok(event) => events.push(event),
+                Err(e) => {
+                    malformed = Err(e);
+                    break;
+                }
+            }
+        }
+        let values = if prob {
+            self.dispatcher.prob_many(model, &events)
+        } else {
+            self.dispatcher.logprob_many(model, &events)
+        }
+        .map_err(query_error)?;
+        malformed.map(|()| values)
     }
 
     fn model(&self, digest: ModelDigest) -> Result<Arc<Model>, WireError> {

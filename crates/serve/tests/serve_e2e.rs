@@ -14,7 +14,7 @@ use std::time::Duration;
 use sppl_core::density::Assignment;
 use sppl_core::digest::ModelDigest;
 use sppl_core::prelude::{Outcome, Var};
-use sppl_serve::protocol::{WireEvent, WireOutcome};
+use sppl_serve::protocol::{WireError, WireEvent, WireOutcome};
 use sppl_serve::server::SnapshotPolicy;
 use sppl_serve::{Client, ServeConfig, Server};
 
@@ -492,5 +492,105 @@ fn full_registry_rejects_with_structured_error() {
         .expect_err("full registry");
     assert_eq!(err.kind, "registry_full");
     assert!(!err.message.is_empty());
+    server.shutdown();
+}
+
+#[test]
+fn batched_request_is_evaluated_whole_without_waiting_out_windows() {
+    // A window far longer than the request needs: answering the batch
+    // event by event would wait out one window per event (16 s here).
+    let window = Duration::from_secs(2);
+    let server = start(ServeConfig {
+        batch_window: window,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let (digest, _, _) = client.register(SOURCE).expect("register");
+    let events: Vec<WireEvent> = (0..8)
+        .map(|i| WireEvent::le("X", -1.75 + i as f64 * 0.5))
+        .collect();
+
+    let before = client.stats().expect("stats");
+    let started = std::time::Instant::now();
+    let served = client.logprob_many(digest, &events).expect("batch");
+    let elapsed = started.elapsed();
+    let after = client.stats().expect("stats");
+    assert!(
+        elapsed < window / 2,
+        "a batched request must not wait out a window ({elapsed:?})"
+    );
+
+    let direct = sppl_analyze::compile_model(SOURCE).expect("direct compile");
+    let direct_events: Vec<_> = events.iter().map(|we| we.to_event().unwrap()).collect();
+    let reference = direct.logprob_many(&direct_events).unwrap();
+    assert_eq!(served.len(), reference.len());
+    for (s, r) in served.iter().zip(&reference) {
+        assert_eq!(s.to_bits(), r.to_bits(), "batch answers must be exact");
+    }
+    // The whole request was one evaluation: one batch of eight, one
+    // batched call.
+    assert_eq!(after.batches, before.batches + 1, "{after:?}");
+    assert!(after.max_batch >= 8, "{after:?}");
+    assert_eq!(after.arena_batches, before.arena_batches + 1, "{after:?}");
+    server.shutdown();
+}
+
+#[test]
+fn batched_request_errors_match_event_by_event_answers() {
+    let server = start(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let (digest, _, _) = client.register(SOURCE).expect("register");
+    let direct = sppl_analyze::compile_model(SOURCE).expect("direct compile");
+    let good = |i: usize| WireEvent::le("X", i as f64 * 0.25 - 1.0);
+    let unknown = WireEvent::gt("Nope", 0.0);
+    let malformed = WireEvent::InInterval {
+        var: "X".to_string(),
+        lo: 2.0,
+        lo_closed: true,
+        hi: 1.0,
+        hi_closed: true,
+    };
+    // What answering event by event reports: the first failing event's
+    // error, a query failure or a malformed event alike.
+    let query_error = WireError::new(
+        "query",
+        direct
+            .logprob(&unknown.to_event().unwrap())
+            .unwrap_err()
+            .to_string(),
+    );
+    let malformed_error = malformed.to_event().unwrap_err();
+    assert_eq!(malformed_error.kind, "bad_request");
+
+    let with_at = |k: usize, bad: &WireEvent| -> Vec<WireEvent> {
+        let mut events: Vec<WireEvent> = (0..6).map(good).collect();
+        events[k] = bad.clone();
+        events
+    };
+    for k in [0, 3, 5] {
+        let err = client
+            .logprob_many(digest, &with_at(k, &unknown))
+            .expect_err("unknown variable");
+        assert_eq!(err, query_error, "unknown variable at {k}");
+        let err = client
+            .prob_many(digest, &with_at(k, &malformed))
+            .expect_err("malformed event");
+        assert_eq!(err, malformed_error, "malformed event at {k}");
+    }
+    // Both in one request: the earlier one wins, in either order.
+    let mut events = with_at(1, &unknown);
+    events[4] = malformed.clone();
+    assert_eq!(client.logprob_many(digest, &events), Err(query_error));
+    let mut events = with_at(1, &malformed);
+    events[4] = unknown.clone();
+    assert_eq!(client.logprob_many(digest, &events), Err(malformed_error));
+
+    // The connection survives, and the good events answer exactly.
+    let events: Vec<WireEvent> = (0..6).map(good).collect();
+    let served = client.prob_many(digest, &events).expect("good batch");
+    let direct_events: Vec<_> = events.iter().map(|we| we.to_event().unwrap()).collect();
+    for (s, r) in served.iter().zip(direct.prob_many(&direct_events).unwrap()) {
+        assert_eq!(s.to_bits(), r.to_bits());
+    }
     server.shutdown();
 }
