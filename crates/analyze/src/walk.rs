@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use sppl_core::event::Event;
 use sppl_lang::ast::{Command, Expr, Target};
 use sppl_lang::diagnostics::{Diagnostic, LintCode, Severity, Span};
-use sppl_lang::translate::Value;
+use sppl_lang::translate::{first_match_guards, Value};
 use sppl_sets::OutcomeSet;
 
 use crate::env::{ConstVal, Env};
@@ -349,21 +349,17 @@ impl Walker {
                     .map(|e| sat::resolve_event(&e, &self.env))
             })
             .collect();
+        let (effective, else_guard) = first_match(&guards);
         let mut plans: Vec<BranchPlan> = Vec::new();
-        let mut negations: Vec<Event> = Vec::new();
-        for (i, ((gexpr, body), guard)) in arms.iter().zip(&guards).enumerate() {
-            let effective = guard.as_ref().map(|g| {
-                let mut parts = negations.clone();
-                parts.push(g.clone());
-                Event::and(parts)
-            });
+        for (i, (((gexpr, body), guard), effective)) in
+            arms.iter().zip(&guards).zip(effective).enumerate()
+        {
             if let Some(g) = guard {
                 let has_later = i + 1 < arms.len() || otherwise.is_some();
                 if has_later {
                     let taut = !sat::may_sat(&g.negate(), &self.env);
                     self.vote((gexpr.span(), i, VoteKind::Taut), taut, false);
                 }
-                negations.push(g.negate());
             }
             plans.push(BranchPlan {
                 effective,
@@ -372,12 +368,12 @@ impl Walker {
                 vote: Some(((gexpr.span(), i, VoteKind::ArmDead), true)),
             });
         }
-        // The implicit else: all known negations. Only an explicit else
+        // The implicit else: no known guard held. Only an explicit else
         // body gets a vote (there is nothing to lint or prune in an
         // absent one).
         let else_known = guards.iter().all(Option::is_some);
         plans.push(BranchPlan {
-            effective: else_known.then(|| Event::and(negations)),
+            effective: else_known.then_some(else_guard),
             body: otherwise.unwrap_or(&[]),
             binding: None,
             vote: otherwise.map(|_| ((span, 0, VoteKind::ElseDead), true)),
@@ -408,15 +404,17 @@ impl Walker {
             }
             (AbsValue::Rv(t), Some(vals)) => {
                 let resolved = self.env.resolve_transform(&t);
+                let guards: Vec<Option<Event>> = vals
+                    .iter()
+                    .map(|case| case_event(&resolved, case))
+                    .collect();
+                // First match, as in the translator: a repeated value's
+                // later case is dead.
+                let (effective, else_guard) = first_match(&guards);
                 let mut plans: Vec<BranchPlan> = Vec::new();
-                let mut negations: Vec<Event> = Vec::new();
-                for (i, case) in vals.iter().enumerate() {
-                    let guard = case_event(&resolved, case);
-                    if let Some(g) = &guard {
-                        negations.push(g.negate());
-                    }
+                for (i, (case, effective)) in vals.iter().zip(effective).enumerate() {
                     plans.push(BranchPlan {
-                        effective: guard,
+                        effective,
                         body,
                         binding: Some((binder, ConstVal::Known(case.clone()))),
                         vote: Some(((values.span(), i, VoteKind::CaseDead), false)),
@@ -424,7 +422,7 @@ impl Walker {
                 }
                 // Implicit empty else catches uncovered support.
                 plans.push(BranchPlan {
-                    effective: Some(Event::and(negations)),
+                    effective: Some(else_guard),
                     body: &[],
                     binding: None,
                     vote: None,
@@ -562,6 +560,21 @@ impl Walker {
         // conditioning inside the body only narrows them, so the saved
         // sets remain over-approximations.
     }
+}
+
+/// The translator's [`first_match_guards`] over a chain whose guards the
+/// analyzer may not know: an unknown guard's arm stays unknown (`None`,
+/// always may-live) and excludes nothing from later arms, and the
+/// returned `else` event is "no known guard held".
+fn first_match(guards: &[Option<Event>]) -> (Vec<Option<Event>>, Event) {
+    let known: Vec<Event> = guards.iter().flatten().cloned().collect();
+    let (solved, otherwise) = first_match_guards(&known);
+    let mut solved = solved.into_iter();
+    let arms = guards
+        .iter()
+        .map(|guard| guard.as_ref().and_then(|_| solved.next()))
+        .collect();
+    (arms, otherwise)
 }
 
 fn event_is_always(e: &Event) -> bool {

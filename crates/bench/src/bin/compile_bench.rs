@@ -18,6 +18,12 @@
 //! least 10× faster than cold translation on the Fig. 3 HMM and the
 //! 10³-component mixture — the headline claim of `BENCH_compile.json`.
 //!
+//! Both modes also gate how a branch chain's cold compile scales: the
+//! `elif` mixture at K = 400 must compile within [`SCALING_BOUND`] times
+//! its K = 25 time (a ratio of two best-of-N timings on one box, not a
+//! wall-clock bound). Full mode adds the cold-compile ladder over
+//! K ∈ {100, 200, 400, 1000}.
+//!
 //! Flags:
 //!
 //! * `--test` — smoke mode: smaller workloads, no speedup floor (CI).
@@ -29,14 +35,25 @@
 use sppl_analyze::{compile_model_uncached, CompileCache};
 use sppl_bench::args::BenchArgs;
 use sppl_bench::json::JsonObject;
-use sppl_bench::{bits_match, fmt_secs, timed, Table};
+use sppl_bench::{bits_match, fmt_secs, nproc, timed, Table};
 use sppl_core::event::var;
 use sppl_core::{Event, Model};
 use sppl_models::{fairness, hmm};
 
+/// The chain sizes and the bound of the scaling gate. The `elif`
+/// mixture compiles in at most about K² time (the analyzer's per-arm
+/// environments), and the 16× larger chain read 68–114× slower on a
+/// 2-vCPU box; guards re-solved per arm (K³) read about 3000×.
+const SCALING_SIZES: (usize, usize) = (25, 400);
+const SCALING_BOUND: f64 = 500.0;
+
+/// The chain sizes of the full-mode cold-compile ladder.
+const LADDER: [usize; 4] = [100, 200, 400, 1000];
+
 /// A `K`-component mixture as one `choice` plus an `if`/`elif` chain —
-/// the shape whose translation cost grows linearly in `K` while its
-/// wire payload stays a flat sum of leaves.
+/// the shape whose wire payload stays a flat sum of leaves. Its cold
+/// compile grows about as K²: translation solves the chain's guards in
+/// one pass, and the analyzer clones and joins one environment per arm.
 fn mixture_source(k: usize) -> String {
     let weight = 1.0 / k as f64;
     let mut src = String::new();
@@ -87,6 +104,15 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
         }
     }
     (out, best)
+}
+
+/// Best-of-`reps` cold compile of the `K`-arm `elif` mixture.
+fn cold_chain_s(k: usize, reps: usize) -> f64 {
+    let source = mixture_source(k);
+    best_of(reps, || {
+        compile_model_uncached(&source).expect("chain compile")
+    })
+    .1
 }
 
 fn answers(model: &Model, events: &[Event]) -> Vec<f64> {
@@ -248,6 +274,30 @@ fn main() {
     println!("compile cache vs cold translation (digest + bit parity asserted)\n");
     table.print();
 
+    let (small_k, large_k) = SCALING_SIZES;
+    let small_s = cold_chain_s(small_k, 9);
+    let large_s = cold_chain_s(large_k, 3);
+    let scaling_ratio = large_s / small_s;
+    println!(
+        "\nelif chain scaling: K={small_k} {}, K={large_k} {}, ratio {scaling_ratio:.0}x \
+         (bound {SCALING_BOUND:.0}x)",
+        fmt_secs(small_s),
+        fmt_secs(large_s)
+    );
+    assert!(
+        scaling_ratio <= SCALING_BOUND,
+        "elif chain K={large_k} compiled {scaling_ratio:.0}x slower than K={small_k}, \
+         bound {SCALING_BOUND:.0}x: branch-chain guards are being re-solved per arm"
+    );
+    let ladder: Vec<(usize, f64)> = if args.test {
+        Vec::new()
+    } else {
+        LADDER.iter().map(|&k| (k, cold_chain_s(k, 3))).collect()
+    };
+    for (k, s) in &ladder {
+        println!("elif chain cold compile, K={k}: {}", fmt_secs(*s));
+    }
+
     if !args.test {
         for run in [&fig3, &mixture] {
             assert!(
@@ -269,6 +319,7 @@ fn main() {
         let mut json = JsonObject::new()
             .str("bench", "compile")
             .str("mode", args.mode())
+            .int("nproc", nproc() as u64)
             .bool("digests_equal", true)
             .bool("bits_identical", true);
         for run in runs {
@@ -279,6 +330,16 @@ fn main() {
                 .num(&format!("{k}_disk_hit_s"), run.disk_s)
                 .num(&format!("{k}_mem_speedup"), run.mem_speedup())
                 .num(&format!("{k}_disk_speedup"), run.disk_speedup());
+        }
+        json = json
+            .int("chain_scaling_small_k", small_k as u64)
+            .int("chain_scaling_large_k", large_k as u64)
+            .num("chain_scaling_small_s", small_s)
+            .num("chain_scaling_large_s", large_s)
+            .num("chain_scaling_ratio", scaling_ratio)
+            .num("chain_scaling_bound", SCALING_BOUND);
+        for (k, s) in &ladder {
+            json = json.num(&format!("chain_cold_k{k}_s"), *s);
         }
         json.write("BENCH_compile.json")
             .expect("write BENCH_compile.json");

@@ -12,7 +12,9 @@
 //!
 //! The `(IfElse)` rule conditions the current expression on the guard and
 //! its negation, translates each branch, and mixes the results with the
-//! guard probabilities; `for` unrolls; `switch` desugars per Eq. 4.
+//! guard probabilities; `for` unrolls; `switch` desugars per Eq. 4. An
+//! `if`/`elif` chain and a `switch` are both first-match chains, whose
+//! per-arm guards [`first_match_guards`] builds.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -244,17 +246,18 @@ impl<'f> Translator<'f> {
                 otherwise,
                 span,
             } => {
-                let mut branches: Vec<Branch> = Vec::new();
-                let mut negations: Vec<Event> = Vec::new();
-                for (guard, body) in arms {
-                    let raw = self.eval_event(guard)?;
-                    let mut parts = negations.clone();
-                    parts.push(raw.clone());
-                    branches.push((Event::and(parts), body.clone(), None));
-                    negations.push(raw.negate());
-                }
+                let raw = arms
+                    .iter()
+                    .map(|(guard, _)| self.eval_event(guard))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let (guards, else_guard) = first_match_guards(&raw);
+                let mut branches: Vec<Branch> = guards
+                    .into_iter()
+                    .zip(arms)
+                    .map(|(guard, (_, body))| (guard, body.clone(), None))
+                    .collect();
                 let else_body = otherwise.clone().unwrap_or_default();
-                branches.push((Event::and(negations), else_body, None));
+                branches.push((else_guard, else_body, None));
                 self.exec_branches(branches, *span)
             }
             Command::For {
@@ -315,15 +318,22 @@ impl<'f> Translator<'f> {
                         Err(err(*span, "no switch case matches the constant subject"))
                     }
                     Evaluated::Rv(t) => {
-                        let mut branches = Vec::new();
-                        let mut negations = Vec::new();
-                        for case in values {
-                            let guard = case_event(&t, &case, *span)?;
-                            negations.push(guard.negate());
-                            branches.push((guard, body.clone(), Some((binder.clone(), case))));
-                        }
+                        let raw = values
+                            .iter()
+                            .map(|case| case_event(&t, case, *span))
+                            .collect::<Result<Vec<_>, _>>()?;
+                        // The first matching case runs, so a repeated
+                        // value's later case gets an empty guard.
+                        let (guards, else_guard) = first_match_guards(&raw);
+                        let mut branches: Vec<Branch> = guards
+                            .into_iter()
+                            .zip(values)
+                            .map(|(guard, case)| {
+                                (guard, body.clone(), Some((binder.clone(), case)))
+                            })
+                            .collect();
                         // Implicit empty else catches uncovered support.
-                        branches.push((Event::and(negations), vec![], None));
+                        branches.push((else_guard, vec![], None));
                         self.exec_branches(branches, *span)
                     }
                     other => Err(err(
@@ -1536,6 +1546,59 @@ fn bin_set(lo: f64, hi: f64, last: bool) -> OutcomeSet {
         Interval::closed_open(lo, hi)
     };
     OutcomeSet::from(iv)
+}
+
+/// The effective guards of a first-match chain — an `if`/`elif` chain or
+/// a desugared `switch` — whose arms carry the guards `g₀ … g_{K−1}`.
+/// Returns one event per arm, where arm `i` fires when `g_i` holds and
+/// no earlier guard did, and the `else` event, which fires when no guard
+/// held.
+///
+/// When every guard is one literal `t ∈ S_i` on the same transform `t`,
+/// the chain is solved once, with a running "not yet matched" set `rem`:
+/// arm `i` gets the single literal `t ∈ rem ∩ S_i` and the `else` gets
+/// `t ∈ rem`. Any other chain gets the conjunctions `¬g₀ ∧ … ∧ ¬g_{i−1} ∧
+/// g_i` and `¬g₀ ∧ … ∧ ¬g_{K−1}`, whose arm `i` re-solves `i + 1`
+/// literals. Preimages distribute over `∩`, so both forms denote the
+/// same outcomes; the literal form only avoids the cubic re-solving.
+pub fn first_match_guards(guards: &[Event]) -> (Vec<Event>, Event) {
+    let Some((t, first, rest)) = single_subject(guards) else {
+        let mut arms = Vec::with_capacity(guards.len());
+        let mut negations: Vec<Event> = Vec::with_capacity(guards.len());
+        for guard in guards {
+            let mut parts = negations.clone();
+            parts.push(guard.clone());
+            arms.push(Event::and(parts));
+            negations.push(guard.negate());
+        }
+        return (arms, Event::and(negations));
+    };
+    // Arm 0 keeps its guard verbatim, so a one-arm chain's `else` is
+    // exactly `¬g₀`.
+    let mut arms = vec![Event::In(t.clone(), first.clone())];
+    let mut rem = first.complement();
+    for set in rest {
+        arms.push(Event::In(t.clone(), rem.intersection(set)));
+        rem = rem.difference(set);
+    }
+    (arms, Event::In(t.clone(), rem))
+}
+
+/// The shared transform, first guard set and remaining guard sets of a
+/// chain whose every guard is one `t ∈ S` literal on the same `t`;
+/// `None` for an empty chain or any other guard shape.
+fn single_subject(guards: &[Event]) -> Option<(&Transform, &OutcomeSet, Vec<&OutcomeSet>)> {
+    let (Event::In(t, first), rest) = guards.split_first()? else {
+        return None;
+    };
+    let rest = rest
+        .iter()
+        .map(|guard| match guard {
+            Event::In(u, set) if u == t => Some(set),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some((t, first, rest))
 }
 
 fn static_case_matches(subject: &Value, case: &Value) -> bool {

@@ -134,6 +134,80 @@ switch Z cases (z in [0, 1]) { X ~ normal(10 * z, 1) }
 }
 
 #[test]
+fn switch_runs_only_the_first_case_of_a_repeated_value() {
+    // A switch is a first-match chain: the second `0` case can never
+    // run, so it must neither reweight the subject's prior nor differ
+    // from the switch without it or from the equivalent `elif` chain.
+    let f = Factory::new();
+    let repeated = compile(
+        &f,
+        "X ~ randint(0, 3)\nswitch X cases (x in [0, 0, 1, 2, 3]) { Y ~ atomic(x) }",
+    )
+    .unwrap();
+    let distinct = compile(
+        &f,
+        "X ~ randint(0, 3)\nswitch X cases (x in [0, 1, 2, 3]) { Y ~ atomic(x) }",
+    )
+    .unwrap();
+    let chain = compile(
+        &f,
+        "X ~ randint(0, 3)
+if (X == 0) { Y ~ atomic(0) }
+elif (X == 0) { Y ~ atomic(0) }
+elif (X == 1) { Y ~ atomic(1) }
+elif (X == 2) { Y ~ atomic(2) }
+elif (X == 3) { Y ~ atomic(3) }",
+    )
+    .unwrap();
+    for var in ["X", "Y"] {
+        let p = repeated.prob(&Event::eq_real(ev_var(var), 0.0)).unwrap();
+        assert_close(p, 0.25, 1e-12);
+    }
+    assert_eq!(repeated.digest(), distinct.digest());
+    assert_eq!(repeated.digest(), chain.digest());
+}
+
+#[test]
+fn first_match_guards_fold_single_subject_chains_into_literals() {
+    use sppl_lang::translate::first_match_guards;
+
+    let m = || ev_var("M");
+    let a = Event::eq_str(m(), "a");
+    let b = Event::eq_str(m(), "b");
+    let (arms, otherwise) = first_match_guards(&[a.clone(), b.clone(), a.clone()]);
+    // Arm 0 is verbatim; later arms are one literal on the not-yet-matched
+    // set, so the repeated `a` is empty and the else excludes both.
+    assert_eq!(
+        arms,
+        vec![
+            a.clone(),
+            b.clone(),
+            Event::in_set(m(), OutcomeSet::empty())
+        ]
+    );
+    assert_eq!(
+        otherwise,
+        Event::in_set(m(), OutcomeSet::strings(["a", "b"]).complement())
+    );
+
+    // A one-arm chain's else is exactly the guard's negation.
+    let (arms, otherwise) = first_match_guards(std::slice::from_ref(&a));
+    assert_eq!((arms, otherwise), (vec![a.clone()], a.negate()));
+
+    // Mixed subjects keep the conjunction of earlier negations.
+    let x = Event::lt(ev_var("X"), 0.0);
+    let (arms, otherwise) = first_match_guards(&[x.clone(), a.clone()]);
+    assert_eq!(
+        arms,
+        vec![x.clone(), Event::and(vec![x.negate(), a.clone()])]
+    );
+    assert_eq!(otherwise, Event::and(vec![x.negate(), a.negate()]));
+
+    // No arms: the else always runs.
+    assert_eq!(first_match_guards(&[]), (vec![], Event::always()));
+}
+
+#[test]
 fn switch_with_binspace() {
     let f = Factory::new();
     let src = "

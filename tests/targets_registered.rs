@@ -14,6 +14,7 @@ fn root() -> &'static Path {
 const ROOT_SUITES: &[&str] = &[
     "tests/analyze_differential.rs",
     "tests/arena_parity.rs",
+    "tests/branch_chain_bits.rs",
     "tests/cache_snapshot.rs",
     "tests/closure_properties.rs",
     "tests/digest_golden.rs",
@@ -24,6 +25,7 @@ const ROOT_SUITES: &[&str] = &[
     "tests/public_api.rs",
     "tests/roundtrip.rs",
     "tests/examples_smoke.rs",
+    "tests/first_match_guards.rs",
     "tests/wire_roundtrip.rs",
 ];
 
