@@ -1,7 +1,7 @@
 //! Shared flag parsing for the bench binaries that support smoke mode
 //! and machine-readable output (`fig3_hmm`, `fig8_rare_events`,
-//! `arena_bench`, `condition_bench`, `serve_bench`). Binaries with extra
-//! flags layer them on via [`BenchArgs::parse_with`].
+//! `compile_bench`, `serve_bench`). Binaries with extra flags layer them
+//! on via [`BenchArgs::parse_with`].
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -15,9 +15,8 @@ pub struct BenchArgs {
     pub test: bool,
     /// `--json`: additionally write a `BENCH_*.json` artifact.
     pub json: bool,
-    /// `--threads N`: thread count for the binaries with a parallel
-    /// path (`condition_bench`'s ladder top, `serve_bench`'s server
-    /// workers); defaults to [`default_threads`].
+    /// `--threads N`: `serve_bench`'s in-process server workers;
+    /// defaults to [`default_threads`].
     pub threads: usize,
     /// `--cache-snapshot PATH`: persist the run's [`SharedCache`] to
     /// `PATH` on exit, loading it first when the file already exists —

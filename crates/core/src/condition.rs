@@ -11,19 +11,13 @@
 //! so pointer-distinct copies of one subgraph (possible when `dedup` is
 //! disabled) also share a single posterior.
 //!
-//! # Parallelism
+//! # Concurrency
 //!
-//! The per-child subproblems at `Sum` nodes (Lst. 6b) and the per-clause
-//! / per-factor subproblems at `Product` nodes (Lst. 6c) are mutually
-//! independent, so [`par_condition`]/[`par_condition_in`] fan them out
-//! over a scoped pool. Workers fill index-ordered slots and the join
-//! walks them in the node's stored (digest-canonical) child order, so
-//! [`Factory::sum`] receives exactly the `(parts, weights)` sequence the
-//! sequential walk produces and the posterior is **bit-identical** —
-//! including which error is reported (the earliest child's, as in the
-//! sequential short-circuit). Memo fills go through first-write-wins
-//! insertion, so workers racing on one subproblem converge on a single
-//! physical cached posterior.
+//! [`condition`] runs on the calling thread, but many threads may
+//! condition over one shared [`Factory`] at once (server workers do).
+//! Memo fills go through first-write-wins insertion, so callers racing
+//! on one subproblem all return the entry that landed first and
+//! converge on a single physical cached posterior.
 
 use sppl_dists::Distribution;
 use sppl_sets::OutcomeSet;
@@ -31,17 +25,14 @@ use sppl_sets::OutcomeSet;
 use crate::disjoin::{solve_and_disjoin, Clause};
 use crate::error::SpplError;
 use crate::event::Event;
-use crate::par::{fan_out_ordered, ParCtx};
 use crate::prob::clause_logprob;
 use crate::spe::{leaf_event_outcomes, Env, Factory, Node, Spe};
 use crate::transform::Transform;
 use crate::var::Var;
 
-/// Conditions `spe` on `event` (Thm. 4.1).
-///
-/// Sequential unless the process opted in via `SPPL_PAR_SYMBOLIC=1`
-/// (see [`crate::par::symbolic_pool`]); use [`par_condition_in`] for
-/// explicit parallelism.
+/// Conditions `spe` on `event` (Thm. 4.1). Memoized: a pointer-keyed
+/// probe, then compute-and-fill (first-write-wins). Exactly one hit or
+/// one miss is counted per call.
 ///
 /// # Errors
 ///
@@ -50,50 +41,8 @@ use crate::var::Var;
 ///   outside the scope;
 /// * [`SpplError::MultivariateTransform`] for R3 violations.
 pub fn condition(factory: &Factory, spe: &Spe, event: &Event) -> Result<Spe, SpplError> {
-    condition_ctx(factory, spe, event, ParCtx::env_default())
-}
-
-/// [`condition`] with wide `Sum`/`Product` fan-outs parallelized over
-/// the global pool ([`crate::engine::global_pool`]). Bit-identical to
-/// the sequential walk — same posterior, same cache contents, same
-/// error on failure.
-///
-/// Must not be called from inside a job running on the global pool
-/// (nested scopes on one pool deadlock); the plain [`condition`] is
-/// safe there — its opt-in degrades to sequential on pool workers.
-///
-/// # Errors
-///
-/// Same conditions as [`condition`].
-pub fn par_condition(factory: &Factory, spe: &Spe, event: &Event) -> Result<Spe, SpplError> {
-    par_condition_in(factory, spe, event, crate::engine::global_pool())
-}
-
-/// [`par_condition`] over a caller-supplied pool. A single-worker pool
-/// degrades to the sequential walk.
-///
-/// # Errors
-///
-/// Same conditions as [`condition`].
-pub fn par_condition_in(
-    factory: &Factory,
-    spe: &Spe,
-    event: &Event,
-    pool: &crate::Pool,
-) -> Result<Spe, SpplError> {
-    condition_ctx(factory, spe, event, ParCtx::with_pool(pool))
-}
-
-/// The memoization wrapper: pointer-keyed probe, then compute-and-fill
-/// (first-write-wins). Exactly one hit or one miss is counted per call.
-pub(crate) fn condition_ctx(
-    factory: &Factory,
-    spe: &Spe,
-    event: &Event,
-    par: ParCtx<'_>,
-) -> Result<Spe, SpplError> {
     if !factory.options().memoize {
-        return condition_uncached(factory, spe, event, par);
+        return condition_uncached(factory, spe, event);
     }
     let key = (spe.ptr_id(), event.fingerprint());
     if let Some((_, cached)) = factory.cond_cache.get(&key) {
@@ -101,20 +50,15 @@ pub(crate) fn condition_ctx(
         return cached;
     }
     factory.cond_counters.miss();
-    let result = condition_uncached(factory, spe, event, par);
-    // First-write-wins: racing workers that computed the same subproblem
-    // all return the entry that landed first, so callers across threads
-    // share one physical posterior.
+    let result = condition_uncached(factory, spe, event);
+    // First-write-wins: threads that computed the same subproblem
+    // concurrently all return the entry that landed first, so callers
+    // across threads share one physical posterior.
     let (_, winner) = factory.cond_cache.get_or_insert(key, (spe.clone(), result));
     winner
 }
 
-fn condition_uncached(
-    factory: &Factory,
-    spe: &Spe,
-    event: &Event,
-    par: ParCtx<'_>,
-) -> Result<Spe, SpplError> {
+fn condition_uncached(factory: &Factory, spe: &Spe, event: &Event) -> Result<Spe, SpplError> {
     match spe.node() {
         Node::Leaf {
             var,
@@ -133,34 +77,13 @@ fn condition_uncached(
             condition_leaf(factory, var, dist, env, &outcomes, event)
         }
         Node::Sum { children, .. } => {
-            // Each child's (logprob, posterior) pair is an independent
-            // subproblem (Lst. 6b). The parallel path computes them in
-            // index-ordered slots and joins in the node's stored child
-            // order, so `parts` is the same sequence the sequential loop
-            // builds; `?` over that order reports the earliest child's
-            // error, matching the sequential short-circuit.
+            // Reweight each child by its probability of the event and
+            // condition the survivors (Lst. 6b).
             let mut parts = Vec::with_capacity(children.len());
-            if let Some(pool) = par.take(children.len()) {
-                let evaluated = fan_out_ordered(pool, children, |(child, _)| {
-                    let lp = factory.logprob(child, event)?;
-                    if lp > f64::NEG_INFINITY {
-                        let post = condition_ctx(factory, child, event, ParCtx::seq())?;
-                        Ok(Some((post, lp)))
-                    } else {
-                        Ok(None)
-                    }
-                });
-                for ((_, lw), res) in children.iter().zip(evaluated) {
-                    if let Some((post, lp)) = res? {
-                        parts.push((post, lw + lp));
-                    }
-                }
-            } else {
-                for (child, lw) in children {
-                    let lp = factory.logprob(child, event)?;
-                    if lp > f64::NEG_INFINITY {
-                        parts.push((condition_ctx(factory, child, event, par)?, lw + lp));
-                    }
+            for (child, lw) in children {
+                let lp = factory.logprob(child, event)?;
+                if lp > f64::NEG_INFINITY {
+                    parts.push((condition(factory, child, event)?, lw + lp));
                 }
             }
             if parts.is_empty() {
@@ -183,7 +106,7 @@ fn condition_uncached(
                 0 => Err(SpplError::ZeroProbability {
                     event: event.to_string(),
                 }),
-                1 => condition_product_clause(factory, children, &clauses[0], event, par),
+                1 => condition_product_clause(factory, children, &clauses[0], event),
                 _ => {
                     let mut weights = Vec::with_capacity(clauses.len());
                     {
@@ -196,42 +119,15 @@ fn condition_uncached(
                             weights.push(clause_logprob(children, clause, &mut memo)?);
                         }
                     }
-                    // The per-clause posteriors (Lst. 6c's disjoint
-                    // hyperrectangles) are independent; the join in
-                    // clause order rebuilds the sequential sequence.
+                    // One product per disjoint hyperrectangle (Lst. 6c),
+                    // mixed by the clause probabilities.
                     let mut parts = Vec::with_capacity(clauses.len());
-                    if let Some(pool) = par.take(clauses.len()) {
-                        let jobs: Vec<(&Clause, f64)> =
-                            clauses.iter().zip(weights.iter().copied()).collect();
-                        let evaluated = fan_out_ordered(pool, &jobs, |&(clause, lw)| {
-                            if lw > f64::NEG_INFINITY {
-                                condition_product_clause(
-                                    factory,
-                                    children,
-                                    clause,
-                                    event,
-                                    ParCtx::seq(),
-                                )
-                                .map(Some)
-                            } else {
-                                Ok(None)
-                            }
-                        });
-                        for (lw, res) in weights.iter().copied().zip(evaluated) {
-                            if let Some(post) = res? {
-                                parts.push((post, lw));
-                            }
-                        }
-                    } else {
-                        for (clause, lw) in clauses.iter().zip(weights) {
-                            if lw > f64::NEG_INFINITY {
-                                parts.push((
-                                    condition_product_clause(
-                                        factory, children, clause, event, par,
-                                    )?,
-                                    lw,
-                                ));
-                            }
+                    for (clause, lw) in clauses.iter().zip(weights) {
+                        if lw > f64::NEG_INFINITY {
+                            parts.push((
+                                condition_product_clause(factory, children, clause, event)?,
+                                lw,
+                            ));
                         }
                     }
                     if parts.is_empty() {
@@ -247,46 +143,34 @@ fn condition_uncached(
 }
 
 /// Conditions each factor of a product on the clause constraints that fall
-/// in its scope (the single-hyperrectangle case of Lst. 6c). The factors
-/// are independent, so a wide product fans them out; the join preserves
-/// factor order.
+/// in its scope (the single-hyperrectangle case of Lst. 6c).
 fn condition_product_clause(
     factory: &Factory,
     children: &[Spe],
     clause: &Clause,
     original: &Event,
-    par: ParCtx<'_>,
 ) -> Result<Spe, SpplError> {
-    let condition_factor = |child: &Spe, par: ParCtx<'_>| -> Result<Spe, SpplError> {
-        let literals: Vec<Event> = clause
-            .constraints()
-            .iter()
-            .filter(|(v, _)| child.scope().contains(v))
-            .map(|(v, set)| Event::In(Transform::id(v.clone()), set.clone()))
-            .collect();
-        if literals.is_empty() {
-            return Ok(child.clone());
-        }
-        let sub = Event::and(literals);
-        condition_ctx(factory, child, &sub, par).map_err(|e| match e {
-            SpplError::ZeroProbability { .. } => SpplError::ZeroProbability {
-                event: original.to_string(),
-            },
-            other => other,
+    let out = children
+        .iter()
+        .map(|child| {
+            let literals: Vec<Event> = clause
+                .constraints()
+                .iter()
+                .filter(|(v, _)| child.scope().contains(v))
+                .map(|(v, set)| Event::In(Transform::id(v.clone()), set.clone()))
+                .collect();
+            if literals.is_empty() {
+                return Ok(child.clone());
+            }
+            let sub = Event::and(literals);
+            condition(factory, child, &sub).map_err(|e| match e {
+                SpplError::ZeroProbability { .. } => SpplError::ZeroProbability {
+                    event: original.to_string(),
+                },
+                other => other,
+            })
         })
-    };
-    let out: Vec<Spe> = if let Some(pool) = par.take(children.len()) {
-        fan_out_ordered(pool, children, |child| {
-            condition_factor(child, ParCtx::seq())
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?
-    } else {
-        children
-            .iter()
-            .map(|child| condition_factor(child, par))
-            .collect::<Result<_, _>>()?
-    };
+        .collect::<Result<Vec<Spe>, SpplError>>()?;
     factory.product(out)
 }
 

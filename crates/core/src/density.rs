@@ -7,7 +7,7 @@
 //! "lexicographic likelihood weighting" to exact inference. Mixtures keep
 //! only the children of minimal degree among those with positive weight.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use sppl_dists::Distribution;
 use sppl_num::float::logsumexp;
@@ -15,9 +15,7 @@ use sppl_sets::Outcome;
 
 use crate::digest::{Digester, Fingerprint};
 use crate::error::SpplError;
-use crate::par::{fan_out_ordered, ParCtx};
 use crate::spe::{Env, Factory, Node, Spe};
-use crate::sync_map::ShardedMap;
 use crate::var::Var;
 
 /// A measure-zero constraint: an exact value for each listed variable
@@ -66,17 +64,12 @@ impl Spe {
                 });
             }
         }
-        let memo = DensityMemo::new();
-        logdensity_inner(self, assignment, &memo)
+        logdensity_inner(self, assignment, &mut DensityMemo::new())
     }
 }
 
-/// Per-call density memo over the shared DAG. A sharded concurrent map
-/// so the parallel `constrain` waves can share it across workers; the
-/// per-op lock cost is negligible next to a density evaluation, and
-/// racing fills are benign (densities are pure, so every writer stores
-/// the same bits).
-type DensityMemo = ShardedMap<(usize, Fingerprint), Density>;
+/// Per-call density memo over the shared DAG, keyed by (node, assignment).
+type DensityMemo = HashMap<(usize, Fingerprint), Density>;
 
 fn assignment_fingerprint(assignment: &Assignment) -> Fingerprint {
     let mut d = Digester::new();
@@ -101,10 +94,10 @@ fn assignment_fingerprint(assignment: &Assignment) -> Fingerprint {
 fn logdensity_inner(
     spe: &Spe,
     assignment: &Assignment,
-    memo: &DensityMemo,
+    memo: &mut DensityMemo,
 ) -> Result<Density, SpplError> {
     let key = (spe.ptr_id(), assignment_fingerprint(assignment));
-    if let Some(d) = memo.get(&key) {
+    if let Some(&d) = memo.get(&key) {
         return Ok(d);
     }
     let out = match spe.node() {
@@ -156,7 +149,8 @@ fn logdensity_inner(
             Density { degree, ln_weight }
         }
     };
-    Ok(memo.get_or_insert(key, out))
+    memo.insert(key, out);
+    Ok(out)
 }
 
 fn leaf_density(
@@ -191,47 +185,6 @@ fn leaf_density(
 /// * [`SpplError::TransformedConstraint`] for derived variables;
 /// * [`SpplError::UnknownVariable`] for out-of-scope variables.
 pub fn constrain(factory: &Factory, spe: &Spe, assignment: &Assignment) -> Result<Spe, SpplError> {
-    constrain_ctx(factory, spe, assignment, ParCtx::env_default())
-}
-
-/// [`constrain`] with wide `Sum`/`Product` fan-outs parallelized over
-/// the global pool ([`crate::engine::global_pool`]). Bit-identical to
-/// the sequential walk. Must not be called from inside a job running on
-/// the global pool (nested scopes deadlock); plain [`constrain`] is
-/// safe there.
-///
-/// # Errors
-///
-/// Same conditions as [`constrain`].
-pub fn par_constrain(
-    factory: &Factory,
-    spe: &Spe,
-    assignment: &Assignment,
-) -> Result<Spe, SpplError> {
-    par_constrain_in(factory, spe, assignment, crate::engine::global_pool())
-}
-
-/// [`par_constrain`] over a caller-supplied pool. A single-worker pool
-/// degrades to the sequential walk.
-///
-/// # Errors
-///
-/// Same conditions as [`constrain`].
-pub fn par_constrain_in(
-    factory: &Factory,
-    spe: &Spe,
-    assignment: &Assignment,
-    pool: &crate::Pool,
-) -> Result<Spe, SpplError> {
-    constrain_ctx(factory, spe, assignment, ParCtx::with_pool(pool))
-}
-
-fn constrain_ctx(
-    factory: &Factory,
-    spe: &Spe,
-    assignment: &Assignment,
-    par: ParCtx<'_>,
-) -> Result<Spe, SpplError> {
     for v in assignment.keys() {
         if !spe.scope().contains(v) {
             return Err(SpplError::UnknownVariable {
@@ -239,59 +192,46 @@ fn constrain_ctx(
             });
         }
     }
-    // The Sec. 5.1 non-memoized ablation clears the density scratch once
-    // per Sum node — a traversal-order-dependent discipline that only
-    // makes sense sequentially, so that configuration stays on the
-    // calling thread.
-    let par = if factory.options().memoize {
-        par
-    } else {
-        ParCtx::seq()
-    };
     // Per-call memo tables over the shared DAG: without them, constrain
     // would redo work once per *path* to each deduplicated node, turning
     // linear-size expressions (e.g. long HMMs) into exponential work.
-    let memos = ConstrainMemos::default();
-    constrain_inner(factory, spe, assignment, &memos, par)
+    let mut memos = ConstrainMemos::default();
+    constrain_inner(factory, spe, assignment, &mut memos)
 }
 
 /// Memoization for one `constrain` call (nodes stay alive for the call's
-/// duration, so plain pointer keys are safe here). Sharded maps so the
-/// parallel waves share them across workers; fills are first-write-wins,
-/// so racing workers agree on one physical constrained node per
-/// subproblem.
+/// duration, so plain pointer keys are safe here).
 #[derive(Default)]
 struct ConstrainMemos {
     density: DensityMemo,
-    result: ShardedMap<(usize, Fingerprint), Result<Spe, SpplError>>,
+    result: HashMap<(usize, Fingerprint), Result<Spe, SpplError>>,
 }
 
 fn constrain_inner(
     factory: &Factory,
     spe: &Spe,
     assignment: &Assignment,
-    memos: &ConstrainMemos,
-    par: ParCtx<'_>,
+    memos: &mut ConstrainMemos,
 ) -> Result<Spe, SpplError> {
     if !factory.options().memoize {
         // The Sec. 5.1 ablation: redo work once per path to each shared
         // node (tree-sized instead of DAG-sized traversals).
-        return constrain_compute(factory, spe, assignment, memos, par);
+        return constrain_compute(factory, spe, assignment, memos);
     }
     let key = (spe.ptr_id(), assignment_fingerprint(assignment));
     if let Some(cached) = memos.result.get(&key) {
-        return cached;
+        return cached.clone();
     }
-    let out = constrain_compute(factory, spe, assignment, memos, par);
-    memos.result.get_or_insert(key, out)
+    let out = constrain_compute(factory, spe, assignment, memos);
+    memos.result.insert(key, out.clone());
+    out
 }
 
 fn constrain_compute(
     factory: &Factory,
     spe: &Spe,
     assignment: &Assignment,
-    memos: &ConstrainMemos,
-    par: ParCtx<'_>,
+    memos: &mut ConstrainMemos,
 ) -> Result<Spe, SpplError> {
     match spe.node() {
         Node::Leaf { var, dist, env, .. } => {
@@ -336,29 +276,16 @@ fn constrain_compute(
             }
         }
         Node::Sum { children, .. } => {
-            // Wave 1: every child's density (independent subproblems over
-            // the shared memo); wave 2: constrain the minimal-degree
-            // survivors. Both waves join in stored child order, so the
-            // selection and the `(parts, weights)` sequence match the
-            // sequential walk exactly.
+            // Every child's density first, then constrain the positive
+            // children of minimal degree, in stored child order.
             if !factory.options().memoize {
                 memos.density.clear();
             }
-            let densities: Vec<(u64, f64)> = if let Some(pool) = par.take(children.len()) {
-                fan_out_ordered(pool, children, |(child, lw)| {
-                    logdensity_inner(child, assignment, &memos.density)
-                        .map(|d| (d.degree, lw + d.ln_weight))
-                })
-                .into_iter()
-                .collect::<Result<_, _>>()?
-            } else {
-                let mut out = Vec::with_capacity(children.len());
-                for (child, lw) in children {
-                    let d = logdensity_inner(child, assignment, &memos.density)?;
-                    out.push((d.degree, lw + d.ln_weight));
-                }
-                out
-            };
+            let mut densities = Vec::with_capacity(children.len());
+            for (child, lw) in children {
+                let d = logdensity_inner(child, assignment, &mut memos.density)?;
+                densities.push((d.degree, lw + d.ln_weight));
+            }
             let positive: Vec<usize> = densities
                 .iter()
                 .enumerate()
@@ -375,54 +302,32 @@ fn constrain_compute(
                 .map(|&i| densities[i].0)
                 .min()
                 .expect("nonempty");
-            let selected: Vec<usize> = positive
-                .into_iter()
-                .filter(|&i| densities[i].0 == dmin)
-                .collect();
-            let parts: Vec<(Spe, f64)> = if let Some(pool) = par.take(selected.len()) {
-                fan_out_ordered(pool, &selected, |&i| {
-                    constrain_inner(factory, &children[i].0, assignment, memos, ParCtx::seq())
-                        .map(|s| (s, densities[i].1))
-                })
-                .into_iter()
-                .collect::<Result<_, _>>()?
-            } else {
-                let mut out = Vec::with_capacity(selected.len());
-                for &i in &selected {
-                    out.push((
-                        constrain_inner(factory, &children[i].0, assignment, memos, par)?,
+            let mut parts = Vec::with_capacity(positive.len());
+            for i in positive {
+                if densities[i].0 == dmin {
+                    parts.push((
+                        constrain_inner(factory, &children[i].0, assignment, memos)?,
                         densities[i].1,
                     ));
                 }
-                out
-            };
+            }
             factory.sum(parts)
         }
         Node::Product { children, .. } => {
-            // Per-factor constraints are independent (the per-variable
-            // factors of the assignment route to disjoint scopes).
-            let build = |child: &Spe, par: ParCtx<'_>| -> Result<Spe, SpplError> {
+            // Each factor takes the part of the assignment in its scope.
+            let mut out = Vec::with_capacity(children.len());
+            for child in children {
                 let restricted: Assignment = assignment
                     .iter()
                     .filter(|(v, _)| child.scope().contains(v))
                     .map(|(v, o)| (v.clone(), o.clone()))
                     .collect();
-                if restricted.is_empty() {
-                    Ok(child.clone())
+                out.push(if restricted.is_empty() {
+                    child.clone()
                 } else {
-                    constrain_inner(factory, child, &restricted, memos, par)
-                }
-            };
-            let out: Vec<Spe> = if let Some(pool) = par.take(children.len()) {
-                fan_out_ordered(pool, children, |child| build(child, ParCtx::seq()))
-                    .into_iter()
-                    .collect::<Result<_, _>>()?
-            } else {
-                children
-                    .iter()
-                    .map(|child| build(child, par))
-                    .collect::<Result<_, _>>()?
-            };
+                    constrain_inner(factory, child, &restricted, memos)?
+                });
+            }
             factory.product(out)
         }
     }

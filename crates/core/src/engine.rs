@@ -1,5 +1,6 @@
 //! The session memo behind [`Model`]'s query route, plus the cache
-//! statistics and worker pool the rest of the crate shares.
+//! statistics the rest of the crate shares and the worker count servers
+//! size to.
 //!
 //! `prob`/`condition` are memoized *within* a call over the deduplicated
 //! DAG ([`Factory::logprob`], [`condition`](crate::condition::condition));
@@ -69,8 +70,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use scoped_threadpool::Pool;
-
 use crate::arena::ArenaModel;
 use crate::digest::Fingerprint;
 use crate::spe::{Factory, Spe};
@@ -102,11 +101,12 @@ impl CacheStats {
     }
 }
 
-/// The worker count for parallel symbolic operations and for servers
-/// sizing their request workers: `SPPL_THREADS` when set to a positive
-/// integer, otherwise the machine's available parallelism (one when even
-/// that is unknown). Queries never fan out over threads; a batch is one
-/// arena pass on the calling thread.
+/// The worker count for servers sizing their request workers:
+/// `SPPL_THREADS` when set to a positive integer, otherwise the
+/// machine's available parallelism (one when even that is unknown).
+/// Nothing in this crate fans out over threads: queries, `condition`,
+/// `constrain` and translation all run on the calling thread, and
+/// throughput comes from many sessions or server workers at once.
 pub fn default_threads() -> usize {
     std::env::var("SPPL_THREADS")
         .ok()
@@ -117,24 +117,6 @@ pub fn default_threads() -> usize {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1)
         })
-}
-
-/// The process-wide pool behind the parallel symbolic operations
-/// ([`par_condition`](crate::condition::par_condition),
-/// [`par_constrain`](crate::density::par_constrain), the translator's
-/// branch fan-out, and the `SPPL_PAR_SYMBOLIC` opt-in), sized by
-/// [`default_threads`] at first use. Exposed so benchmarks and servers
-/// can submit their own scoped work to the same workers instead of
-/// spawning a second pool.
-///
-/// **Do not call the `par_*` methods (or open another scope on this
-/// pool) from inside a job running on this pool**: the inner scope would
-/// block its worker waiting for chunks only the occupied workers could
-/// run — with all workers blocked the process deadlocks (the vendored
-/// pool does not support nested scopes).
-pub fn global_pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool::new(default_threads().min(u32::MAX as usize) as u32))
 }
 
 /// A session's memo (see the [module docs](self)): the arena, the
@@ -412,7 +394,6 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
-        assert!(global_pool().thread_count() >= 1);
     }
 
     #[test]

@@ -20,8 +20,6 @@
 //! * [`prob`] — the distribution semantics `P⟦S⟧ e` (Lst. 1f) with
 //!   memoization,
 //! * [`mod@condition`] — the `condition` algorithm (Lst. 6, Thm. 4.1),
-//! * [`par`] — the parallel fan-out scaffolding behind `par_condition`/
-//!   `par_constrain` and the `SPPL_PAR_SYMBOLIC` opt-in,
 //! * [`model`] — the session-first [`Model`] handle:
 //!   `Arc<Factory>` + root + session memo in one `Clone + Send + Sync`
 //!   object whose `condition`/`constrain` return posteriors as
@@ -29,7 +27,7 @@
 //!   property), and whose queries take one route: canonicalize, memo,
 //!   [`SharedCache`], then one batched arena pass for the misses,
 //! * [`engine`] — the session memo behind that route, [`CacheStats`],
-//!   and the worker pool of the parallel symbolic operations,
+//!   and [`default_threads`], the worker count servers size to,
 //! * `arena` (crate-private) — the batch evaluator every query miss goes
 //!   through: digest-keyed compilation of a model into a flat,
 //!   topologically-ordered arena with struct-of-arrays evaluation,
@@ -86,7 +84,6 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod model;
-pub mod par;
 pub mod prob;
 pub mod simulate;
 pub mod spe;
@@ -97,10 +94,10 @@ pub mod var;
 pub mod wire;
 
 pub use cache::SharedCache;
-pub use condition::{condition, par_condition, par_condition_in};
-pub use density::{constrain, par_constrain, par_constrain_in, Assignment};
+pub use condition::condition;
+pub use density::{constrain, Assignment};
 pub use digest::{Fingerprint, ModelDigest, DIGEST_VERSION};
-pub use engine::{default_threads, global_pool, CacheStats};
+pub use engine::{default_threads, CacheStats};
 pub use error::SpplError;
 pub use event::{var, Event, Scalar};
 pub use model::Model;
@@ -109,17 +106,13 @@ pub use transform::Transform;
 pub use var::Var;
 pub use wire::{deserialize_spe, serialize_spe, wire_digest};
 
-// Re-exported so downstream crates can size and share inference pools
-// without depending on the vendored crate directly.
-pub use scoped_threadpool::Pool;
-
 /// Convenient glob import for downstream crates and examples.
 pub mod prelude {
     pub use crate::cache::SharedCache;
     pub use crate::condition::condition;
     pub use crate::density::{constrain, Assignment};
     pub use crate::digest::{Fingerprint, ModelDigest, DIGEST_VERSION};
-    pub use crate::engine::{default_threads, global_pool, CacheStats};
+    pub use crate::engine::{default_threads, CacheStats};
     pub use crate::error::SpplError;
     pub use crate::event::{var, Event, Scalar};
     pub use crate::model::Model;
@@ -127,7 +120,6 @@ pub mod prelude {
     pub use crate::spe::{Factory, Spe};
     pub use crate::transform::Transform;
     pub use crate::var::Var;
-    pub use scoped_threadpool::Pool;
     pub use sppl_dists::{Cdf, DistInt, DistReal, DistStr, Distribution};
     pub use sppl_sets::{Interval, Outcome, OutcomeSet, RealSet, StringSet};
 }

@@ -57,16 +57,14 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
-use scoped_threadpool::Pool;
 
 use crate::cache::SharedCache;
-use crate::condition::condition_ctx;
-use crate::density::{constrain, par_constrain, par_constrain_in, Assignment};
+use crate::condition::condition;
+use crate::density::{constrain, Assignment};
 use crate::digest::{Fingerprint, ModelDigest};
-use crate::engine::{global_pool, CacheStats, Memo};
+use crate::engine::{CacheStats, Memo};
 use crate::error::SpplError;
 use crate::event::Event;
-use crate::par::ParCtx;
 use crate::simulate::Sample;
 use crate::spe::{Factory, Spe};
 
@@ -360,8 +358,8 @@ impl Model {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`condition`](crate::condition::condition); in
-    /// particular [`SpplError::ZeroProbability`] when `P(event) = 0`.
+    /// Same conditions as [`condition`]; in particular
+    /// [`SpplError::ZeroProbability`] when `P(event) = 0`.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -414,7 +412,28 @@ impl Model {
     /// assert!(model.condition_chain(&[]).unwrap().root().same(model.root()));
     /// ```
     pub fn condition_chain(&self, events: &[Event]) -> Result<Model, SpplError> {
-        self.condition_chain_ctx(events, ParCtx::env_default())
+        let Inner {
+            factory,
+            root,
+            memo,
+            ..
+        } = &*self.inner;
+        let generation = memo.sync(factory);
+        let mut current = root.clone();
+        let mut key = CHAIN_SEED;
+        for event in events {
+            let canonical = event.canonical();
+            key = key.chain(canonical.fingerprint());
+            if let Some(posterior) = memo.posterior(&key, generation) {
+                memo.count(1, 0);
+                current = posterior;
+                continue;
+            }
+            current = condition(factory, &current, &canonical)?;
+            memo.count(0, 1);
+            memo.put_posterior(key, generation, current.clone());
+        }
+        Ok(self.child(current))
     }
 
     /// Conditions on a conjunction of (possibly measure-zero) equality
@@ -448,179 +467,6 @@ impl Model {
     /// ```
     pub fn constrain(&self, assignment: &Assignment) -> Result<Model, SpplError> {
         Ok(self.child(constrain(self.factory(), self.root(), assignment)?))
-    }
-
-    /// [`Model::condition`] with wide `Sum`/`Product` fan-outs
-    /// parallelized over the global pool — **bit-identical** to the
-    /// sequential walk: same posterior (physically, via the shared
-    /// memo), same cache contents, same error on failure. Narrow nodes
-    /// stay on the calling thread (see [`crate::par`]). Must not be
-    /// called from a job already running on the global pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::condition`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let seq = model.condition(&var("X").gt(0.0)).unwrap();
-    /// let par = model.par_condition(&var("X").gt(0.0)).unwrap();
-    /// let probe = var("X").gt(1.0);
-    /// assert_eq!(
-    ///     par.logprob(&probe).unwrap().to_bits(),
-    ///     seq.logprob(&probe).unwrap().to_bits(),
-    /// );
-    /// ```
-    pub fn par_condition(&self, event: &Event) -> Result<Model, SpplError> {
-        self.par_condition_chain(std::slice::from_ref(event))
-    }
-
-    /// [`Model::par_condition`] on a caller-provided pool. A
-    /// single-worker pool degrades to the sequential walk.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::condition`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let pool = Pool::new(2);
-    /// let par = model.par_condition_in(&pool, &var("X").gt(0.0)).unwrap();
-    /// assert!((par.prob(&var("X").gt(0.0)).unwrap() - 1.0).abs() < 1e-9);
-    /// ```
-    pub fn par_condition_in(&self, pool: &Pool, event: &Event) -> Result<Model, SpplError> {
-        self.par_condition_chain_in(pool, std::slice::from_ref(event))
-    }
-
-    /// [`Model::condition_chain`] with each step's wide fan-outs
-    /// parallelized over the global pool. The chain itself stays
-    /// sequential (step *k+1* conditions step *k*'s posterior); prefix
-    /// posteriors are cached exactly as in the sequential chain.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::condition_chain`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let chain = [var("X").gt(-1.0), var("X").lt(1.0)];
-    /// let seq = model.condition_chain(&chain).unwrap();
-    /// let par = model.par_condition_chain(&chain).unwrap();
-    /// // Same memoized posterior — physically identical.
-    /// assert!(par.root().same(seq.root()));
-    /// ```
-    pub fn par_condition_chain(&self, events: &[Event]) -> Result<Model, SpplError> {
-        self.par_condition_chain_in(global_pool(), events)
-    }
-
-    /// [`Model::par_condition_chain`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::condition_chain`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let pool = Pool::new(2);
-    /// let chain = [var("X").gt(-1.0), var("X").lt(1.0)];
-    /// let par = model.par_condition_chain_in(&pool, &chain).unwrap();
-    /// assert!(par.root().same(model.condition_chain(&chain).unwrap().root()));
-    /// ```
-    pub fn par_condition_chain_in(
-        &self,
-        pool: &Pool,
-        events: &[Event],
-    ) -> Result<Model, SpplError> {
-        self.condition_chain_ctx(events, ParCtx::with_pool(pool))
-    }
-
-    /// [`Model::constrain`] with wide `Sum`/`Product` fan-outs
-    /// parallelized over the global pool — bit-identical to the
-    /// sequential walk. Must not be called from a job already running on
-    /// the global pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::constrain`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let mut obs = Assignment::new();
-    /// obs.insert(Var::new("X"), Outcome::Real(0.25));
-    /// let par = model.par_constrain(&obs).unwrap();
-    /// assert!(par.root().same(model.constrain(&obs).unwrap().root()));
-    /// ```
-    pub fn par_constrain(&self, assignment: &Assignment) -> Result<Model, SpplError> {
-        Ok(self.child(par_constrain(self.factory(), self.root(), assignment)?))
-    }
-
-    /// [`Model::par_constrain`] on a caller-provided pool.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::constrain`].
-    ///
-    /// ```
-    /// use sppl_core::prelude::*;
-    ///
-    /// let f = Factory::new();
-    /// let x = f.leaf(
-    ///     Var::new("X"),
-    ///     Distribution::Real(DistReal::new(Cdf::normal(0.0, 1.0), Interval::all()).unwrap()),
-    /// );
-    /// let model = Model::new(f, x);
-    /// let pool = Pool::new(2);
-    /// let mut obs = Assignment::new();
-    /// obs.insert(Var::new("X"), Outcome::Real(0.25));
-    /// let par = model.par_constrain_in(&pool, &obs).unwrap();
-    /// assert!(par.root().same(model.constrain(&obs).unwrap().root()));
-    /// ```
-    pub fn par_constrain_in(
-        &self,
-        pool: &Pool,
-        assignment: &Assignment,
-    ) -> Result<Model, SpplError> {
-        Ok(self.child(par_constrain_in(
-            self.factory(),
-            self.root(),
-            assignment,
-            pool,
-        )?))
     }
 
     /// Draws one joint ancestral sample of every variable in scope
@@ -688,34 +534,6 @@ impl Model {
         // clear_caches bumped the generation; syncing drops memo entries
         // and resets the counters.
         self.inner.memo.sync(&self.inner.factory);
-    }
-
-    /// Conditions the root on each event in turn, caching every prefix
-    /// posterior under the chained canonical fingerprints, and returns
-    /// the final posterior as a session.
-    fn condition_chain_ctx(&self, events: &[Event], par: ParCtx<'_>) -> Result<Model, SpplError> {
-        let Inner {
-            factory,
-            root,
-            memo,
-            ..
-        } = &*self.inner;
-        let generation = memo.sync(factory);
-        let mut current = root.clone();
-        let mut key = CHAIN_SEED;
-        for event in events {
-            let canonical = event.canonical();
-            key = key.chain(canonical.fingerprint());
-            if let Some(posterior) = memo.posterior(&key, generation) {
-                memo.count(1, 0);
-                current = posterior;
-                continue;
-            }
-            current = condition_ctx(factory, &current, &canonical, par)?;
-            memo.count(0, 1);
-            memo.put_posterior(key, generation, current.clone());
-        }
-        Ok(self.child(current))
     }
 
     /// A posterior session over `root`, sharing this session's factory

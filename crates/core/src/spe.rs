@@ -292,7 +292,7 @@ impl Default for FactoryOptions {
 /// are sharded `ShardedMap`s, and the statistics/generation counters are
 /// atomics, so one factory can serve interning and memoized inference from
 /// many threads at once (clones of one [`Model`](crate::model::Model) and
-/// the parallel symbolic operations rely on this).
+/// server workers conditioning one model rely on this).
 pub struct Factory {
     options: FactoryOptions,
     intern: ShardedMap<u64, Vec<Spe>>,

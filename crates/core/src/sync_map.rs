@@ -69,7 +69,7 @@ impl<K: Eq + Hash, V: Clone> ShardedMap<K, V> {
 
     /// First-write-wins insert: stores `value` only when `key` is absent
     /// and returns a clone of the entry's winning value. The memo-fill
-    /// discipline for parallel symbolic operations: workers racing on
+    /// discipline for threads sharing one factory: callers racing on
     /// one subproblem all adopt whichever (bit-identical) result landed
     /// first, so every caller observes a single stable cached value —
     /// in particular one *physical* posterior node, not per-thread

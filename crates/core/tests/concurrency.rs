@@ -1,9 +1,9 @@
 //! Concurrency guarantees of the core: `Send + Sync` bounds hold at
 //! compile time, threads sharing one `Model` answer bit-for-bit like the
-//! tree walker, parallel symbolic operations agree with the sequential
-//! walk, the intern table keeps its pointer-identity invariant under
-//! racing builders, and cache-generation invalidation never serves a
-//! pre-clear entry across a racing `clear_caches`.
+//! tree walker, threads conditioning one factory converge on one
+//! posterior, the intern table keeps its pointer-identity invariant
+//! under racing builders, and cache-generation invalidation never serves
+//! a pre-clear entry across a racing `clear_caches`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -20,7 +20,6 @@ const _: () = {
     assert_send_sync::<SharedCache>();
     assert_send_sync::<Event>();
     assert_send_sync::<SpplError>();
-    assert_send_sync::<Pool>();
 };
 
 fn normal(f: &Factory, name: &str, mu: f64) -> Spe {
@@ -292,12 +291,11 @@ fn shared_cache_concurrent_engines_stay_consistent() {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel symbolic conditioning (par_condition / par_constrain).
+// Conditioning one factory from several threads.
 // ---------------------------------------------------------------------------
 
-/// A mixture wide enough to cross the parallel fan-out cutoff (16), so
-/// these tests exercise the actual scoped fan-out, not the sequential
-/// degradation.
+/// A mixture of `n` two-variable products; at n = 24 one `condition`
+/// call does real per-child and per-clause work.
 fn wide_mixture(f: &Factory, n: usize) -> Spe {
     let w = (1.0 / n as f64).ln();
     let comps: Vec<(Spe, f64)> = (0..n)
@@ -321,89 +319,25 @@ fn wide_evidence() -> Event {
     ])
 }
 
-fn wide_probes() -> Vec<Event> {
+fn wide_probe() -> Event {
     let x = Transform::id(Var::new("X"));
     let y = Transform::id(Var::new("Y"));
-    vec![
-        Event::le(x.clone(), 0.0),
-        Event::gt(y.clone(), 0.0),
-        Event::and(vec![Event::le(x.clone(), 1.0), Event::le(y.clone(), 1.0)]),
-        Event::or(vec![Event::gt(x, 2.0), Event::le(y, -2.0)]),
-    ]
+    Event::and(vec![Event::le(x, 1.0), Event::le(y, 1.0)])
 }
 
+/// `Factory::clear_caches` racing three threads' `condition` calls must
+/// neither deadlock nor perturb an answer: the memo tables are pure
+/// caches, so a clear mid-call only costs recomputation, and
+/// first-write-wins fills make every posterior intern to the same
+/// physical node as the quiescent reference.
 #[test]
-fn par_condition_bit_identical_to_sequential_across_pool_sizes() {
-    use sppl_core::par_condition_in;
-
-    // Sequential reference in its own factory; each pool size gets a
-    // separately built copy so the parallel walk actually recomputes
-    // instead of being served from the cond cache.
-    let reference: Vec<u64> = {
-        let f = Factory::new();
-        let m = wide_mixture(&f, 24);
-        let post = condition(&f, &m, &wide_evidence()).unwrap();
-        wide_probes()
-            .iter()
-            .map(|q| f.logprob(&post, q).unwrap().to_bits())
-            .collect()
-    };
-    for threads in [1u32, 2, 4] {
-        let pool = Pool::new(threads);
-        let f = Factory::new();
-        let m = wide_mixture(&f, 24);
-        let post = par_condition_in(&f, &m, &wide_evidence(), &pool).unwrap();
-        for (q, want) in wide_probes().iter().zip(&reference) {
-            assert_eq!(
-                f.logprob(&post, q).unwrap().to_bits(),
-                *want,
-                "posterior answer diverged at {threads} threads on {q}"
-            );
-        }
-    }
-}
-
-#[test]
-fn par_constrain_bit_identical_to_sequential_across_pool_sizes() {
-    use sppl_core::par_constrain_in;
-
-    let assignment: Assignment = [(Var::new("Y"), Outcome::Real(0.3))].into_iter().collect();
-    let reference: Vec<u64> = {
-        let f = Factory::new();
-        let m = wide_mixture(&f, 24);
-        let post = constrain(&f, &m, &assignment).unwrap();
-        wide_probes()
-            .iter()
-            .map(|q| f.logprob(&post, q).unwrap().to_bits())
-            .collect()
-    };
-    for threads in [1u32, 2, 4] {
-        let pool = Pool::new(threads);
-        let f = Factory::new();
-        let m = wide_mixture(&f, 24);
-        let post = par_constrain_in(&f, &m, &assignment, &pool).unwrap();
-        for (q, want) in wide_probes().iter().zip(&reference) {
-            assert_eq!(
-                f.logprob(&post, q).unwrap().to_bits(),
-                *want,
-                "constrained answer diverged at {threads} threads on {q}"
-            );
-        }
-    }
-}
-
-/// `Factory::clear_caches` racing `par_condition` must neither deadlock
-/// nor perturb an answer: the memo tables are pure caches, so a clear
-/// mid-fan-out only costs recomputation. Every posterior must intern to
-/// the same physical node as the quiescent reference.
-#[test]
-fn factory_clear_racing_par_condition_stays_bit_identical() {
+fn factory_clear_racing_condition_stays_bit_identical() {
     let f = Factory::new();
     let m = wide_mixture(&f, 24);
     let evidence = wide_evidence();
     let reference = condition(&f, &m, &evidence).unwrap();
-    let probe = &wide_probes()[2];
-    let want = f.logprob(&reference, probe).unwrap().to_bits();
+    let probe = wide_probe();
+    let want = f.logprob(&reference, &probe).unwrap().to_bits();
     let stop = AtomicBool::new(false);
 
     std::thread::scope(|s| {
@@ -412,14 +346,11 @@ fn factory_clear_racing_par_condition_stays_bit_identical() {
             let m = &m;
             let evidence = &evidence;
             let reference = &reference;
+            let probe = &probe;
             let stop = &stop;
             s.spawn(move || {
-                // One pool per thread: concurrent scopes on one pool are
-                // supported, but per-thread pools also exercise distinct
-                // worker sets hitting one factory's caches.
-                let pool = Pool::new(2);
                 while !stop.load(Ordering::Relaxed) {
-                    let post = sppl_core::par_condition_in(f, m, evidence, &pool).unwrap();
+                    let post = condition(f, m, evidence).unwrap();
                     assert!(
                         post.same(reference),
                         "posterior must intern to the reference node even \

@@ -43,7 +43,7 @@ pub mod untranslate;
 pub use ast::{BinOp, CmpOp, Command, Expr, Program, Target, UnOp};
 pub use diagnostics::{Diagnostic, LangError, LintCode, Severity, Span};
 pub use parser::parse;
-pub use translate::{par_translate, par_translate_in, translate, Translator};
+pub use translate::{translate, Translator};
 pub use untranslate::untranslate;
 
 use sppl_core::{Factory, Spe, SpplError};

@@ -18,29 +18,21 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use sppl_core::condition::{condition, par_condition_in};
-use sppl_core::engine::global_pool;
+use sppl_core::condition::condition;
 use sppl_core::event::Event;
-use sppl_core::par::symbolic_pool;
 use sppl_core::spe::{Factory, Node, Spe};
 use sppl_core::transform::Transform;
 use sppl_core::var::Var;
-use sppl_core::Pool;
 use sppl_dists::{Cdf, DistInt, DistReal, DistStr, Distribution};
 use sppl_num::Polynomial;
 use sppl_sets::{Interval, OutcomeSet};
 
 use crate::ast::{BinOp, CmpOp, Command, Expr, Program, Target, UnOp};
+use crate::diagnostics::{LangError, Span};
 
 /// One `if`/`elif`/`switch` branch: guard event, body, and the optional
 /// constant binding a `switch` case introduces.
 type Branch = (Event, Vec<Command>, Option<(String, Value)>);
-
-/// Outcome of evaluating one branch: `Ok(None)` for a zero-probability
-/// branch (pruned from the mixture), else the surviving state and its
-/// guard logprob.
-type BranchOutcome = Result<Option<(State, f64)>, LangError>;
-use crate::diagnostics::{LangError, Span};
 
 /// Translates a parsed program into a sum-product expression.
 ///
@@ -50,46 +42,7 @@ use crate::diagnostics::{LangError, Span};
 /// variables, non-constant distribution parameters, or inference failures
 /// (e.g. a `condition` with probability zero).
 pub fn translate(factory: &Factory, program: &Program) -> Result<Spe, LangError> {
-    translate_with(factory, program, symbolic_pool())
-}
-
-/// [`translate`] over the process-global pool: sibling `if`/`switch`
-/// branches translate concurrently and `condition` statements fan out
-/// across the expression's mixture components. The result is
-/// bit-identical to [`translate`]'s — branches are joined in source
-/// order and mixtures are rebuilt in the factory's canonical order, so
-/// parallelism changes wall-clock time only.
-///
-/// # Errors
-///
-/// Same conditions as [`translate`]; when several branches fail, the
-/// error of the earliest (source-order) failing branch is reported,
-/// exactly as in the sequential walk.
-pub fn par_translate(factory: &Factory, program: &Program) -> Result<Spe, LangError> {
-    par_translate_in(factory, program, global_pool())
-}
-
-/// [`par_translate`] over a caller-supplied pool. A single-worker pool
-/// degrades to the sequential walk.
-///
-/// # Errors
-///
-/// Same conditions as [`translate`].
-pub fn par_translate_in(
-    factory: &Factory,
-    program: &Program,
-    pool: &Pool,
-) -> Result<Spe, LangError> {
-    translate_with(factory, program, (pool.thread_count() > 1).then_some(pool))
-}
-
-fn translate_with(
-    factory: &Factory,
-    program: &Program,
-    pool: Option<&Pool>,
-) -> Result<Spe, LangError> {
     let mut t = Translator::new(factory);
-    t.pool = pool;
     t.exec_all(&program.commands)?;
     t.finish()
 }
@@ -164,30 +117,10 @@ struct State {
 pub struct Translator<'f> {
     factory: &'f Factory,
     state: State,
-    /// When set, `exec_branches` translates sibling branches on this
-    /// pool's workers and `condition` statements use `par_condition_in`.
-    /// Branch jobs run with `None` here — nested scopes on one pool
-    /// deadlock — so only the outermost branching level fans out.
-    pool: Option<&'f Pool>,
 }
 
 fn err<S: Into<String>>(span: Span, msg: S) -> LangError {
     LangError::new(span, msg.into())
-}
-
-/// Conditions `spe` on `event`, fanning out over `pool` when one is in
-/// scope. `par_condition_in` is bit-identical to `condition`, so the
-/// translated expression does not depend on which path ran.
-fn condition_spe(
-    factory: &Factory,
-    spe: &Spe,
-    event: &Event,
-    pool: Option<&Pool>,
-) -> Result<Spe, sppl_core::SpplError> {
-    match pool {
-        Some(pool) => par_condition_in(factory, spe, event, pool),
-        None => condition(factory, spe, event),
-    }
 }
 
 impl<'f> Translator<'f> {
@@ -201,7 +134,6 @@ impl<'f> Translator<'f> {
                 arrays: HashMap::new(),
                 rvs: BTreeSet::new(),
             },
-            pool: None,
         }
     }
 
@@ -236,7 +168,7 @@ impl<'f> Translator<'f> {
                     self.state.spe.as_ref().ok_or_else(|| {
                         err(*span, "condition before any random variable is defined")
                     })?;
-                let conditioned = condition_spe(self.factory, spe, &ev, self.pool)
+                let conditioned = condition(self.factory, spe, &ev)
                     .map_err(|e| err(*span, format!("condition failed: {e}")))?;
                 self.state.spe = Some(conditioned);
                 Ok(())
@@ -349,40 +281,11 @@ impl<'f> Translator<'f> {
     /// desugared `switch`: condition the current expression on each branch
     /// event, translate the branch body, and mix by branch probability.
     fn exec_branches(&mut self, branches: Vec<Branch>, span: Span) -> Result<(), LangError> {
-        let evaluated: Vec<BranchOutcome> = match self.pool {
-            // Branch subtrees are independent given the pre-branch state
-            // (the `(IfElse)` premises share no mutable data), so each
-            // can translate on its own worker. Jobs run with `pool:
-            // None`: a nested `Pool::scoped` on the same pool would
-            // deadlock, and the env-gated plain entry points detect
-            // pool workers by thread name and stay sequential too.
-            Some(pool) if branches.len() >= 2 && pool.thread_count() > 1 => {
-                let this = &*self;
-                let mut slots: Vec<Option<BranchOutcome>> = Vec::with_capacity(branches.len());
-                slots.resize_with(branches.len(), || None);
-                pool.scoped(|scope| {
-                    for (branch, slot) in branches.iter().zip(slots.iter_mut()) {
-                        scope.execute(move || {
-                            *slot = Some(this.eval_branch(branch, span, None));
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("scope joined every branch job"))
-                    .collect()
-            }
-            pool => branches
-                .iter()
-                .map(|branch| self.eval_branch(branch, span, pool))
-                .collect(),
-        };
-        // Join in source order: survivors accumulate exactly as in the
-        // sequential walk, and `?` surfaces the earliest failing
-        // branch's error even when a later branch also failed.
+        // Survivors accumulate in source order, and `?` surfaces the
+        // earliest failing branch's error.
         let mut survivors: Vec<(State, f64)> = Vec::new();
-        for res in evaluated {
-            if let Some(survivor) = res? {
+        for branch in &branches {
+            if let Some(survivor) = self.eval_branch(branch, span)? {
                 survivors.push(survivor);
             }
         }
@@ -439,10 +342,8 @@ impl<'f> Translator<'f> {
     /// One branch of `exec_branches`: guard probability, conditioning,
     /// body translation. Returns `None` for a zero-probability branch
     /// (pruned from the mixture) and the surviving `(state, logprob)`
-    /// otherwise. Takes `&self` so sibling branches can run
-    /// concurrently; `pool` is the context for the *sub*-translator
-    /// (`None` inside pool jobs, `self.pool` on the sequential path).
-    fn eval_branch(&self, branch: &Branch, span: Span, pool: Option<&'f Pool>) -> BranchOutcome {
+    /// otherwise.
+    fn eval_branch(&self, branch: &Branch, span: Span) -> Result<Option<(State, f64)>, LangError> {
         let (event, body, binding) = branch;
         let ln_p = self.branch_logprob(event, span)?;
         if ln_p == f64::NEG_INFINITY {
@@ -452,7 +353,7 @@ impl<'f> Translator<'f> {
         if let Some(spe) = &self.state.spe {
             if !is_always(event) {
                 child.spe = Some(
-                    condition_spe(self.factory, spe, event, pool)
+                    condition(self.factory, spe, event)
                         .map_err(|e| err(span, format!("branch condition failed: {e}")))?,
                 );
             }
@@ -463,7 +364,6 @@ impl<'f> Translator<'f> {
         let mut sub = Translator {
             factory: self.factory,
             state: child,
-            pool,
         };
         sub.exec_all(body)?;
         let mut done = sub.state;

@@ -562,41 +562,3 @@ fn rejected_programs_carry_spans() {
     let e = compile(&f, "X ~ normal(0, 1)\ncondition(X < 0 * 1e400)").expect_err("rejected");
     assert_eq!(e.span.line, 2, "span should point at the condition line");
 }
-
-#[test]
-fn par_translate_is_bit_identical_to_translate() {
-    use sppl_lang::{par_translate_in, translate};
-
-    // A switch wide enough to cross the branch fan-out, gating both the
-    // sampled distribution and a nested condition, plus a post-branch
-    // condition statement — the two places the translator parallelizes.
-    let mut src = String::from("N ~ randint(0, 23)\n");
-    src.push_str("switch N cases (n in range(0, 24)) {\n");
-    src.push_str("  X ~ normal(n, 1)\n");
-    src.push_str("  if (X > 2) { Y ~ normal(n, 2) } else { Y ~ normal(0 - n, 2) }\n");
-    src.push_str("}\n");
-    src.push_str("condition(X < 20)\n");
-    let program = parse(&src).expect("parses");
-
-    let f_seq = Factory::new();
-    let seq = translate(&f_seq, &program).expect("translates");
-    for threads in [1u32, 2, 4] {
-        let pool = Pool::new(threads);
-        let f_par = Factory::new();
-        let par = par_translate_in(&f_par, &program, &pool).expect("translates");
-        assert_eq!(
-            seq.digest(),
-            par.digest(),
-            "translated content diverged at {threads} threads"
-        );
-        let q = Event::and(vec![
-            Event::le(Transform::id(Var::new("X")), 5.0),
-            Event::gt(Transform::id(Var::new("Y")), 0.0),
-        ]);
-        assert_eq!(
-            f_seq.logprob(&seq, &q).unwrap().to_bits(),
-            f_par.logprob(&par, &q).unwrap().to_bits(),
-            "answers diverged at {threads} threads"
-        );
-    }
-}

@@ -11,7 +11,7 @@
 //! without any socket — tests (and in-process embedders) drive it
 //! directly with [`Request`] values or raw lines.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -35,6 +35,12 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 /// How long a handler blocks on a quiet connection before re-checking
 /// the shutdown flag.
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// The longest request line a handler buffers, newline excluded. The
+/// largest line the repo's own models need is a hex `import` of the
+/// n = 400 HMM, about 2 MB; a longer line is answered with a
+/// `bad_request` and skipped.
+const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// Background snapshot policy: where to rotate, how often, how many
 /// generations to keep.
@@ -181,6 +187,15 @@ impl ServerState {
             self.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
         response.encode(id)
+    }
+
+    /// Answers a line that never reaches the decoder (not UTF-8, or
+    /// longer than [`MAX_LINE_BYTES`]) with a `bad_request`, counted like
+    /// any other failed request.
+    fn reject_line(&self, message: &str) -> String {
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.errors.fetch_add(1, Ordering::Relaxed);
+        Response::Error(WireError::bad_request(message)).encode(None)
     }
 
     /// Handles one decoded request. Infallible by the same contract as
@@ -594,7 +609,9 @@ fn worker_loop(state: &ServerState, shutdown: &Shutdown, rx: &Mutex<Receiver<Tcp
 
 /// Speaks the protocol on one connection until EOF, a hard I/O error, or
 /// shutdown. The read timeout bounds how long shutdown waits for a quiet
-/// connection.
+/// connection. Lines are read as bytes, so a timeout that lands inside a
+/// multi-byte character keeps the partial bytes for the next read; each
+/// complete line is decoded as UTF-8 on its own.
 fn handle_connection(
     state: &ServerState,
     shutdown: &Shutdown,
@@ -604,16 +621,34 @@ fn handle_connection(
     stream.set_read_timeout(Some(READ_POLL))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
+    // Set while the rest of an over-long line is being discarded.
+    let mut skipping = false;
     loop {
         if shutdown.is_set() {
             return Ok(());
         }
-        match reader.read_line(&mut line) {
+        // Never buffer more than one byte past the cap: a line that
+        // reaches it without a newline is over-long.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return Ok(()), // EOF
             Ok(_) => {
-                if !line.trim().is_empty() {
-                    let response = state.handle_line(&line);
+                let complete = line.ends_with(b"\n");
+                let response = if skipping {
+                    skipping = !complete;
+                    None
+                } else if !complete && line.len() > MAX_LINE_BYTES {
+                    skipping = true;
+                    Some(state.reject_line("request line longer than 16 MiB"))
+                } else {
+                    match std::str::from_utf8(&line) {
+                        Ok(text) if text.trim().is_empty() => None,
+                        Ok(text) => Some(state.handle_line(text)),
+                        Err(_) => Some(state.reject_line("request line is not valid UTF-8")),
+                    }
+                };
+                if let Some(response) = response {
                     writer.write_all(response.as_bytes())?;
                     writer.write_all(b"\n")?;
                     writer.flush()?;
@@ -624,7 +659,7 @@ fn handle_connection(
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // Quiet connection; `line` keeps any partial data.
+                // Quiet connection; `line` keeps any partial bytes.
                 continue;
             }
             Err(e) => return Err(e),

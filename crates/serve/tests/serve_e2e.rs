@@ -212,25 +212,57 @@ fn protocol_errors_come_back_structured() {
     assert_eq!(err.kind, "query");
 
     // Raw wire garbage: the server answers (it never hangs up on a bad
-    // line), flags ok=false, names the kind, and echoes the id.
+    // line), flags ok=false, names the kind, and echoes the id. Each
+    // request goes out in chunks, with a pause longer than the server's
+    // 100 ms read poll between them.
     let mut raw = TcpStream::connect(addr).expect("raw connect");
     let mut reader = BufReader::new(raw.try_clone().expect("clone"));
     let mut line = String::new();
-    for (sent, expect) in [
-        ("this is not json\n", "\"kind\":\"bad_request\""),
-        ("{\"id\":31,\"op\":\"warble\"}\n", "\"id\":31"),
-        ("{\"op\":\"logprob\"}\n", "\"ok\":false"),
-    ] {
-        raw.write_all(sent.as_bytes()).expect("send");
+    let umlaut = "{\"id\":41,\"op\":\"compile\",\"source\":\"C ~ choice({'Zürich': 1.0})\"}\n";
+    // Split between the two bytes of `ü`.
+    let inside_u = umlaut.find('ü').expect("has ü") + 1;
+    let mut over_long = vec![b'x'; (16 << 20) + 1];
+    over_long.push(b'\n');
+    let bad = ["\"ok\":false", "\"kind\":\"bad_request\""];
+    let cases: [(Vec<&[u8]>, &[&str]); 7] = [
+        (vec![b"this is not json\n"], &bad),
+        (
+            vec![b"{\"id\":31,\"op\":\"warble\"}\n"],
+            &["\"ok\":false", "\"id\":31"],
+        ),
+        (vec![b"{\"op\":\"logprob\"}\n"], &["\"ok\":false"]),
+        (
+            vec![
+                &umlaut.as_bytes()[..inside_u],
+                &umlaut.as_bytes()[inside_u..],
+            ],
+            &["\"ok\":true", "\"id\":41"],
+        ),
+        (vec![b"{\"id\":42,\"op\":\"st\xffats\"}\n"], &bad),
+        (vec![&over_long], &bad),
+        (
+            vec![b"{\"id\":43,\"op\":\"stats\"}\n"],
+            &["\"ok\":true", "\"id\":43"],
+        ),
+    ];
+    for (chunks, expect) in cases {
+        for (i, chunk) in chunks.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(Duration::from_millis(250));
+            }
+            raw.write_all(chunk).expect("send");
+        }
         line.clear();
         reader.read_line(&mut line).expect("reply");
-        assert!(line.contains("\"ok\":false"), "{sent:?} -> {line:?}");
-        assert!(line.contains(expect), "{sent:?} -> {line:?}");
+        let sent = String::from_utf8_lossy(&chunks[0][..chunks[0].len().min(60)]);
+        for want in expect {
+            assert!(line.contains(want), "{sent:?} -> {line:?}");
+        }
     }
 
     // The connection survives all of that: a good request still works.
     let stats = client.stats().expect("stats after errors");
-    assert!(stats.errors >= 6, "every failure above was counted");
+    assert!(stats.errors >= 8, "every failure above was counted");
     server.shutdown();
 }
 

@@ -4,8 +4,8 @@
 //! continuous leaves — the mixture shapes that exercise sum-child
 //! canonicalization hardest — plus random query/evidence events over
 //! them. Used by `digest_golden.rs` (bit-stability across separate
-//! compilations) and `model_api_parity.rs` (bit-identity of the
-//! parallel symbolic entry points against the sequential walk).
+//! compilations) and `model_api_parity.rs` (bit-identity of posteriors
+//! conditioned in separately compiled sessions).
 
 #![allow(dead_code)] // each test crate compiles its own copy and may not use every helper
 

@@ -275,109 +275,6 @@ fn posterior_queries_reuse_parent_factory_node_memos() {
     );
 }
 
-// ---------------------------------------------------------------------------
-// Parallel symbolic conditioning: par_* must be bit-identical to the
-// sequential walk — parallelism changes wall-clock time, never an answer.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn par_condition_matches_sequential_bit_for_bit_across_thread_counts() {
-    let source = indian_gpa::model().source;
-    let evidence = gpa_evidence();
-    let chain = [var("GPA").gt(3.0), var("Nationality").eq("USA")];
-
-    // Sequential reference in its own factory; each thread count gets a
-    // *separately compiled* copy so the parallel walk really recomputes
-    // (a shared factory would answer the second call from the cond
-    // cache and prove nothing).
-    let seq = Model::compile(&source).expect("compiles");
-    let seq_post = seq.condition(&evidence).unwrap();
-    let seq_chained = seq.condition_chain(&chain).unwrap();
-
-    for threads in [1u32, 2, 4] {
-        let pool = Pool::new(threads);
-        let par = Model::compile(&source).expect("compiles");
-        let par_post = par.par_condition_in(&pool, &evidence).unwrap();
-        assert_eq!(
-            seq_post.model_digest(),
-            par_post.model_digest(),
-            "posterior content diverged at {threads} threads"
-        );
-        for q in gpa_queries() {
-            assert_eq!(
-                seq_post.logprob(&q).unwrap().to_bits(),
-                par_post.logprob(&q).unwrap().to_bits(),
-                "posterior logprob diverged on {q} at {threads} threads"
-            );
-        }
-
-        let par_chained = par.par_condition_chain_in(&pool, &chain).unwrap();
-        assert_eq!(seq_chained.model_digest(), par_chained.model_digest());
-        for q in gpa_queries() {
-            assert_eq!(
-                seq_chained.logprob(&q).unwrap().to_bits(),
-                par_chained.logprob(&q).unwrap().to_bits(),
-                "chained posterior diverged on {q} at {threads} threads"
-            );
-        }
-    }
-
-    // Global-pool conveniences agree too (same factory as `par`, so this
-    // also pins that par and seq entry points share one memo).
-    let both = Model::compile(&source).expect("compiles");
-    let a = both.condition(&evidence).unwrap();
-    let b = both.par_condition(&evidence).unwrap();
-    assert!(
-        a.root().same(b.root()),
-        "par must converge on the memoized posterior"
-    );
-    assert!(both
-        .condition_chain(&chain)
-        .unwrap()
-        .root()
-        .same(both.par_condition_chain(&chain).unwrap().root()));
-}
-
-#[test]
-fn hmm_par_constrain_matches_sequential_bit_for_bit_across_thread_counts() {
-    const N: usize = 10;
-    let source = hmm::hierarchical_hmm(N).source;
-    let mut rng = StdRng::seed_from_u64(4242);
-    let trace = hmm::simulate_trace(&mut rng, N);
-    let observations = hmm::observation_assignment(&trace.x, &trace.y);
-    let mut batch = hmm::smoothing_queries(N);
-    batch.extend(hmm::pairwise_queries(N));
-
-    let seq = Model::compile(&source).expect("compiles");
-    let seq_post = seq.constrain(&observations).expect("positive density");
-    let reference = seq_post.logprob_many(&batch).unwrap();
-
-    for threads in [1u32, 2, 4] {
-        let pool = Pool::new(threads);
-        let par = Model::compile(&source).expect("compiles");
-        let par_post = par
-            .par_constrain_in(&pool, &observations)
-            .expect("positive density");
-        assert_eq!(seq_post.model_digest(), par_post.model_digest());
-        let answers = par_post.logprob_many(&batch).unwrap();
-        for (i, (r, a)) in reference.iter().zip(&answers).enumerate() {
-            assert_eq!(
-                r.to_bits(),
-                a.to_bits(),
-                "smoothing query {i} diverged at {threads} threads"
-            );
-        }
-    }
-
-    // Same-factory convenience: par_constrain lands on the memoized
-    // posterior pointer-identically.
-    assert!(seq
-        .par_constrain(&observations)
-        .unwrap()
-        .root()
-        .same(seq_post.root()));
-}
-
 #[test]
 fn twin_models_condition_identically_when_dedup_is_off() {
     use sppl::core::spe::FactoryOptions;
@@ -418,11 +315,11 @@ fn twin_models_condition_identically_when_dedup_is_off() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random mixed models: the parallel conditioning walk agrees with
-    /// the sequential one bit for bit — posterior digests and query
-    /// answers — across separately compiled copies.
+    /// Random mixed models: two separately compiled sessions, each
+    /// conditioned on the calling thread, agree bit for bit — posterior
+    /// digests and query answers.
     #[test]
-    fn par_condition_agrees_with_sequential_on_random_models(
+    fn separately_compiled_sessions_condition_identically_on_random_models(
         spec in prop::collection::vec(var_spec(), 2..6),
         shapes in (0..3usize, 0..3usize),
         query_lits in lit_specs(),
@@ -432,22 +329,25 @@ proptest! {
         let query = build_event(&discrete, shapes.0, &query_lits);
         let evidence = build_event(&discrete, shapes.1, &evidence_lits);
 
-        let seq = Model::compile(&source).expect("generated program compiles");
-        if seq.prob(&evidence).unwrap() > 1e-9 {
-            let pool = Pool::new(3);
-            let par = Model::compile(&source).expect("generated program compiles");
+        let first = Model::compile(&source).expect("generated program compiles");
+        if first.prob(&evidence).unwrap() > 1e-9 {
+            let second = Model::compile(&source).expect("generated program compiles");
+            prop_assert!(
+                !Arc::ptr_eq(first.factory_arc(), second.factory_arc()),
+                "each compile owns its factory"
+            );
 
-            let seq_post = seq.condition(&evidence).unwrap();
-            let par_post = par.par_condition_in(&pool, &evidence).unwrap();
+            let first_post = first.condition(&evidence).unwrap();
+            let second_post = second.condition(&evidence).unwrap();
             prop_assert_eq!(
-                seq_post.model_digest(), par_post.model_digest(),
+                first_post.model_digest(), second_post.model_digest(),
                 "posterior digests diverged\n{}", source
             );
-            let qs = seq_post.logprob(&query).unwrap();
-            let qp = par_post.logprob(&query).unwrap();
+            let q1 = first_post.logprob(&query).unwrap();
+            let q2 = second_post.logprob(&query).unwrap();
             prop_assert_eq!(
-                qs.to_bits(), qp.to_bits(),
-                "posterior logprob diverged: {} vs {}\n{}", qs, qp, source
+                q1.to_bits(), q2.to_bits(),
+                "posterior logprob diverged: {} vs {}\n{}", q1, q2, source
             );
         }
     }

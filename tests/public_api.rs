@@ -47,7 +47,6 @@ const SNAPSHOT: &[&str] = &[
     "prelude::ModelDigest",
     "prelude::Outcome",
     "prelude::OutcomeSet",
-    "prelude::Pool",
     "prelude::RealSet",
     "prelude::Sample",
     "prelude::Scalar",
@@ -66,7 +65,6 @@ const SNAPSHOT: &[&str] = &[
     "prelude::condition",
     "prelude::constrain",
     "prelude::default_threads",
-    "prelude::global_pool",
     "prelude::graph_stats",
     "prelude::parse",
     "prelude::physical_node_count",

@@ -33,9 +33,7 @@ const ROOT_SUITES: &[&str] = &[
 /// cargo like the test suites above, so a renamed or dropped file would
 /// silently vanish from CI's smoke runs.
 const BENCH_BINS: &[&str] = &[
-    "crates/bench/src/bin/arena_bench.rs",
     "crates/bench/src/bin/compile_bench.rs",
-    "crates/bench/src/bin/condition_bench.rs",
     "crates/bench/src/bin/fig2_indian_gpa.rs",
     "crates/bench/src/bin/fig3_hmm.rs",
     "crates/bench/src/bin/fig4_transform.rs",
