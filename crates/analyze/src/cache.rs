@@ -15,15 +15,17 @@
 //!    raw-text index in front of it lets the common case (byte-identical
 //!    source resubmitted) skip even parse + analyze.
 //! 2. **On-disk tier.** A directory of wire payloads
-//!    ([`serialize_spe`](sppl_core::wire)) written atomically
-//!    (tmp + rename, the snapshot discipline) and garbage-collected
-//!    keep-newest-K by modification time, so a *fresh process* pointed
-//!    at a warm directory also compiles with zero translations.
+//!    ([`serialize_spe`](sppl_core::wire)) written and garbage-collected
+//!    through [`sppl_core::store`] (staged, synced, renamed, directory
+//!    synced; keep-newest-K by modification time), so a *fresh process*
+//!    pointed at a warm directory also compiles with zero translations.
 //!    `<ast-digest>.spe` holds the payload; a tiny `<text-digest>.key`
 //!    alias maps raw source bytes to their AST digest so the fresh
-//!    process can skip parse + analyze too. A stale or missing alias
+//!    process can skip parse + analyze too. A translation commits its
+//!    payload and alias in one store write. A stale or missing alias
 //!    just falls back to the analyze → AST-digest path — the normalized
-//!    key keeps doing its cross-cosmetic job.
+//!    key keeps doing its cross-cosmetic job — and only that path
+//!    writes an alias; a hit found through an alias leaves it alone.
 //!
 //! Every load is verified end to end by the wire format's fail-closed
 //! reader (checksum, versions, digest equality), so a corrupt cache
@@ -56,14 +58,16 @@
 //! assert_eq!((stats.translations, stats.hits), (1, 1));
 //! ```
 
+use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::SystemTime;
 
 use sppl_core::digest::{Digester, ModelDigest, DIGEST_VERSION};
 use sppl_core::wire::{deserialize_spe, serialize_spe};
-use sppl_core::{Factory, Model, Spe, SpplError};
+use sppl_core::{store, Factory, Model, Spe, SpplError};
 use sppl_lang::ast::Program;
 
 use crate::{analyze, LangError};
@@ -210,23 +214,13 @@ impl CompileCache {
     pub fn compile(&self, source: &str) -> Result<Model, LangError> {
         let text_key = source_text_digest(source);
         // Copy the index entry out in its own statement: holding the
-        // state guard across `lookup_memory` (which re-locks) would
+        // state guard across `lookup` (which re-locks) would
         // self-deadlock.
         let indexed = lock(&self.state).text_index.get(&text_key).copied();
-        if let Some(ast_key) = indexed {
-            if let Some(model) = self.lookup_memory(ast_key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(model);
-            }
-        }
-        if let Some(ast_key) = self.read_alias(text_key) {
-            if let Some(model) = self.lookup_memory(ast_key) {
-                lock(&self.state).text_index.insert(text_key, ast_key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(model);
-            }
-            if let Some(model) = self.lookup_disk(ast_key, text_key) {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        // Seen before, in this process or (through the text's on-disk
+        // alias) in an earlier one: the alias is already right.
+        if let Some(ast_key) = indexed.or_else(|| self.read_alias(text_key)) {
+            if let Some(model) = self.lookup(ast_key, text_key) {
                 return Ok(model);
             }
         }
@@ -238,13 +232,9 @@ impl CompileCache {
             return Err(d.clone().into());
         }
         let ast_key = ast_digest(&analysis.pruned);
-        if let Some(model) = self.lookup_memory(ast_key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.record_alias(text_key, ast_key);
-            return Ok(model);
-        }
-        if let Some(model) = self.lookup_disk(ast_key, text_key) {
-            self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(model) = self.lookup(ast_key, text_key) {
+            // The text's alias was missing or stale; write it.
+            self.write_alias(text_key, ast_key);
             return Ok(model);
         }
 
@@ -286,7 +276,7 @@ impl CompileCache {
     pub fn admit(&self, bytes: &[u8]) -> Result<Model, SpplError> {
         let model = self.import(bytes)?;
         if let Some(path) = self.payload_path(model.model_digest()) {
-            if atomic_write(&path, bytes).is_ok() {
+            if store::write_atomic(&[(&path, bytes)]).is_ok() {
                 self.gc();
             }
         }
@@ -301,24 +291,27 @@ impl CompileCache {
         let Some(dir) = &self.dir else {
             return Vec::new();
         };
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("spe") {
-                continue;
-            }
-            let Ok(bytes) = std::fs::read(&path) else {
-                continue;
-            };
-            if let Ok(model) = self.import(&bytes) {
-                out.push((model.model_digest(), model));
-            }
-        }
+        let payloads = store::scan(dir, |path| has_extension(path, "spe").then_some(()));
+        let mut out: Vec<(ModelDigest, Model)> = payloads
+            .iter()
+            .filter_map(|(_, path)| self.import(&std::fs::read(path).ok()?).ok())
+            .map(|model| (model.model_digest(), model))
+            .collect();
         out.sort_by_key(|(digest, _)| *digest);
         out
+    }
+
+    /// Both tiers for `ast_key`, counting the hit and indexing
+    /// `text_key` to it.
+    fn lookup(&self, ast_key: ModelDigest, text_key: ModelDigest) -> Option<Model> {
+        if let Some(model) = self.lookup_memory(ast_key) {
+            lock(&self.state).text_index.insert(text_key, ast_key);
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Some(model);
+        }
+        let model = self.lookup_disk(ast_key, text_key)?;
+        self.disk_hits.fetch_add(1, Ordering::Relaxed);
+        Some(model)
     }
 
     fn lookup_memory(&self, ast_key: ModelDigest) -> Option<Model> {
@@ -333,35 +326,27 @@ impl CompileCache {
         // Fresh-factory mode: the stored payload is re-interned into a
         // brand-new factory — zero translations, independent memos, and
         // the wire codec is exercised on every warm compile.
-        let factory = Arc::new(Factory::new());
-        match deserialize_spe(&factory, &bytes) {
-            Ok(root) => Some(Model::new(factory, root)),
-            Err(_) => {
-                // Unreachable unless memory corruption; drop the entry
-                // and recompile rather than serving anything dubious.
-                lock(&self.state).entries.remove(&ast_key);
-                None
-            }
+        let model = self.import(&bytes).ok();
+        if model.is_none() {
+            // Unreachable unless memory corruption; drop the entry
+            // and recompile rather than serving anything dubious.
+            lock(&self.state).entries.remove(&ast_key);
         }
+        model
     }
 
     fn lookup_disk(&self, ast_key: ModelDigest, text_key: ModelDigest) -> Option<Model> {
         let path = self.payload_path(ast_key)?;
         let bytes = std::fs::read(&path).ok()?;
-        let factory = Arc::new(Factory::new());
-        match deserialize_spe(&factory, &bytes) {
-            Ok(root) => {
-                self.insert_memory(ast_key, text_key, Arc::new(bytes), &factory, &root);
-                self.write_alias(text_key, ast_key);
-                Some(Model::new(factory, root))
-            }
-            Err(_) => {
-                // A cache entry that fails validation is worthless;
-                // delete it so later compiles go straight to translate.
-                let _ = std::fs::remove_file(&path);
-                None
-            }
-        }
+        let Ok(model) = self.import(&bytes) else {
+            // A cache entry that fails validation is worthless;
+            // delete it so later compiles go straight to translate.
+            let _ = std::fs::remove_file(&path);
+            return None;
+        };
+        let (factory, root) = (model.factory_arc(), model.root());
+        self.insert_memory(ast_key, text_key, Arc::new(bytes), factory, root);
+        Some(model)
     }
 
     fn insert_memory(
@@ -388,11 +373,6 @@ impl CompileCache {
         }
     }
 
-    fn record_alias(&self, text_key: ModelDigest, ast_key: ModelDigest) {
-        lock(&self.state).text_index.insert(text_key, ast_key);
-        self.write_alias(text_key, ast_key);
-    }
-
     fn payload_path(&self, ast_key: ModelDigest) -> Option<PathBuf> {
         self.dir.as_ref().map(|d| d.join(format!("{ast_key}.spe")))
     }
@@ -412,86 +392,57 @@ impl CompileCache {
             .map(ModelDigest::from_u128)
     }
 
-    /// Atomic (tmp + rename) best-effort writes: a cache that cannot
-    /// persist degrades to cold compiles, it never fails them.
+    /// Best-effort writes: a cache that cannot persist degrades to cold
+    /// compiles, it never fails them. The payload and its alias are one
+    /// store write (one directory sync).
     fn write_disk(&self, ast_key: ModelDigest, text_key: ModelDigest, bytes: &[u8]) {
-        let Some(path) = self.payload_path(ast_key) else {
+        let (Some(payload), Some(alias)) = (self.payload_path(ast_key), self.alias_path(text_key))
+        else {
             return;
         };
-        if atomic_write(&path, bytes).is_ok() {
-            self.write_alias(text_key, ast_key);
+        let target = format!("{ast_key}\n");
+        if store::write_atomic(&[(&payload, bytes), (&alias, target.as_bytes())]).is_ok() {
             self.gc();
         }
     }
 
     fn write_alias(&self, text_key: ModelDigest, ast_key: ModelDigest) {
         if let Some(path) = self.alias_path(text_key) {
-            let _ = atomic_write(&path, format!("{ast_key}\n").as_bytes());
+            let _ = store::write_atomic(&[(&path, format!("{ast_key}\n").as_bytes())]);
         }
     }
 
     /// Keeps the newest `keep` payloads by modification time and drops
-    /// aliases whose payload is gone (`SnapshotRotation` discipline).
+    /// aliases whose payload is gone.
     fn gc(&self) {
         let (Some(dir), true) = (&self.dir, self.keep > 0) else {
             return;
         };
-        let Ok(entries) = std::fs::read_dir(dir) else {
-            return;
+        let newest_first = |path: &Path| {
+            has_extension(path, "spe").then(|| {
+                let modified = std::fs::metadata(path).and_then(|m| m.modified());
+                Reverse(modified.unwrap_or(SystemTime::UNIX_EPOCH))
+            })
         };
-        let mut payloads: Vec<(std::time::SystemTime, PathBuf)> = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) == Some("spe") {
-                let modified = entry
-                    .metadata()
-                    .and_then(|m| m.modified())
-                    .unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-                payloads.push((modified, path));
-            }
-        }
-        if payloads.len() <= self.keep {
+        if store::gc(dir, self.keep, newest_first) == 0 {
             return;
         }
-        payloads.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-        for (_, path) in payloads.split_off(self.keep) {
-            let _ = std::fs::remove_file(&path);
-        }
-        // Aliases point at payloads by AST digest in the *filename*; we
-        // cannot recover that from the payload, so sweep aliases whose
-        // target file no longer exists.
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                if path.extension().and_then(|e| e.to_str()) != Some("key") {
-                    continue;
-                }
-                let target = std::fs::read_to_string(&path)
-                    .ok()
-                    .map(|hex| dir.join(format!("{}.spe", hex.trim())));
-                if !target.is_some_and(|t| t.exists()) {
-                    let _ = std::fs::remove_file(&path);
-                }
+        // An alias names its payload only inside the file, so sweep every
+        // alias whose target no longer exists.
+        let orphaned = |path: &Path| {
+            if !has_extension(path, "key") {
+                return None;
             }
-        }
+            let target =
+                std::fs::read_to_string(path).map(|hex| dir.join(format!("{}.spe", hex.trim())));
+            (!target.is_ok_and(|t| t.exists())).then_some(())
+        };
+        store::gc(dir, 0, orphaned);
     }
 }
 
-fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    let result = (|| {
-        use std::io::Write;
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+fn has_extension(path: &Path, extension: &str) -> bool {
+    path.extension().and_then(|e| e.to_str()) == Some(extension)
 }
 
 #[cfg(test)]
@@ -556,6 +507,31 @@ mod tests {
             cold.logprob(&event).unwrap().to_bits(),
             warm.logprob(&event).unwrap().to_bits()
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_disk_hit_rewrites_the_alias_only_when_parse_found_the_key() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tempdir("alias");
+        let alias = dir.join(format!("{}.key", source_text_digest(SOURCE)));
+        let fresh = || CompileCache::new(8).with_dir(&dir, 16).unwrap();
+        fresh().compile(SOURCE).unwrap();
+        let inode = std::fs::metadata(&alias).unwrap().ino();
+
+        // Found through the alias: the alias stays the same file.
+        let reader = fresh();
+        reader.compile(SOURCE).unwrap();
+        assert_eq!(reader.stats().disk_hits, 1);
+        assert_eq!(std::fs::metadata(&alias).unwrap().ino(), inode);
+
+        // Found through parse + analyze: the missing alias comes back.
+        std::fs::remove_file(&alias).unwrap();
+        let reader = fresh();
+        reader.compile(SOURCE).unwrap();
+        assert_eq!(reader.stats().disk_hits, 1);
+        assert!(alias.exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -210,17 +210,14 @@ pub fn check(source: &str) -> Vec<Diagnostic> {
 /// assert!(err.message.starts_with("[E004]"));
 /// ```
 pub fn compile_model(source: &str) -> Result<Model, LangError> {
-    if compile_cache_enabled() {
-        return global_compile_cache().compile(source);
-    }
-    compile_model_uncached(source)
+    global_compile_cache().compile(source)
 }
 
 /// [`compile_model`] without the process-global compile cache: always
 /// parses, analyzes, and translates from scratch. The cached path is
 /// observationally identical (same digest, bit-identical answers, fresh
 /// factory per call) — reach for this only to measure translation
-/// itself, or under `SPPL_COMPILE_CACHE=0`.
+/// itself.
 ///
 /// # Errors
 ///
@@ -234,18 +231,6 @@ pub fn compile_model_uncached(source: &str) -> Result<Model, LangError> {
     let factory = Factory::new();
     let root = sppl_lang::translate(&factory, &analysis.pruned)?;
     Ok(Model::new(factory, root))
-}
-
-/// `SPPL_COMPILE_CACHE=0` (or `off`/`false`) disables the process-global
-/// compile cache; anything else leaves it on. Read once.
-fn compile_cache_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("SPPL_COMPILE_CACHE").as_deref(),
-            Ok("0") | Ok("off") | Ok("false")
-        )
-    })
 }
 
 /// The process-global cache behind [`compile_model`]: in-memory only,

@@ -37,14 +37,14 @@
 //! # Persistence
 //!
 //! [`SharedCache::save_snapshot`] writes every entry to a small
-//! versioned, length-prefixed binary file, and
+//! versioned, length-prefixed binary file through [`crate::store`], and
 //! [`SharedCache::load_snapshot`] reads one back — typically at process
 //! start, so a serving process restarts *warm*: queries whose `(model
 //! digest, fingerprint)` keys were computed by the previous process are
 //! answered from the snapshot without touching the evaluator. This is
 //! sound precisely because both key halves are versioned content hashes:
 //! a model recompiled from the same source in the new process has the
-//! same digest bit for bit. The header carries
+//! same digest bit for bit. The envelope carries
 //! [`DIGEST_VERSION`]; a snapshot written
 //! under a different encoding scheme (or a corrupted file) is rejected
 //! with [`SpplError::Snapshot`] and the cache stays as it was — a
@@ -66,27 +66,31 @@
 //!
 //! # Snapshot format
 //!
-//! All integers little-endian. The file is:
+//! All integers little-endian. The file is a [`crate::store`] envelope
+//! (magic, both versions, trailing checksum) around the entry count and
+//! the records:
 //!
 //! ```text
-//! magic          8 bytes   b"SPPLSNAP"
-//! format version u32       SNAPSHOT_FORMAT_VERSION (currently 1)
-//! digest version u32       DIGEST_VERSION of the writing build
+//! magic          8 bytes   b"SPPLSNAP"                           (envelope)
+//! format version u32       SNAPSHOT_FORMAT_VERSION (currently 1) (envelope)
+//! digest version u32       DIGEST_VERSION of the writing build   (envelope)
 //! entry count    u64       number of 40-byte records that follow
 //! records        40 bytes each:
 //!     model digest   16 bytes  ModelDigest::to_le_bytes
 //!     fingerprint    16 bytes  Fingerprint::to_le_bytes
 //!     value          8 bytes   f64::to_bits of the log-probability
-//! checksum       16 bytes   keyed Sip128 over header + records
+//! checksum       16 bytes   keyed Sip128 over everything before it (envelope)
 //! ```
 //!
-//! A reader rejects (with [`SpplError::Snapshot`]) any file whose magic,
-//! format version, or digest version differs, whose length disagrees
-//! with the entry count, whose trailing checksum does not match the
-//! header + records (so a bit flip in a stored *value* is caught, not
-//! loaded as a wrong probability), or whose values include a NaN.
+//! A reader rejects (with [`SpplError::Snapshot`]) any file the envelope
+//! refuses (another magic or version, a checksum mismatch, so a bit flip
+//! in a stored *value* is caught, not loaded as a wrong probability),
+//! whose length disagrees with the entry count, or whose values include
+//! a NaN.
 //! Records are written least-recently-used first, so a sequential
 //! reload approximately reproduces recency.
+//!
+//! [`DIGEST_VERSION`]: crate::digest::DIGEST_VERSION
 //!
 //! # Example
 //!
@@ -127,9 +131,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use crate::digest::{Fingerprint, ModelDigest, DIGEST_VERSION};
+use crate::digest::{Fingerprint, ModelDigest};
 use crate::engine::CacheStats;
 use crate::error::SpplError;
+use crate::store::{self, Format};
 
 /// Cache key: (deep model digest, canonical event fingerprint). Both
 /// halves are versioned content hashes ([`crate::digest`]), which is what
@@ -141,35 +146,21 @@ type Key = (ModelDigest, Fingerprint);
 /// sweeps and the round-robin eviction clock stay cheap.
 const SHARDS: usize = 16;
 
-/// Snapshot file magic.
-const SNAPSHOT_MAGIC: [u8; 8] = *b"SPPLSNAP";
-
-/// Version of the snapshot *container* layout (header + record shape).
-/// Orthogonal to [`DIGEST_VERSION`], which versions the meaning of the
-/// keys inside; both are checked at load.
+/// Version of the snapshot body layout (entry count + record shape).
+/// Orthogonal to [`DIGEST_VERSION`](crate::digest::DIGEST_VERSION),
+/// which versions the meaning of the keys inside; the envelope checks
+/// both at load.
 const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+
+/// The envelope every snapshot is written in ([`crate::store`]).
+const SNAPSHOT: Format = Format {
+    magic: *b"SPPLSNAP",
+    version: SNAPSHOT_FORMAT_VERSION,
+    name: "SharedCache snapshot",
+};
 
 /// Bytes per record: 16 (digest) + 16 (fingerprint) + 8 (value bits).
 const RECORD_BYTES: usize = 40;
-
-/// Snapshot header bytes: magic + format version + digest version + count.
-const HEADER_BYTES: usize = 8 + 4 + 4 + 8;
-
-/// Trailing keyed checksum ([`crate::digest`]'s Sip128 over header +
-/// records): 16 bytes.
-const CHECKSUM_BYTES: usize = 16;
-
-/// The staging file [`SharedCache::save_snapshot`] writes before the
-/// atomic rename: the target's file name with `.tmp` appended, in the
-/// target's directory (`rename` is only atomic within one filesystem).
-fn snapshot_tmp_path(path: &Path) -> std::path::PathBuf {
-    let mut name = path.file_name().map_or_else(
-        || std::ffi::OsString::from("snapshot"),
-        std::ffi::OsStr::to_os_string,
-    );
-    name.push(".tmp");
-    path.with_file_name(name)
-}
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -410,69 +401,35 @@ impl SharedCache {
     /// [`load_snapshot`](SharedCache::load_snapshot) approximately
     /// reproduces recency.
     ///
-    /// The write is crash-safe: bytes go to a sibling temporary file
-    /// (`<file name>.tmp` next to the target), are synced to disk, and
-    /// are then atomically renamed over `path` — a process killed
-    /// mid-save leaves the previous snapshot untouched and loadable.
-    /// Concurrent saves to the *same* path race on that one temporary
-    /// file; give each writer its own target path.
+    /// The write goes through [`store::write_atomic`]: a process killed
+    /// mid-save leaves the previous snapshot untouched and loadable, and
+    /// a save that returned `Ok` survives a power loss. Concurrent saves
+    /// to the *same* path race on its one staging file; give each writer
+    /// its own target path.
     ///
     /// # Errors
     ///
-    /// [`SpplError::Snapshot`] when the temporary file cannot be written
-    /// (the previous snapshot, if any, is left intact) or the final
-    /// rename fails.
+    /// [`SpplError::Snapshot`] when the snapshot cannot be staged,
+    /// renamed into place, or made durable (the previous snapshot, if
+    /// any, is left intact unless the rename already happened).
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<usize, SpplError> {
-        let path = path.as_ref();
-        let mut records: Vec<u8> = Vec::new();
         let mut count: u64 = 0;
-        for shard in self.shards.iter() {
-            let shard = lock(shard);
-            for key in shard.order.values() {
-                let (value, _) = shard.map[key];
-                records.extend_from_slice(&key.0.to_le_bytes());
-                records.extend_from_slice(&key.1.to_le_bytes());
-                records.extend_from_slice(&value.to_bits().to_le_bytes());
-                count += 1;
+        let bytes = store::seal(&SNAPSHOT, |buf| {
+            let count_at = buf.len();
+            buf.extend_from_slice(&0u64.to_le_bytes());
+            for shard in self.shards.iter() {
+                let shard = lock(shard);
+                for key in shard.order.values() {
+                    let (value, _) = shard.map[key];
+                    buf.extend_from_slice(&key.0.to_le_bytes());
+                    buf.extend_from_slice(&key.1.to_le_bytes());
+                    buf.extend_from_slice(&value.to_bits().to_le_bytes());
+                    count += 1;
+                }
             }
-        }
-        let mut bytes = Vec::with_capacity(HEADER_BYTES + records.len() + CHECKSUM_BYTES);
-        bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&DIGEST_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&count.to_le_bytes());
-        bytes.extend_from_slice(&records);
-        let checksum = crate::digest::checksum128(&bytes);
-        bytes.extend_from_slice(&checksum);
-        // Never write the target in place: a crash mid-write would leave
-        // a truncated file where the last good snapshot used to be. Stage
-        // the bytes in a sibling file and atomically rename it over the
-        // target once they are durably on disk.
-        let tmp = snapshot_tmp_path(path);
-        let staged = std::fs::File::create(&tmp)
-            .and_then(|mut file| {
-                use std::io::Write as _;
-                file.write_all(&bytes)?;
-                file.sync_all()
-            })
-            .map_err(|e| SpplError::Snapshot {
-                message: format!("cannot write {}: {e}", tmp.display()),
-            });
-        if let Err(e) = staged {
-            // Best-effort cleanup; the original snapshot is untouched.
-            let _ = std::fs::remove_file(&tmp);
-            return Err(e);
-        }
-        std::fs::rename(&tmp, path).map_err(|e| {
-            let _ = std::fs::remove_file(&tmp);
-            SpplError::Snapshot {
-                message: format!(
-                    "cannot rename {} over {}: {e}",
-                    tmp.display(),
-                    path.display()
-                ),
-            }
-        })?;
+            buf[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+        });
+        store::write_atomic(&[(path.as_ref(), &bytes)])?;
         Ok(count as usize)
     }
 
@@ -486,83 +443,45 @@ impl SharedCache {
     ///
     /// # Errors
     ///
-    /// [`SpplError::Snapshot`] when the file cannot be read, the magic or
-    /// either version differs (a
-    /// [`DIGEST_VERSION`] bump makes every
-    /// older snapshot unreadable *by design* — its keys mean something
-    /// else), the length disagrees with the entry count, or a value is
-    /// NaN. On error **nothing is loaded**: the cache keeps exactly the
-    /// entries it had, so a fresh cache degrades to cold, never to wrong.
+    /// [`SpplError::Snapshot`] when the file cannot be read, the envelope
+    /// refuses it (magic, either version — a
+    /// [`DIGEST_VERSION`](crate::digest::DIGEST_VERSION) bump makes every
+    /// older snapshot unreadable *by design*, its keys mean something
+    /// else — or the checksum), the length disagrees with the entry
+    /// count, or a value is NaN. On error **nothing is loaded**: the
+    /// cache keeps exactly the entries it had, so a fresh cache degrades
+    /// to cold, never to wrong.
     pub fn load_snapshot(&self, path: impl AsRef<Path>) -> Result<usize, SpplError> {
         let path = path.as_ref();
-        let reject = |message: String| SpplError::Snapshot { message };
+        let reject = |reason: String| SpplError::Snapshot {
+            message: format!("{}: {reason}", SNAPSHOT.name),
+        };
         let bytes = std::fs::read(path)
             .map_err(|e| reject(format!("cannot read {}: {e}", path.display())))?;
-        if bytes.len() < HEADER_BYTES {
-            return Err(reject(format!(
-                "{}: truncated header ({} bytes)",
-                path.display(),
-                bytes.len()
-            )));
+        let body = store::open(&SNAPSHOT, &bytes)?;
+        if body.len() < 8 {
+            return Err(reject("body too short for the entry count".into()));
         }
-        if bytes[..8] != SNAPSHOT_MAGIC {
+        let (count, records) = body.split_at(8);
+        let count = u64::from_le_bytes(count.try_into().expect("8 bytes"));
+        if count.checked_mul(RECORD_BYTES as u64) != Some(records.len() as u64) {
             return Err(reject(format!(
-                "{}: not a SharedCache snapshot (bad magic)",
-                path.display()
-            )));
-        }
-        let word32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let format = word32(8);
-        if format != SNAPSHOT_FORMAT_VERSION {
-            return Err(reject(format!(
-                "{}: snapshot format version {format} (this build reads {SNAPSHOT_FORMAT_VERSION})",
-                path.display()
-            )));
-        }
-        let digest_version = word32(12);
-        if digest_version != DIGEST_VERSION {
-            return Err(reject(format!(
-                "{}: digest version {digest_version} (this build keys with {DIGEST_VERSION}); \
-                 refusing to reinterpret foreign keys — delete the snapshot to start cold",
-                path.display()
-            )));
-        }
-        let count = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
-        let expected = HEADER_BYTES + count * RECORD_BYTES + CHECKSUM_BYTES;
-        if bytes.len() != expected {
-            return Err(reject(format!(
-                "{}: length {} disagrees with entry count {count} (expected {expected})",
-                path.display(),
-                bytes.len()
-            )));
-        }
-        // The trailing keyed checksum covers header *and* records, so a
-        // bit flip anywhere in the payload — not just a mangled header —
-        // is rejected rather than loaded as a wrong probability.
-        let body_end = bytes.len() - CHECKSUM_BYTES;
-        if crate::digest::checksum128(&bytes[..body_end]) != bytes[body_end..] {
-            return Err(reject(format!(
-                "{}: checksum mismatch — corrupt snapshot",
-                path.display()
+                "{} record bytes disagree with entry count {count}",
+                records.len()
             )));
         }
         // Parse and validate every record before touching the cache, so a
         // corrupt tail cannot leave a half-loaded state.
-        let mut parsed: Vec<(Key, f64)> = Vec::with_capacity(count);
-        for i in 0..count {
-            let at = HEADER_BYTES + i * RECORD_BYTES;
-            let digest =
-                ModelDigest::from_le_bytes(bytes[at..at + 16].try_into().expect("16 bytes"));
+        let mut parsed: Vec<(Key, f64)> = Vec::with_capacity(records.len() / RECORD_BYTES);
+        for (i, record) in records.chunks_exact(RECORD_BYTES).enumerate() {
+            let digest = ModelDigest::from_le_bytes(record[..16].try_into().expect("16 bytes"));
             let fingerprint =
-                Fingerprint::from_le_bytes(bytes[at + 16..at + 32].try_into().expect("16 bytes"));
+                Fingerprint::from_le_bytes(record[16..32].try_into().expect("16 bytes"));
             let value = f64::from_bits(u64::from_le_bytes(
-                bytes[at + 32..at + 40].try_into().expect("8 bytes"),
+                record[32..].try_into().expect("8 bytes"),
             ));
             if value.is_nan() {
-                return Err(reject(format!(
-                    "{}: record {i} holds NaN — corrupt snapshot",
-                    path.display()
-                )));
+                return Err(reject(format!("record {i} holds NaN")));
             }
             parsed.push(((digest, fingerprint), value));
         }
@@ -771,58 +690,30 @@ mod tests {
 
     #[test]
     fn corrupted_and_mismatched_snapshots_load_as_empty() {
+        // Envelope corruption (truncation, bit flips, magic and version
+        // skew) is `store`'s corruption matrix; these are the cases only
+        // the snapshot body can get wrong, each behind a valid checksum.
         let c = SharedCache::new(8);
         c.insert(md(1), fp(1), -1.0);
         let path = snap_path("corrupt");
         c.save_snapshot(&path).unwrap();
         let good = std::fs::read(&path).unwrap();
+        let resealed = |edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut body = store::open(&SNAPSHOT, &good).unwrap().to_vec();
+            edit(&mut body);
+            store::seal(&SNAPSHOT, |buf| buf.extend_from_slice(&body))
+        };
 
         let cases: Vec<(&str, Vec<u8>)> = vec![
-            ("bad magic", {
-                let mut b = good.clone();
-                b[0] ^= 0xff;
-                b
-            }),
-            ("format version bump", {
-                let mut b = good.clone();
-                b[8] = 0x7f;
-                b
-            }),
-            ("digest version mismatch", {
-                let mut b = good.clone();
-                b[12] ^= 0x01;
-                b
-            }),
-            ("count/length disagreement", {
-                let mut b = good.clone();
-                b[16] = 9;
-                b
-            }),
-            ("truncated record", good[..good.len() - 1].to_vec()),
-            ("truncated header", good[..10].to_vec()),
-            ("bit-flipped value (checksum)", {
-                // Flip one bit inside a stored *value*: header checks all
-                // pass; only the trailing checksum can catch this.
-                let mut b = good.clone();
-                b[HEADER_BYTES + 32] ^= 0x01;
-                b
-            }),
-            ("bit-flipped key (checksum)", {
-                let mut b = good.clone();
-                b[HEADER_BYTES + 3] ^= 0x80;
-                b
-            }),
-            ("nan value behind a recomputed checksum", {
+            ("count/length disagreement", resealed(&|b| b[0] = 9)),
+            ("truncated record", resealed(&|b| b.truncate(b.len() - 1))),
+            ("body shorter than its count", resealed(&|b| b.truncate(3))),
+            (
+                "nan value behind a recomputed checksum",
                 // Even a snapshot whose checksum *matches* must not hand
                 // the cache a NaN (an adversarially rewritten file).
-                let mut b = good.clone();
-                let at = HEADER_BYTES + 32;
-                b[at..at + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-                let body_end = b.len() - 16;
-                let sum = crate::digest::checksum128(&b[..body_end]);
-                b[body_end..].copy_from_slice(&sum);
-                b
-            }),
+                resealed(&|b| b[8 + 32..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes())),
+            ),
         ];
         for (what, bytes) in cases {
             std::fs::write(&path, &bytes).unwrap();

@@ -6,10 +6,7 @@
 //! `P⟦S'⟧ e' = P⟦S⟧(e ⊓ e') / P⟦S⟧ e` for every event `e'`.
 //! Results are memoized in the [`Factory`] keyed by
 //! (physical node, event fingerprint), so deduplicated subgraphs are
-//! conditioned once (Sec. 5.1's memoization optimization), with a
-//! content-addressed fallback keyed by (node digest, event fingerprint)
-//! so pointer-distinct copies of one subgraph (possible when `dedup` is
-//! disabled) also share a single posterior.
+//! conditioned once (Sec. 5.1's memoization optimization).
 //!
 //! # Concurrency
 //!

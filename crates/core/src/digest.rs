@@ -628,9 +628,11 @@ impl std::hash::Hasher for StableHasher {
     }
 }
 
-/// The 128-bit keyed checksum of a byte slice (little-endian), used by
-/// the [`SharedCache`](crate::cache::SharedCache) snapshot format to
-/// reject bit-level corruption of the payload, not just of the header.
+/// The 128-bit keyed checksum of a byte slice (little-endian): the
+/// trailer of the [`crate::store`] envelope every persisted artifact
+/// (SPE wire payloads, [`SharedCache`](crate::cache::SharedCache)
+/// snapshots) travels in, so bit-level corruption of the body is
+/// rejected, not just corruption of the header.
 pub(crate) fn checksum128(bytes: &[u8]) -> [u8; 16] {
     let mut s = Sip128::new(SIP_KEY_0, SIP_KEY_1);
     s.write(bytes);

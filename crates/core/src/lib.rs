@@ -36,6 +36,9 @@
 //!   `condition0`/`constrain` for measure-zero events (Lst. 7),
 //! * [`simulate`] — ancestral sampling (Prop. A.1),
 //! * [`stats`] — physical vs tree-expanded graph size (Table 1 metrics),
+//! * [`cache`], [`wire`] and [`store`] — the cross-session result cache,
+//!   the SPE wire format, and the one durable store both persist through
+//!   (envelope, atomic writer, keep-N GC),
 //! * [`error`] — the crate error type.
 //!
 //! # Example: the Indian GPA posterior (Fig. 2) built by hand
@@ -88,6 +91,7 @@ pub mod prob;
 pub mod simulate;
 pub mod spe;
 pub mod stats;
+pub mod store;
 mod sync_map;
 pub mod transform;
 pub mod var;

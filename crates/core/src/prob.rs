@@ -60,10 +60,11 @@ impl ProbMemo<'_> {
                 m.insert(key, value);
             }
             ProbMemo::Pinned(factory) => {
-                // First-write-wins: parallel conditioning workers may race
-                // to fill one subproblem; all of them adopt the entry that
-                // landed first (values are pure, so any winner is the
-                // bit-identical answer) instead of overwriting each other.
+                // First-write-wins: threads querying one shared factory
+                // may race to fill one subproblem; all of them adopt the
+                // entry that landed first (values are pure, so any winner
+                // is the bit-identical answer) instead of overwriting
+                // each other.
                 factory.prob_cache.get_or_insert(key, (spe.clone(), value));
             }
             ProbMemo::Off => {}

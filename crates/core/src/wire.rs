@@ -7,10 +7,9 @@
 //! shipped over the serve protocol's `export`/`import` ops) and loaded
 //! back by *any* process with **zero translations** — the round-trip
 //! reproduces the exact [`ModelDigest`] and therefore bit-identical
-//! query answers. The layout follows the cache snapshot template
-//! ([`SharedCache::save_snapshot`](crate::cache)): magic, format
-//! version, [`DIGEST_VERSION`], length-prefixed records, and a trailing
-//! keyed Sip128 checksum over everything before it.
+//! query answers. The payload is framed by the [`crate::store`]
+//! envelope: magic, format version, [`DIGEST_VERSION`], the body below,
+//! and a trailing keyed Sip128 checksum over everything before it.
 //!
 //! # Layout
 //!
@@ -19,13 +18,13 @@
 //!
 //! | bytes | content |
 //! |---|---|
-//! | 8 | magic `b"SPPLWIRE"` |
-//! | 4 | wire format version `u32` ([`WIRE_FORMAT_VERSION`]) |
-//! | 4 | digest version `u32` ([`DIGEST_VERSION`] of the writing build) |
+//! | 8 | magic `b"SPPLWIRE"` (envelope) |
+//! | 4 | wire format version `u32` ([`WIRE_FORMAT_VERSION`]) (envelope) |
+//! | 4 | digest version `u32` ([`DIGEST_VERSION`] of the writing build) (envelope) |
 //! | 16 | root [`ModelDigest`] (`u128`) |
 //! | 8 | node count `u64` |
 //! | … | node records, children-first (postorder), each `u32` length-prefixed |
-//! | 16 | keyed Sip128 checksum of every preceding byte |
+//! | 16 | keyed Sip128 checksum of every preceding byte (envelope) |
 //!
 //! Nodes are emitted in a topological order with children before
 //! parents; sums and products reference children by **record index**
@@ -37,12 +36,12 @@
 //!
 //! # Fail-closed reading
 //!
-//! [`deserialize_spe`] validates the header, the checksum, and every
-//! structural invariant *before* handing anything to the factory, and
+//! [`deserialize_spe`] validates the envelope and every structural
+//! invariant *before* handing anything to the factory, and
 //! rejects with [`SpplError::Snapshot`] on any mismatch — a truncated,
 //! bit-flipped, or version-skewed payload never produces a model. The
 //! final gate is semantic: the rebuilt root's content digest must equal
-//! the digest recorded in the header, so a payload that parses but
+//! the root digest the payload records, so a payload that parses but
 //! would answer differently is refused too.
 //!
 //! Rebuilding goes through the factory's *non-renormalizing* paths
@@ -50,6 +49,8 @@
 //! twice is not bit-idempotent), which is why this module lives in
 //! `crates/core` — it is the **only** place that encodes or decodes SPE
 //! structure, a boundary CI enforces with a grep guard.
+//!
+//! [`DIGEST_VERSION`]: crate::digest::DIGEST_VERSION
 //!
 //! ```
 //! use sppl_core::spe::Factory;
@@ -75,10 +76,11 @@ use sppl_dists::{Cdf, DistInt, DistReal, DistStr, Distribution};
 use sppl_num::Polynomial;
 use sppl_sets::{Interval, OutcomeSet, RealSet, StringSet};
 
-use crate::digest::{checksum128, ModelDigest, DIGEST_VERSION};
+use crate::digest::ModelDigest;
 use crate::error::SpplError;
 use crate::event::Event;
 use crate::spe::{Env, Factory, Node, Spe};
+use crate::store::{self, Format};
 use crate::transform::Transform;
 use crate::var::Var;
 
@@ -86,17 +88,21 @@ use crate::var::Var;
 pub const WIRE_MAGIC: [u8; 8] = *b"SPPLWIRE";
 
 /// Version of the byte layout itself. Bump on any layout change;
-/// readers refuse other versions. Orthogonal to [`DIGEST_VERSION`],
+/// readers refuse other versions. Orthogonal to
+/// [`DIGEST_VERSION`](crate::digest::DIGEST_VERSION),
 /// which versions the *meaning* of the digests the payload is keyed
 /// and verified by.
 pub const WIRE_FORMAT_VERSION: u32 = 1;
 
-/// Header bytes before the records: magic + wire version + digest
-/// version + root digest + node count.
-const HEADER_LEN: usize = 8 + 4 + 4 + 16 + 8;
+/// The envelope every payload travels in ([`crate::store`]).
+const WIRE: Format = Format {
+    magic: WIRE_MAGIC,
+    version: WIRE_FORMAT_VERSION,
+    name: "SPE wire",
+};
 
-/// Trailing checksum bytes.
-const CHECKSUM_LEN: usize = 16;
+/// Body bytes before the records: root digest + node count.
+const BODY_HEADER_LEN: usize = 16 + 8;
 
 /// Recursion bound for nested transforms/events inside one record —
 /// far above anything a real program produces, low enough that a
@@ -113,11 +119,11 @@ fn wire_err(message: impl Into<String>) -> SpplError {
 // Writer.
 // ---------------------------------------------------------------------------
 
-struct Writer {
-    buf: Vec<u8>,
+struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
+impl Writer<'_> {
     fn u8(&mut self, x: u8) {
         self.buf.push(x);
     }
@@ -128,9 +134,6 @@ impl Writer {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
     fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn i64(&mut self, x: i64) {
         self.buf.extend_from_slice(&x.to_le_bytes());
     }
     fn f64(&mut self, x: f64) {
@@ -178,70 +181,28 @@ impl Writer {
         self.string_set(set.strs());
     }
 
+    /// A tag, then each parameter as 8 little-endian bytes: an `f64`'s
+    /// bits, or the integer itself.
     fn cdf(&mut self, cdf: &Cdf) {
-        match cdf {
-            Cdf::Normal { mu, sigma } => {
-                self.u8(0);
-                self.f64(*mu);
-                self.f64(*sigma);
-            }
-            Cdf::Uniform { a, b } => {
-                self.u8(1);
-                self.f64(*a);
-                self.f64(*b);
-            }
-            Cdf::Exponential { rate } => {
-                self.u8(2);
-                self.f64(*rate);
-            }
-            Cdf::Gamma { shape, scale } => {
-                self.u8(3);
-                self.f64(*shape);
-                self.f64(*scale);
-            }
-            Cdf::Beta { a, b, scale } => {
-                self.u8(4);
-                self.f64(*a);
-                self.f64(*b);
-                self.f64(*scale);
-            }
-            Cdf::Cauchy { loc, scale } => {
-                self.u8(5);
-                self.f64(*loc);
-                self.f64(*scale);
-            }
-            Cdf::Laplace { loc, scale } => {
-                self.u8(6);
-                self.f64(*loc);
-                self.f64(*scale);
-            }
-            Cdf::Logistic { loc, scale } => {
-                self.u8(7);
-                self.f64(*loc);
-                self.f64(*scale);
-            }
-            Cdf::StudentT { df } => {
-                self.u8(8);
-                self.f64(*df);
-            }
-            Cdf::Poisson { mu } => {
-                self.u8(9);
-                self.f64(*mu);
-            }
-            Cdf::Binomial { n, p } => {
-                self.u8(10);
-                self.u64(*n);
-                self.f64(*p);
-            }
-            Cdf::Geometric { p } => {
-                self.u8(11);
-                self.f64(*p);
-            }
-            Cdf::DiscreteUniform { lo, hi } => {
-                self.u8(12);
-                self.i64(*lo);
-                self.i64(*hi);
-            }
+        let bits = f64::to_bits;
+        let (tag, params) = match *cdf {
+            Cdf::Normal { mu, sigma } => (0, vec![bits(mu), bits(sigma)]),
+            Cdf::Uniform { a, b } => (1, vec![bits(a), bits(b)]),
+            Cdf::Exponential { rate } => (2, vec![bits(rate)]),
+            Cdf::Gamma { shape, scale } => (3, vec![bits(shape), bits(scale)]),
+            Cdf::Beta { a, b, scale } => (4, vec![bits(a), bits(b), bits(scale)]),
+            Cdf::Cauchy { loc, scale } => (5, vec![bits(loc), bits(scale)]),
+            Cdf::Laplace { loc, scale } => (6, vec![bits(loc), bits(scale)]),
+            Cdf::Logistic { loc, scale } => (7, vec![bits(loc), bits(scale)]),
+            Cdf::StudentT { df } => (8, vec![bits(df)]),
+            Cdf::Poisson { mu } => (9, vec![bits(mu)]),
+            Cdf::Binomial { n, p } => (10, vec![n, bits(p)]),
+            Cdf::Geometric { p } => (11, vec![bits(p)]),
+            Cdf::DiscreteUniform { lo, hi } => (12, vec![lo as u64, hi as u64]),
+        };
+        self.u8(tag);
+        for param in params {
+            self.u64(param);
         }
     }
 
@@ -328,15 +289,8 @@ impl Writer {
                 self.transform(t);
                 self.outcome_set(set);
             }
-            Event::And(items) => {
-                self.u8(1);
-                self.len(items.len());
-                for item in items {
-                    self.event(item);
-                }
-            }
-            Event::Or(items) => {
-                self.u8(2);
+            Event::And(items) | Event::Or(items) => {
+                self.u8(if matches!(e, Event::And(_)) { 1 } else { 2 });
                 self.len(items.len());
                 for item in items {
                     self.event(item);
@@ -389,48 +343,42 @@ pub fn serialize_spe(root: &Spe) -> Vec<u8> {
         }
     }
 
-    let mut w = Writer {
-        buf: Vec::with_capacity(HEADER_LEN + 64 * order.len() + CHECKSUM_LEN),
-    };
-    w.buf.extend_from_slice(&WIRE_MAGIC);
-    w.u32(WIRE_FORMAT_VERSION);
-    w.u32(DIGEST_VERSION);
-    w.buf.extend_from_slice(&root.digest().to_le_bytes());
-    w.u64(order.len() as u64);
-
-    let mut record = Writer { buf: Vec::new() };
-    for spe in &order {
-        record.buf.clear();
-        match spe.node() {
-            Node::Leaf { var, dist, env, .. } => {
-                record.u8(0);
-                record.var(var);
-                record.distribution(dist);
-                record.env(env);
-            }
-            Node::Sum { children, .. } => {
-                record.u8(1);
-                record.len(children.len());
-                for (c, weight) in children {
-                    record.u64(index[&c.ptr_id()]);
-                    record.f64(*weight);
+    store::seal(&WIRE, |buf| {
+        buf.reserve(BODY_HEADER_LEN + 64 * order.len() + store::CHECKSUM_LEN);
+        let mut w = Writer { buf };
+        w.buf.extend_from_slice(&root.digest().to_le_bytes());
+        w.u64(order.len() as u64);
+        let mut record = Vec::new();
+        for spe in &order {
+            record.clear();
+            let mut r = Writer { buf: &mut record };
+            match spe.node() {
+                Node::Leaf { var, dist, env, .. } => {
+                    r.u8(0);
+                    r.var(var);
+                    r.distribution(dist);
+                    r.env(env);
+                }
+                Node::Sum { children, .. } => {
+                    r.u8(1);
+                    r.len(children.len());
+                    for (c, weight) in children {
+                        r.u64(index[&c.ptr_id()]);
+                        r.f64(*weight);
+                    }
+                }
+                Node::Product { children, .. } => {
+                    r.u8(2);
+                    r.len(children.len());
+                    for c in children {
+                        r.u64(index[&c.ptr_id()]);
+                    }
                 }
             }
-            Node::Product { children, .. } => {
-                record.u8(2);
-                record.len(children.len());
-                for c in children {
-                    record.u64(index[&c.ptr_id()]);
-                }
-            }
+            w.len(record.len());
+            w.buf.extend_from_slice(&record);
         }
-        w.len(record.buf.len());
-        w.buf.extend_from_slice(&record.buf);
-    }
-
-    let checksum = checksum128(&w.buf);
-    w.buf.extend_from_slice(&checksum);
-    w.buf
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -684,21 +632,17 @@ impl<'a> Reader<'a> {
                 let set = self.outcome_set()?;
                 Ok(Event::In(t, set))
             }
-            1 => {
+            tag @ (1 | 2) => {
                 let n = self.len(1)?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     items.push(self.event(depth + 1)?);
                 }
-                Ok(Event::And(items))
-            }
-            2 => {
-                let n = self.len(1)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.event(depth + 1)?);
-                }
-                Ok(Event::Or(items))
+                Ok(if tag == 1 {
+                    Event::And(items)
+                } else {
+                    Event::Or(items)
+                })
             }
             other => Err(wire_err(format!("unknown event tag {other}"))),
         }
@@ -738,53 +682,29 @@ fn cdf_well_formed(cdf: &Cdf) -> bool {
     }
 }
 
-/// Reads just the root [`ModelDigest`] out of a wire payload's header,
-/// after validating the magic, both versions, the overall length, and
-/// the trailing checksum — everything except the structural rebuild.
+/// Reads just the root [`ModelDigest`] out of a wire payload's body,
+/// after validating the envelope (magic, both versions, length and the
+/// trailing checksum) — everything except the structural rebuild.
 /// This is how a cache can index payloads without paying for
 /// deserialization.
 ///
 /// # Errors
 ///
-/// [`SpplError::Snapshot`] on any header, length, version, or checksum
-/// mismatch.
+/// [`SpplError::Snapshot`] on any envelope or body-header mismatch.
 pub fn wire_digest(bytes: &[u8]) -> Result<ModelDigest, SpplError> {
-    validate_envelope(bytes)?;
-    let digest_bytes: [u8; 16] = bytes[16..32].try_into().expect("16B");
-    Ok(ModelDigest::from_le_bytes(digest_bytes))
+    open_payload(bytes).map(|(root, _, _)| root)
 }
 
-/// Validates everything that does not require parsing records: length,
-/// magic, wire format version, digest version, checksum.
-fn validate_envelope(bytes: &[u8]) -> Result<(), SpplError> {
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-        return Err(wire_err(format!(
-            "payload is {} bytes; a valid payload is at least {}",
-            bytes.len(),
-            HEADER_LEN + CHECKSUM_LEN
-        )));
-    }
-    if bytes[0..8] != WIRE_MAGIC {
-        return Err(wire_err("bad magic (not an SPE wire payload)"));
-    }
-    let wire_version = u32::from_le_bytes(bytes[8..12].try_into().expect("4B"));
-    if wire_version != WIRE_FORMAT_VERSION {
-        return Err(wire_err(format!(
-            "wire format version {wire_version} (this build reads {WIRE_FORMAT_VERSION})"
-        )));
-    }
-    let digest_version = u32::from_le_bytes(bytes[12..16].try_into().expect("4B"));
-    if digest_version != DIGEST_VERSION {
-        return Err(wire_err(format!(
-            "digest version {digest_version} (this build keys with {DIGEST_VERSION}); \
-             recompile instead of trusting stale content addresses"
-        )));
-    }
-    let (payload, checksum) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-    if checksum128(payload) != checksum {
-        return Err(wire_err("checksum mismatch (truncated or corrupted)"));
-    }
-    Ok(())
+/// Opens a payload's envelope and splits its body into the root digest,
+/// the node count and the records.
+fn open_payload(bytes: &[u8]) -> Result<(ModelDigest, u64, &[u8]), SpplError> {
+    let body = store::open(&WIRE, bytes)?;
+    let head = body
+        .get(..BODY_HEADER_LEN)
+        .ok_or_else(|| wire_err("body too short"))?;
+    let root = ModelDigest::from_le_bytes(head[..16].try_into().expect("16B"));
+    let count = u64::from_le_bytes(head[16..].try_into().expect("8B"));
+    Ok((root, count, &body[BODY_HEADER_LEN..]))
 }
 
 /// Deserializes a wire payload by re-interning every node through
@@ -793,15 +713,12 @@ fn validate_envelope(bytes: &[u8]) -> Result<(), SpplError> {
 ///
 /// # Errors
 ///
-/// [`SpplError::Snapshot`] on any validation failure — header, version,
-/// checksum, structure, or final digest mismatch. The factory is a
+/// [`SpplError::Snapshot`] on any validation failure — envelope,
+/// structure, or final digest mismatch. The factory is a
 /// hash-consing interner, so nodes interned before a late failure are
 /// harmless (they are exactly the nodes a successful load would intern).
 pub fn deserialize_spe(factory: &Factory, bytes: &[u8]) -> Result<Spe, SpplError> {
-    validate_envelope(bytes)?;
-    let expected = ModelDigest::from_le_bytes(bytes[16..32].try_into().expect("16B"));
-    let count = u64::from_le_bytes(bytes[32..40].try_into().expect("8B"));
-    let records = &bytes[HEADER_LEN..bytes.len() - CHECKSUM_LEN];
+    let (expected, count, records) = open_payload(bytes)?;
     // Each record costs at least 5 bytes (length prefix + tag).
     if count > (records.len() / 5) as u64 {
         return Err(wire_err("node count exceeds payload"));
@@ -971,28 +888,75 @@ mod tests {
         assert_eq!(wire_digest(&bytes).unwrap(), spe.digest());
     }
 
+    /// Re-seals `bytes` with its body rewritten by `edit`, so the
+    /// envelope is valid and only the wire body is wrong.
+    fn resealed(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = store::open(&WIRE, bytes).unwrap().to_vec();
+        edit(&mut body);
+        store::seal(&WIRE, |buf| buf.extend_from_slice(&body))
+    }
+
     #[test]
     fn corruption_fails_closed() {
+        // Envelope corruption (truncation, bit flips, magic and version
+        // skew) is `store`'s corruption matrix; these are the cases only
+        // the wire body can get wrong, each behind a valid checksum.
         let factory = Factory::new();
-        let spe = normal_leaf(&factory, "X", 0.0, 1.0);
-        let bytes = serialize_spe(&spe);
-
-        // Truncation at every prefix length.
-        for cut in [0, 7, HEADER_LEN - 1, bytes.len() - 1] {
-            let err = deserialize_spe(&Factory::new(), &bytes[..cut]).unwrap_err();
-            assert!(matches!(err, SpplError::Snapshot { .. }), "cut={cut}");
+        let leaf = normal_leaf(&factory, "X", 0.0, 1.0);
+        let pair = factory
+            .product(vec![leaf.clone(), normal_leaf(&factory, "Y", 1.0, 2.0)])
+            .unwrap();
+        let one = serialize_spe(&leaf);
+        let two = serialize_spe(&pair);
+        // The first record starts after the root digest and node count;
+        // its `u32` length prefix comes before its tag byte.
+        let first_tag = BODY_HEADER_LEN + 4;
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            (
+                "root digest gate",
+                resealed(&one, |b| b[0] ^= 0x01),
+                "does not match",
+            ),
+            (
+                "short body",
+                resealed(&one, |b| b.truncate(BODY_HEADER_LEN - 1)),
+                "body too short",
+            ),
+            (
+                "no nodes",
+                resealed(&one, |b| b[16..24].copy_from_slice(&0u64.to_le_bytes())),
+                "no nodes",
+            ),
+            (
+                "node count past the payload",
+                resealed(&one, |b| b[16..24].copy_from_slice(&u64::MAX.to_le_bytes())),
+                "node count exceeds payload",
+            ),
+            (
+                "unknown node tag",
+                resealed(&one, |b| b[first_tag] = 9),
+                "unknown node tag",
+            ),
+            (
+                "trailing bytes after the last record",
+                resealed(&one, |b| b.push(0)),
+                "trailing bytes after final record",
+            ),
+            (
+                "child reference to a later record",
+                resealed(&two, |b| {
+                    // The product is the last record; its last child index
+                    // is the final 8 bytes of the body.
+                    let end = b.len();
+                    b[end - 8..end].copy_from_slice(&2u64.to_le_bytes());
+                }),
+                "child reference is not an earlier record",
+            ),
+        ];
+        for (what, bytes, expected) in cases {
+            let err = deserialize_spe(&Factory::new(), &bytes).unwrap_err();
+            assert!(matches!(err, SpplError::Snapshot { .. }), "{what}: {err}");
+            assert!(err.to_string().contains(expected), "{what}: {err}");
         }
-        // A bit flip anywhere trips the checksum (or the digest gate).
-        for byte in [0, 9, 20, HEADER_LEN + 3, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[byte] ^= 0x40;
-            let err = deserialize_spe(&Factory::new(), &bad).unwrap_err();
-            assert!(matches!(err, SpplError::Snapshot { .. }), "byte={byte}");
-        }
-        // Wrong versions are named in the error.
-        let mut skewed = bytes.clone();
-        skewed[12..16].copy_from_slice(&(DIGEST_VERSION + 1).to_le_bytes());
-        let err = deserialize_spe(&Factory::new(), &skewed).unwrap_err();
-        assert!(err.to_string().contains("digest version"));
     }
 }

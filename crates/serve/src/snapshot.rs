@@ -3,18 +3,20 @@
 //!
 //! The background saver never overwrites the snapshot it would fall back
 //! to. Each save goes to a fresh *generation* file — `<base>.gNNNNNN`,
-//! written through [`SharedCache::save_snapshot`]'s atomic
-//! tmp-then-rename path — and old generations are garbage-collected
-//! afterwards, keeping the newest few. A crash at any point (mid-write,
-//! between write and GC, mid-GC) therefore leaves at least one complete
+//! written through [`SharedCache::save_snapshot`] and so through
+//! [`sppl_core::store`]'s atomic writer — and the store's keep-N GC
+//! drops old generations afterwards, keeping the newest few. A crash at
+//! any point (mid-write, between write and GC, mid-GC) therefore leaves
+//! at least one complete
 //! earlier generation on disk, and [`SnapshotRotation::load_newest`]
 //! walks generations newest-first past any corrupt or truncated file to
 //! the most recent loadable one. A plain (rotation-less) `<base>` file
 //! from an older run still loads, as the final fallback.
 
+use std::cmp::Reverse;
 use std::path::{Path, PathBuf};
 
-use sppl_core::{SharedCache, SpplError};
+use sppl_core::{store, SharedCache, SpplError};
 
 /// Rotating snapshot files around one base path.
 ///
@@ -69,37 +71,21 @@ impl SnapshotRotation {
 
     /// Existing generation files, sorted oldest first.
     pub fn generations(&self) -> Vec<(u64, PathBuf)> {
-        let Some(base_name) = self
-            .base
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-        else {
-            return Vec::new();
-        };
-        let parent = match self.base.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-            _ => PathBuf::from("."),
-        };
-        let prefix = format!("{base_name}.g");
-        let mut found = Vec::new();
-        let Ok(entries) = std::fs::read_dir(parent) else {
-            return Vec::new();
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let Some(suffix) = name.strip_prefix(&prefix) else {
-                continue;
-            };
-            // Generation files end in digits only; `.tmp` staging files
-            // and anything else are not generations.
-            if !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit()) {
-                if let Ok(gen) = suffix.parse::<u64>() {
-                    found.push((gen, entry.path()));
-                }
-            }
-        }
-        found.sort();
-        found
+        store::scan(store::parent_dir(&self.base), |path| self.generation(path))
+    }
+
+    /// The generation number of a path
+    /// [`generation_path`](SnapshotRotation::generation_path) named;
+    /// `None` for anything else, `.tmp` staging files included.
+    fn generation(&self, path: &Path) -> Option<u64> {
+        let name = path.file_name()?.to_string_lossy();
+        let base = self.base.file_name()?.to_string_lossy();
+        let digits = name.strip_prefix(&*base)?.strip_prefix(".g")?;
+        // Digits only: `parse` also takes a leading `+`.
+        digits
+            .bytes()
+            .all(|b| b.is_ascii_digit())
+            .then(|| digits.parse().ok())?
     }
 
     /// Writes the next generation (atomically, via
@@ -119,25 +105,12 @@ impl SnapshotRotation {
         Ok((next, written))
     }
 
-    /// Removes all but the newest `keep` generations, plus any stale
-    /// `.tmp` staging files a crashed saver left behind. Best-effort.
+    /// Removes all but the newest `keep` generations, plus the `.tmp`
+    /// staging file of any generation a crashed saver left behind.
+    /// Best-effort.
     pub fn gc(&self) {
-        let generations = self.generations();
-        if generations.len() > self.keep {
-            for (_, path) in &generations[..generations.len() - self.keep] {
-                let _ = std::fs::remove_file(path);
-            }
-        }
-        for (_, path) in self.generations() {
-            let mut tmp = path.into_os_string();
-            tmp.push(".tmp");
-            let _ = std::fs::remove_file(PathBuf::from(tmp));
-        }
-        // A staging file for the *next* generation (crash mid-save).
-        let next = self.generations().last().map_or(1, |(gen, _)| gen + 1);
-        let mut tmp = self.generation_path(next).into_os_string();
-        tmp.push(".tmp");
-        let _ = std::fs::remove_file(PathBuf::from(tmp));
+        let newest_first = |path: &Path| self.generation(path).map(Reverse);
+        store::gc(store::parent_dir(&self.base), self.keep, newest_first);
     }
 
     /// Loads the newest loadable snapshot into `cache`, walking
@@ -146,15 +119,11 @@ impl SnapshotRotation {
     /// and its entry count, or `None` when nothing loadable exists — a
     /// cold start, never an error.
     pub fn load_newest(&self, cache: &SharedCache) -> Option<(PathBuf, usize)> {
-        for (_, path) in self.generations().into_iter().rev() {
-            if let Ok(loaded) = cache.load_snapshot(&path) {
-                return Some((path, loaded));
-            }
-        }
-        if let Ok(loaded) = cache.load_snapshot(&self.base) {
-            return Some((self.base.clone(), loaded));
-        }
-        None
+        let newest_first = self.generations().into_iter().rev().map(|(_, path)| path);
+        newest_first.chain([self.base.clone()]).find_map(|path| {
+            let loaded = cache.load_snapshot(&path).ok()?;
+            Some((path, loaded))
+        })
     }
 }
 

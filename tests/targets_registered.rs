@@ -49,6 +49,7 @@ const BENCH_BINS: &[&str] = &[
 const CRATE_SUITES: &[&str] = &[
     "crates/analyze/tests/corpus.rs",
     "crates/sets/tests/algebra.rs",
+    "crates/core/tests/artifact_goldens.rs",
     "crates/core/tests/concurrency.rs",
     "crates/core/tests/differential_enumerative.rs",
     "crates/core/tests/engine_cache.rs",
