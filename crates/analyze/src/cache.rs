@@ -10,10 +10,9 @@
 //! 1. **In-memory tier.** A digest-keyed map from the *normalized-AST
 //!    digest* (the analyzer's pruned [`Program`], so comment- or
 //!    whitespace-only differences that survive parsing still converge
-//!    when the pruned AST agrees) to the serialized SPE, plus — in
-//!    shared-factory mode — the live `(Factory, Spe)` pair itself. A
-//!    raw-text index in front of it lets the common case (byte-identical
-//!    source resubmitted) skip even parse + analyze.
+//!    when the pruned AST agrees) to the serialized SPE. A raw-text index
+//!    in front of it lets the common case (byte-identical source
+//!    resubmitted) skip even parse + analyze.
 //! 2. **On-disk tier.** A directory of wire payloads
 //!    ([`serialize_spe`](sppl_core::wire)) written and garbage-collected
 //!    through [`sppl_core::store`] (staged, synced, renamed, directory
@@ -33,19 +32,12 @@
 //! counter is the ground truth the serve layer and CI assert on: a warm
 //! cache means it stays at zero.
 //!
-//! Factory semantics are a deliberate fork:
-//!
-//! - The **process-global** cache behind [`compile_model`] runs in
-//!   *fresh-factory* mode: a hit deserializes the stored payload into a
-//!   brand-new [`Factory`], preserving the long-standing contract that
-//!   every `compile_model` call returns an independently-memoized
-//!   session (tests and embedders rely on separately compiled copies
-//!   really recomputing). The translation is skipped; nothing else
-//!   changes.
-//! - A server can opt into *shared-factory* mode
-//!   ([`CompileCache::share_factories`]), where a hit clones the cached
-//!   `(Factory, Spe)` pair into a new engine — the right trade for a
-//!   process that already shares one cache across all its sessions.
+//! The cache keeps payload bytes only. Every hit, memory or disk,
+//! re-interns the stored payload into a brand-new [`Factory`], so every
+//! `compile` call returns an independently-memoized session (tests and
+//! embedders rely on separately compiled copies really recomputing) and
+//! the cache pins no factory or node memo. The translation is skipped;
+//! nothing else changes.
 //!
 //! ```
 //! use sppl_analyze::CompileCache;
@@ -67,7 +59,7 @@ use std::time::SystemTime;
 
 use sppl_core::digest::{Digester, ModelDigest, DIGEST_VERSION};
 use sppl_core::wire::{deserialize_spe, serialize_spe};
-use sppl_core::{store, Factory, Model, Spe, SpplError};
+use sppl_core::{store, Factory, Model, SpplError};
 use sppl_lang::ast::Program;
 
 use crate::{analyze, LangError};
@@ -115,15 +107,10 @@ pub struct CompileCacheStats {
     pub entries: u64,
 }
 
-struct Entry {
-    bytes: Arc<Vec<u8>>,
-    /// Present only in shared-factory mode.
-    artifact: Option<(Arc<Factory>, Spe)>,
-}
-
 #[derive(Default)]
 struct MemTier {
-    entries: HashMap<ModelDigest, Entry>,
+    /// AST digest → serialized SPE.
+    entries: HashMap<ModelDigest, Arc<Vec<u8>>>,
     /// FIFO insertion order backing the capacity bound.
     order: VecDeque<ModelDigest>,
     /// Raw-text digest → AST digest, so byte-identical resubmissions
@@ -138,7 +125,6 @@ pub struct CompileCache {
     capacity: usize,
     dir: Option<PathBuf>,
     keep: usize,
-    share: bool,
     hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
@@ -147,14 +133,13 @@ pub struct CompileCache {
 
 impl CompileCache {
     /// An in-memory-only cache holding up to `capacity` compiled
-    /// programs (FIFO eviction), in fresh-factory mode.
+    /// programs (FIFO eviction).
     pub fn new(capacity: usize) -> CompileCache {
         CompileCache {
             state: Mutex::new(MemTier::default()),
             capacity: capacity.max(1),
             dir: None,
             keep: 0,
-            share: false,
             hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -176,15 +161,6 @@ impl CompileCache {
         self.dir = Some(dir);
         self.keep = keep;
         Ok(self)
-    }
-
-    /// Switches hits to shared-factory mode: cached `(Factory, Spe)`
-    /// pairs are cloned into new engines instead of being re-interned
-    /// into a fresh factory. Use only where sessions are meant to share
-    /// node-level memos (e.g. a server).
-    pub fn share_factories(mut self, share: bool) -> Self {
-        self.share = share;
-        self
     }
 
     /// The cache directory of the disk tier, if one is attached.
@@ -244,7 +220,7 @@ impl CompileCache {
         let root = sppl_lang::translate(&factory, &analysis.pruned)?;
         self.translations.fetch_add(1, Ordering::Relaxed);
         let bytes = Arc::new(serialize_spe(&root));
-        self.insert_memory(ast_key, text_key, Arc::clone(&bytes), &factory, &root);
+        self.insert_memory(ast_key, text_key, Arc::clone(&bytes));
         self.write_disk(ast_key, text_key, &bytes);
         Ok(Model::new(factory, root))
     }
@@ -315,17 +291,10 @@ impl CompileCache {
     }
 
     fn lookup_memory(&self, ast_key: ModelDigest) -> Option<Model> {
-        let (bytes, artifact) = {
-            let state = lock(&self.state);
-            let entry = state.entries.get(&ast_key)?;
-            (Arc::clone(&entry.bytes), entry.artifact.clone())
-        };
-        if let Some((factory, root)) = artifact {
-            return Some(Model::new(factory, root));
-        }
-        // Fresh-factory mode: the stored payload is re-interned into a
-        // brand-new factory — zero translations, independent memos, and
-        // the wire codec is exercised on every warm compile.
+        let bytes = Arc::clone(lock(&self.state).entries.get(&ast_key)?);
+        // The stored payload is re-interned into a brand-new factory —
+        // zero translations, independent memos, and the wire codec is
+        // exercised on every warm compile.
         let model = self.import(&bytes).ok();
         if model.is_none() {
             // Unreachable unless memory corruption; drop the entry
@@ -344,25 +313,16 @@ impl CompileCache {
             let _ = std::fs::remove_file(&path);
             return None;
         };
-        let (factory, root) = (model.factory_arc(), model.root());
-        self.insert_memory(ast_key, text_key, Arc::new(bytes), factory, root);
+        self.insert_memory(ast_key, text_key, Arc::new(bytes));
         Some(model)
     }
 
-    fn insert_memory(
-        &self,
-        ast_key: ModelDigest,
-        text_key: ModelDigest,
-        bytes: Arc<Vec<u8>>,
-        factory: &Arc<Factory>,
-        root: &Spe,
-    ) {
-        let artifact = self.share.then(|| (Arc::clone(factory), root.clone()));
+    fn insert_memory(&self, ast_key: ModelDigest, text_key: ModelDigest, bytes: Arc<Vec<u8>>) {
         let mut state = lock(&self.state);
         if !state.entries.contains_key(&ast_key) {
             state.order.push_back(ast_key);
         }
-        state.entries.insert(ast_key, Entry { bytes, artifact });
+        state.entries.insert(ast_key, bytes);
         state.text_index.insert(text_key, ast_key);
         while state.entries.len() > self.capacity {
             let Some(evicted) = state.order.pop_front() else {
@@ -576,14 +536,5 @@ mod tests {
             .count();
         assert!(payloads <= 2, "gc must bound payloads, found {payloads}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shared_factory_mode_reuses_the_interned_dag() {
-        let cache = CompileCache::new(8).share_factories(true);
-        let a = cache.compile(SOURCE).unwrap();
-        let b = cache.compile(SOURCE).unwrap();
-        assert!(a.root().same(b.root()), "shared mode must reuse nodes");
-        assert_eq!(cache.stats().translations, 1);
     }
 }

@@ -233,9 +233,9 @@ pub fn compile_model_uncached(source: &str) -> Result<Model, LangError> {
     Ok(Model::new(factory, root))
 }
 
-/// The process-global cache behind [`compile_model`]: in-memory only,
-/// fresh-factory mode, so repeated compiles of the same program skip
-/// translation while every call still gets an independently-memoized
+/// The process-global cache behind [`compile_model`]: in-memory only, so
+/// repeated compiles of the same program skip translation while every
+/// call still gets a fresh factory and an independently-memoized
 /// session.
 fn global_compile_cache() -> &'static CompileCache {
     static CACHE: std::sync::OnceLock<CompileCache> = std::sync::OnceLock::new();

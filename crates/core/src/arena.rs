@@ -22,16 +22,11 @@
 //!   then internal nodes in topo order with a vectorizable log-sum-exp
 //!   at every mixture.
 //!
-//! [`ArenaModel::compile`] keeps a process-wide registry keyed by the
-//! model's content digest ([`ModelDigest`]), so separately compiled
-//! sessions of the same model share one arena (digest-equal models
-//! answer bit-identically by construction — the same guarantee the
-//! [`SharedCache`](crate::SharedCache) relies on).
-//!
 //! The arena is crate-private: it is the evaluator behind every
-//! [`Model`](crate::Model) query. A session compiles its arena on the
-//! first query its memo and shared cache cannot answer, and sends every
-//! miss of a call through one [`ArenaModel::logprob_many`] pass.
+//! [`Model`](crate::Model) query. A session builds its own arena
+//! ([`ArenaModel::build`]) on the first query its result store cannot
+//! answer, and sends every miss of a call through one
+//! [`ArenaModel::logprob_many`] pass.
 //!
 //! # Bit parity
 //!
@@ -62,13 +57,11 @@
 //! ```
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 use sppl_dists::{DistInt, DistReal, DistStr, Distribution};
 use sppl_num::float::logsumexp;
 use sppl_sets::OutcomeSet;
 
-use crate::digest::ModelDigest;
 use crate::disjoin::solve_and_disjoin;
 use crate::error::SpplError;
 use crate::event::Event;
@@ -145,9 +138,8 @@ struct Scratch {
 }
 
 /// A model compiled into a flat, topologically-ordered arena for
-/// batched exact inference (see the [module docs](self)). Immutable,
-/// `Send + Sync`, and shared: compiling the same (digest-equal) model
-/// twice returns the same `Arc`.
+/// batched exact inference (see the [module docs](self)). Immutable and
+/// `Send + Sync`, so clones of one session query it from many threads.
 #[derive(Debug)]
 pub(crate) struct ArenaModel {
     scope: BTreeSet<Var>,
@@ -179,53 +171,7 @@ pub(crate) struct ArenaModel {
     spine_has_product: bool,
 }
 
-fn registry() -> &'static Mutex<HashMap<ModelDigest, Weak<ArenaModel>>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<ModelDigest, Weak<ArenaModel>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Current registry entry count (live + not-yet-swept dangling weaks) —
-/// test instrumentation for the bounded-size guarantee.
-#[cfg(test)]
-fn registry_len() -> usize {
-    registry()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .len()
-}
-
 impl ArenaModel {
-    /// Compiles `root` into an arena, or returns the already-compiled
-    /// arena for any digest-equal model: a process-wide registry keyed
-    /// by [`ModelDigest`] holds weak handles, so arenas are shared
-    /// across sessions for as long as anyone uses them and are freed
-    /// when the last handle drops.
-    pub(crate) fn compile(root: &Spe) -> Arc<ArenaModel> {
-        let digest = root.digest();
-        {
-            let map = registry().lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(existing) = map.get(&digest).and_then(Weak::upgrade) {
-                return existing;
-            }
-        }
-        // Build outside the lock: compilation is O(model size), and
-        // holding the process-wide mutex for it would serialize every
-        // concurrent compile of *unrelated* models too.
-        let arena = Arc::new(ArenaModel::build(root));
-        let mut map = registry().lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(existing) = map.get(&digest).and_then(Weak::upgrade) {
-            // A racing compile won while we built; adopt its arena so
-            // digest-equal callers keep pointer-sharing one allocation.
-            return existing;
-        }
-        // Sweep dangling entries on every insert so the registry's size
-        // is bounded by the number of *live* arenas, not by how many
-        // models the process ever compiled.
-        map.retain(|_, weak| weak.strong_count() > 0);
-        map.insert(digest, Arc::downgrade(&arena));
-        arena
-    }
-
     /// Exact log-probability of every event, one struct-of-arrays pass
     /// over the arena per chunk of events. The events must already be
     /// [canonical](Event::canonical) (the session route canonicalizes
@@ -260,7 +206,9 @@ impl ArenaModel {
     // Compilation
     // ------------------------------------------------------------------
 
-    fn build(root: &Spe) -> ArenaModel {
+    /// Compiles `root` into an arena: one iterative post-order walk of
+    /// the DAG, linear in its physical node count.
+    pub(crate) fn build(root: &Spe) -> ArenaModel {
         let scope = root.scope().clone();
         let vars: Vec<Var> = scope.iter().cloned().collect();
         let var_ids: HashMap<Var, u32> = vars
@@ -693,49 +641,6 @@ mod tests {
     fn send_sync_and_registry_identity() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ArenaModel>();
-        let f = Factory::new();
-        let m = mixed_product(&f);
-        let a = ArenaModel::compile(&m);
-        let b = ArenaModel::compile(&m);
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn registry_stays_bounded_under_compile_and_drop() {
-        // Compile-and-drop many *distinct* models: each insert sweeps the
-        // previous (now dangling) weak entries, so the registry tracks
-        // live arenas instead of accumulating one entry per model the
-        // process ever compiled. The means here are offset far from any
-        // other test's models so the digests are unique to this test.
-        let f = Factory::new();
-        let before = registry_len();
-        for i in 0..64 {
-            let m = mixed_product_at(&f, 9_000.0 + i as f64);
-            let arena = ArenaModel::compile(&m);
-            assert!(!arena.nodes.is_empty());
-            // `arena` drops here; its registry entry goes dangling and the
-            // next iteration's insert sweeps it.
-        }
-        // Other tests run concurrently in this process and may hold live
-        // arenas (or race their own inserts), so allow generous slack —
-        // the point is that the 64 dead models above do not pile up.
-        let after = registry_len();
-        assert!(
-            after <= before + 8,
-            "registry grew from {before} to {after} despite every compiled \
-             arena being dropped — dangling weaks are not being swept"
-        );
-    }
-
-    fn mixed_product_at(f: &Factory, mean: f64) -> Spe {
-        let x = f
-            .sum(vec![
-                (normal_leaf(f, "X", mean), 0.3f64.ln()),
-                (normal_leaf(f, "X", mean + 5.0), 0.7f64.ln()),
-            ])
-            .unwrap();
-        let atom = f.leaf(Var::new("A"), Distribution::Atomic { loc: 2.0 });
-        f.product(vec![x, atom]).unwrap()
     }
 
     #[test]
@@ -745,7 +650,7 @@ mod tests {
         // reference.
         let f = Factory::new();
         let m = mixed_product(&f);
-        let arena = ArenaModel::compile(&m);
+        let arena = ArenaModel::build(&m);
         let batch: Vec<Event> = [
             var("X").le(1.0),
             var("X").le(1.0) & var("L").eq("a"),
@@ -767,7 +672,7 @@ mod tests {
     fn error_parity_with_tree_walker() {
         let f = Factory::new();
         let m = mixed_product(&f);
-        let arena = ArenaModel::compile(&m);
+        let arena = ArenaModel::build(&m);
         let unknown = (var("Nope").le(0.0) & var("X").le(1.0)).canonical();
         let tree = m.logprob(&unknown).unwrap_err();
         let fast = arena

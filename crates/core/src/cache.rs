@@ -1,11 +1,12 @@
 //! A bounded, sharded, persistable LRU cache for whole-query results —
-//! the cross-session (and, via snapshots, cross-*process*) layer above
-//! each [`Model`](crate::model::Model)'s own memo.
+//! the cross-session (and, via snapshots, cross-*process*) store that an
+//! attached [`Model`](crate::model::Model) keeps its answers in, in place
+//! of a map of its own.
 //!
 //! A serving deployment answers queries against the same compiled model
-//! from many sessions: each session has its own memo (and possibly its
-//! own [`Factory`](crate::spe::Factory)), but the hot query working
-//! set is shared. The [`SharedCache`] is one process-wide table keyed by
+//! from many sessions: each session may have its own
+//! [`Factory`](crate::spe::Factory), but the hot query working set is
+//! shared. The [`SharedCache`] is one process-wide table keyed by
 //! `(`[`ModelDigest`]`, `[`Fingerprint`]`)` —
 //! [`Spe::digest`](crate::spe::Spe::digest) is a deep, *versioned*
 //! content digest (see [`crate::digest`]), so sessions over separately
@@ -17,13 +18,10 @@
 //!
 //! The table is split into a fixed number of independent shards
 //! (currently 16) selected by key hash, each an exact LRU under its own
-//! mutex. Recency bookkeeping makes
-//! even `get` a write, so a single-mutex design would serialize a
-//! many-core *cold* fan-out (sessions promote shared hits into their own
-//! memos, so only each session's first sight of a key lands here — but a
-//! cold start is exactly when every lookup is a first sight). With
-//! sharding, concurrent lookups contend only when their keys collide on
-//! a shard. Global recency across shards is *approximate*: when the
+//! mutex. Recency bookkeeping makes even `get` a write, and every query
+//! of an attached session lands here, so a single-mutex design would
+//! serialize a many-core fan-out. With sharding, concurrent lookups
+//! contend only when their keys collide on a shard. Global recency across shards is *approximate*: when the
 //! cache is over capacity, a round-robin eviction clock walks the shards
 //! and evicts the victim shard's least-recently-used entry, so eviction
 //! pressure spreads evenly and an entry's survival time approximates
@@ -52,9 +50,10 @@
 //! [Snapshot format](#snapshot-format).
 //!
 //! Entries are pure values (`ln P⟦S⟧ e` is a function of the model content
-//! and the event alone), so there is no invalidation protocol: a factory
-//! [`clear_caches`](crate::spe::Factory::clear_caches) does not touch
-//! shared caches, and [`SharedCache::clear`] exists only to release
+//! and the event alone), so there is no invalidation protocol: neither
+//! [`Factory::clear_caches`](crate::spe::Factory::clear_caches) nor
+//! [`Model::clear_caches`](crate::model::Model::clear_caches) touches a
+//! shared cache, and [`SharedCache::clear`] exists only to release
 //! memory.
 //!
 //! Since sum-child evaluation order became content-canonical (see

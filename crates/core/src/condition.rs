@@ -246,22 +246,6 @@ fn restrict_dist(dist: &Distribution, piece: &OutcomeSet) -> Result<Distribution
     }
 }
 
-/// Convenience: condition and return both the posterior and the log
-/// normalizing constant `ln P⟦S⟧ e`.
-pub fn condition_with_evidence(
-    factory: &Factory,
-    spe: &Spe,
-    event: &Event,
-) -> Result<(Spe, f64), SpplError> {
-    let lp = factory.logprob(spe, event)?;
-    if lp == f64::NEG_INFINITY {
-        return Err(SpplError::ZeroProbability {
-            event: event.to_string(),
-        });
-    }
-    Ok((condition(factory, spe, event)?, lp))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,16 +410,6 @@ mod tests {
         // Both represent N(0,1) truncated to [0.5, ∞); dedup makes them
         // the same physical node.
         assert!(once.same(&twice));
-    }
-
-    #[test]
-    fn condition_with_evidence_returns_log_z() {
-        let f = Factory::new();
-        let x = normal(&f, "X");
-        let e = Event::ge(Transform::id(Var::new("X")), 0.0);
-        let (post, lz) = condition_with_evidence(&f, &x, &e).unwrap();
-        assert!(approx_eq(lz.exp(), 0.5, 1e-12));
-        assert!(approx_eq(post.prob(&e).unwrap(), 1.0, 1e-12));
     }
 
     #[test]

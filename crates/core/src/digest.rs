@@ -342,26 +342,10 @@ macro_rules! identity_newtype {
 identity_newtype!(ModelDigest);
 identity_newtype!(Fingerprint);
 
-impl Fingerprint {
-    /// Order-sensitive combination with the next chain link, used by
-    /// [`Model::condition_chain`](crate::model::Model::condition_chain)
-    /// prefix keys: `chain(a, b) ≠ chain(b, a)`, and the result never
-    /// collides with a single-event fingerprint path by construction
-    /// (distinct leading tag).
-    pub fn chain(self, next: Fingerprint) -> Fingerprint {
-        let mut d = Digester::new();
-        d.u8(TAG_CHAIN);
-        d.u128(self.0);
-        d.u128(next.0);
-        Fingerprint(d.finish())
-    }
-}
-
 // Leading tags distinguishing the *kind* of stream, so a transform and an
 // event with coincidentally identical field bytes can never collide.
 const TAG_TRANSFORM_STREAM: u8 = 0x54; // 'T'
 const TAG_EVENT_STREAM: u8 = 0x45; // 'E'
-const TAG_CHAIN: u8 = 0x43; // 'C'
 pub(crate) const TAG_ASSIGNMENT_STREAM: u8 = 0x41; // 'A'
 pub(crate) const TAG_NODE_STREAM: u8 = 0x4e; // 'N'
 
@@ -795,15 +779,6 @@ mod tests {
         assert_eq!(format!("{d}").len(), 32);
         let f = Fingerprint::from_u128(42);
         assert_eq!(Fingerprint::from_le_bytes(f.to_le_bytes()), f);
-    }
-
-    #[test]
-    fn chain_is_order_sensitive_and_tagged() {
-        let a = Fingerprint::from_u128(1);
-        let b = Fingerprint::from_u128(2);
-        assert_ne!(a.chain(b), b.chain(a));
-        assert_ne!(a.chain(b), a);
-        assert_ne!(a.chain(b), b);
     }
 
     #[test]

@@ -11,20 +11,21 @@
 //! 1. each event is [canonicalized](crate::event::Event::canonical), so
 //!    structurally equivalent events built in different operand orders
 //!    share one key;
-//! 2. the session memo answers repeats in one hash lookup, then an
-//!    attached [`SharedCache`] answers what other sessions over the same
-//!    model content already computed;
+//! 2. the session's one result store answers in one lookup — its own
+//!    map, or, when a [`SharedCache`] is attached, that cache in place of
+//!    it, so sessions over the same model content share answers under
+//!    the cache's LRU bound — and a repeat within the call shares its
+//!    first occurrence's answer;
 //! 3. every remaining miss of the call goes through one batched pass of
 //!    the session's arena — a flat, topologically ordered compile of the
-//!    model, built on the first miss and shared by content digest across
-//!    sessions, whose answers are bit-identical to the tree walker
-//!    [`Spe::logprob`];
-//! 4. each result is published under the same keys, with the shared
+//!    model, built by the session on its first miss, whose answers are
+//!    bit-identical to the tree walker [`Spe::logprob`];
+//! 4. each result is stored once, in the same store, with the shared
 //!    cache's stored value authoritative.
 //!
-//! Conditioning chains ([`Model::condition_chain`]) are memoized the same
-//! way: every prefix posterior is cached under the chained canonical
-//! fingerprints.
+//! Conditioning ([`Model::condition_chain`]) keeps no session table: each
+//! step is the factory's (node, canonical event) memo, so repeating a
+//! chain costs one lookup per step and hands back the same posterior.
 //!
 //! # Concurrency
 //!
@@ -32,15 +33,14 @@
 //! is a sharded lock map and every counter an atomic, so clones of one
 //! [`Model`] can query from many threads at once.
 //!
-//! # Invalidation
+//! # Clearing
 //!
-//! Invalidation is tied to [`Factory::clear_caches`] through the factory's
-//! [cache generation](Factory::cache_generation): clearing the factory —
-//! directly or via [`Model::clear_caches`] — drops the session's entries
-//! and resets its statistics. Every entry is tagged with the generation
-//! current when its computation began and is served only while that tag
-//! matches, so a clear racing against in-flight queries can never
-//! resurrect a pre-clear entry.
+//! A stored answer is a pure value of the session's fixed root and the
+//! event, so nothing ever goes stale and no clear is needed for
+//! correctness. [`Model::clear_caches`] releases memory: it drops the
+//! session's own map, resets its statistics, and clears the factory's
+//! node-level memos ([`Factory::clear_caches`], which leaves every
+//! session's map alone).
 //!
 //! # Example
 //!
@@ -65,20 +65,21 @@
 //! [`Model`]: crate::model::Model
 //! [`Model::condition_chain`]: crate::model::Model::condition_chain
 //! [`Model::clear_caches`]: crate::model::Model::clear_caches
-//! [`SharedCache`]: crate::cache::SharedCache
+//! [`Factory::logprob`]: crate::spe::Factory::logprob
+//! [`Factory::clear_caches`]: crate::spe::Factory::clear_caches
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::arena::ArenaModel;
-use crate::digest::Fingerprint;
-use crate::spe::{Factory, Spe};
+use crate::cache::SharedCache;
+use crate::digest::{Fingerprint, ModelDigest};
+use crate::spe::Spe;
 use crate::sync_map::ShardedMap;
 
 /// Hit/miss/entry statistics for a memoization cache. Every cache layer
-/// reports this shape; for the sharded
-/// [`SharedCache`](crate::cache::SharedCache) the counts are aggregated
-/// across all shards.
+/// reports this shape; for the sharded [`SharedCache`] the counts are
+/// aggregated across all shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
@@ -119,94 +120,46 @@ pub fn default_threads() -> usize {
         })
 }
 
+/// The attached shared cache and the session's model digest, its half
+/// of every key; `None` when the session keeps its own map.
+pub(crate) type Shared<'a> = Option<(&'a SharedCache, ModelDigest)>;
+
 /// A session's memo (see the [module docs](self)): the arena, the
-/// whole-query result tables, and their statistics. Owned by the
-/// session state behind [`Model`](crate::model::Model)'s `Arc`, so clones
-/// share it and posteriors get their own.
+/// session's own answers, and their statistics. Owned by the session
+/// state behind [`Model`](crate::model::Model)'s `Arc`, so clones share
+/// it and posteriors get their own.
+#[derive(Default)]
 pub(crate) struct Memo {
     /// Arena-compiled form of the session's root, built on the first miss.
-    arena: OnceLock<Arc<ArenaModel>>,
-    /// Canonical event fingerprint → (generation tag, log-probability).
-    logprob_cache: ShardedMap<Fingerprint, (u64, f64)>,
-    /// Chain prefix key → (generation tag, posterior).
-    cond_cache: ShardedMap<Fingerprint, (u64, Spe)>,
+    arena: OnceLock<ArenaModel>,
+    /// Canonical event fingerprint → log-probability, for a session with
+    /// no shared cache attached.
+    own: ShardedMap<Fingerprint, f64>,
     hits: AtomicU64,
     misses: AtomicU64,
-    seen_generation: AtomicU64,
 }
 
 impl Memo {
-    /// An empty memo in sync with a factory at `generation`.
-    pub(crate) fn new(generation: u64) -> Memo {
-        Memo {
-            arena: OnceLock::new(),
-            logprob_cache: ShardedMap::new(),
-            cond_cache: ShardedMap::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            seen_generation: AtomicU64::new(generation),
+    /// The answer stored under `key`: in the shared cache when one is
+    /// attached, else in the session's own map.
+    pub(crate) fn get(&self, shared: Shared<'_>, key: Fingerprint) -> Option<f64> {
+        match shared {
+            Some((cache, digest)) => cache.get(digest, key),
+            None => self.own.get(&key),
         }
     }
 
-    /// Drops every entry when `factory`'s caches were cleared behind our
-    /// back (memo keys pin no nodes, so stale entries would outlive the
-    /// node-level tables they were derived from), then returns the
-    /// generation new entries must be tagged with. Generation tags make
-    /// this airtight under races: even before a lagging thread syncs,
-    /// tagged lookups refuse entries from older generations.
-    pub(crate) fn sync(&self, factory: &Factory) -> u64 {
-        let current = factory.cache_generation();
-        let mut seen = self.seen_generation.load(Ordering::SeqCst);
-        // Only ever advance: a lagging thread that read an older factory
-        // generation before a concurrent bump must not drag
-        // `seen_generation` backwards (that would wipe freshly valid
-        // entries and reset statistics a second time). Exactly one thread
-        // wins the CAS per bump and performs the sweep.
-        while seen < current {
-            match self.seen_generation.compare_exchange(
-                seen,
-                current,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    self.logprob_cache.clear();
-                    self.cond_cache.clear();
-                    self.hits.store(0, Ordering::Relaxed);
-                    self.misses.store(0, Ordering::Relaxed);
-                    break;
-                }
-                Err(actual) => seen = actual,
+    /// Stores `value` under `key` in the store [`Memo::get`] reads and
+    /// returns the value now authoritative there (a shared cache keeps
+    /// its first write).
+    pub(crate) fn put(&self, shared: Shared<'_>, key: Fingerprint, value: f64) -> f64 {
+        match shared {
+            Some((cache, digest)) => cache.insert(digest, key, value),
+            None => {
+                self.own.insert(key, value);
+                value
             }
         }
-        factory.cache_generation()
-    }
-
-    /// The log-probability memoized under `key`, if it was stored in
-    /// `generation`.
-    pub(crate) fn logprob(&self, key: &Fingerprint, generation: u64) -> Option<f64> {
-        let (tag, value) = self.logprob_cache.get(key)?;
-        (tag == generation).then_some(value)
-    }
-
-    /// Memoizes `value` under `key`, tagged with `generation` — the one
-    /// read *before* computing, so an entry a racing clear made stale is
-    /// never served.
-    pub(crate) fn put_logprob(&self, key: Fingerprint, generation: u64, value: f64) {
-        self.logprob_cache.insert(key, (generation, value));
-    }
-
-    /// The posterior memoized under chain key `key`, if it was stored in
-    /// `generation`.
-    pub(crate) fn posterior(&self, key: &Fingerprint, generation: u64) -> Option<Spe> {
-        let (tag, posterior) = self.cond_cache.get(key)?;
-        (tag == generation).then_some(posterior)
-    }
-
-    /// Memoizes `posterior` under chain key `key`, tagged like
-    /// [`Memo::put_logprob`].
-    pub(crate) fn put_posterior(&self, key: Fingerprint, generation: u64, posterior: Spe) {
-        self.cond_cache.insert(key, (generation, posterior));
     }
 
     /// Adds one call's lookups to the statistics.
@@ -215,20 +168,26 @@ impl Memo {
         self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 
-    /// The arena compile of `root`, built on first use (digest-equal
-    /// sessions share one through the arena registry).
+    /// The arena compile of `root`, built on first use.
     pub(crate) fn arena(&self, root: &Spe) -> &ArenaModel {
-        self.arena.get_or_init(|| ArenaModel::compile(root))
+        self.arena.get_or_init(|| ArenaModel::build(root))
     }
 
-    /// Hits and misses across the `logprob` and `condition` paths, and
-    /// the entries both tables hold.
+    /// Hits and misses of the `logprob` route, and the entries of the
+    /// session's own map.
     pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.logprob_cache.len() + self.cond_cache.len(),
+            entries: self.own.len(),
         }
+    }
+
+    /// Drops the session's own answers and resets its statistics.
+    pub(crate) fn clear(&self) {
+        self.own.clear();
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
     }
 }
 
@@ -237,10 +196,10 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::cache::SharedCache;
     use crate::error::SpplError;
     use crate::event::Event;
     use crate::model::Model;
+    use crate::spe::Factory;
     use crate::transform::Transform;
     use crate::var::Var;
     use sppl_dists::{Cdf, DistReal, Distribution};
@@ -321,12 +280,14 @@ mod tests {
 
     #[test]
     fn chain_prefixes_are_cached() {
+        // Each repeated step is one hit in the factory's conditioning
+        // memo and hands back the same posterior.
         let model = model_xy();
         let chain = [le("X", 0.0), le("Y", 0.0)];
         let a = model.condition_chain(&chain).unwrap();
-        let before = model.stats();
+        let before = model.factory().cond_cache_stats();
         let b = model.condition_chain(&chain).unwrap();
-        let after = model.stats();
+        let after = model.factory().cond_cache_stats();
         assert!(a.root().same(b.root()));
         assert_eq!(after.hits, before.hits + 2);
         assert_eq!(after.misses, before.misses);
@@ -387,8 +348,9 @@ mod tests {
             before.hits + 1,
             "session b must hit the shared cache"
         );
-        // Session b recorded a memo miss; the shared cache answered it.
-        assert_eq!(b.stats().misses, 1);
+        // The shared cache is session b's one store: its answer is a hit.
+        let s = b.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 0, 0));
     }
 
     #[test]

@@ -24,12 +24,13 @@
 //!   `Arc<Factory>` + root + session memo in one `Clone + Send + Sync`
 //!   object whose `condition`/`constrain` return posteriors as
 //!   first-class models (the public face of Thm. 4.1's closure
-//!   property), and whose queries take one route: canonicalize, memo,
-//!   [`SharedCache`], then one batched arena pass for the misses,
+//!   property), and whose queries take one route: canonicalize, the
+//!   session's one result store (its own map or the attached
+//!   [`SharedCache`]), then one batched arena pass for the misses,
 //! * [`engine`] — the session memo behind that route, [`CacheStats`],
 //!   and [`default_threads`], the worker count servers size to,
 //! * `arena` (crate-private) — the batch evaluator every query miss goes
-//!   through: digest-keyed compilation of a model into a flat,
+//!   through: each session's compilation of its model into a flat,
 //!   topologically-ordered arena with struct-of-arrays evaluation,
 //!   bit-identical to [`prob`],
 //! * [`density`] — the lexicographic density semantics `P₀` (Lst. 1d) and

@@ -21,10 +21,11 @@
 //!
 //! Every query — [`Model::logprob`], [`Model::prob`] and their batch
 //! forms — takes one route (the [`engine`](crate::engine) module docs
-//! spell it out): canonicalize each event, answer it from the session
-//! memo or the attached [`SharedCache`], and send every remaining miss
-//! of the call through one batched pass of the model's arena compile,
-//! whose answers equal the tree walker [`Spe::logprob`] bit for bit.
+//! spell it out): canonicalize each event, answer it from the session's
+//! one result store (its own map, or the attached [`SharedCache`] in
+//! place of it), and send every remaining miss of the call through one
+//! batched pass of the session's arena compile, whose answers equal the
+//! tree walker [`Spe::logprob`] bit for bit.
 //!
 //! # Example
 //!
@@ -87,10 +88,6 @@ struct Inner {
     memo: Memo,
 }
 
-/// Seed for conditioning-chain prefix keys; [`Fingerprint::chain`] keeps
-/// every chained key distinct from any single-event fingerprint path.
-const CHAIN_SEED: Fingerprint = Fingerprint::from_u128(0x51c5_a9b3_7f4e_d081);
-
 impl Model {
     /// Wraps a factory and the root expression it built into a session.
     /// Accepts an owned [`Factory`] or an `Arc<Factory>` shared with
@@ -112,25 +109,26 @@ impl Model {
     }
 
     fn session(factory: Arc<Factory>, root: Spe, shared: Option<Arc<SharedCache>>) -> Model {
-        let memo = Memo::new(factory.cache_generation());
         Model {
             inner: Arc::new(Inner {
                 factory,
                 root,
                 digest: OnceLock::new(),
                 shared,
-                memo,
+                memo: Memo::default(),
             }),
         }
     }
 
-    /// Attaches a cross-session [`SharedCache`]: queries that miss this
-    /// session's memo consult (and fill) the shared cache, keyed by this
-    /// model's [deep digest](Spe::digest), so sessions over separately
-    /// compiled copies of the same model share entries. Posteriors
-    /// derived from the returned model inherit the attachment. The
-    /// returned session starts with an empty memo; the factory's
-    /// node-level memos are unaffected.
+    /// Attaches a cross-session [`SharedCache`] as the returned session's
+    /// one result store, in place of a map of its own: queries look up
+    /// and fill the shared cache, keyed by this model's
+    /// [deep digest](Spe::digest), so sessions over separately compiled
+    /// copies of the same model share entries, and what a session keeps
+    /// is bounded by the cache's capacity. Posteriors derived from the
+    /// returned model inherit the attachment. The returned session starts
+    /// with fresh statistics; the factory's node-level memos are
+    /// unaffected.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -235,14 +233,14 @@ impl Model {
     }
 
     /// Natural log of the probability of every event. Each event is
-    /// canonicalized and looked up in the session memo, then in the
-    /// attached [`SharedCache`]; every remaining miss goes through one
-    /// batched pass of the model's arena compile (built on the first
-    /// miss, shared by content digest across sessions), and each result
-    /// is published under the same keys — the shared cache's stored
+    /// canonicalized and looked up once in the session's one result
+    /// store — the attached [`SharedCache`], or else the session's own
+    /// map; every remaining miss goes through one batched pass of the
+    /// session's arena compile (built on the first miss), and each result
+    /// is stored once under the same key — the shared cache's stored
     /// value wins. Every event counts one hit or one miss in
-    /// [`Model::stats`]; a shared-cache answer counts as a miss, and a
-    /// repeat within one call as a hit, exactly as on separate calls.
+    /// [`Model::stats`]: a stored answer or a repeat within the call is
+    /// a hit, an evaluated event a miss, exactly as on separate calls.
     /// Answers equal the tree walker [`Spe::logprob`] on the canonical
     /// event, bit for bit.
     ///
@@ -265,14 +263,9 @@ impl Model {
     /// ```
     pub fn logprob_many(&self, events: &[Event]) -> Result<Vec<f64>, SpplError> {
         let Inner {
-            factory,
-            root,
-            shared,
-            memo,
-            ..
+            root, shared, memo, ..
         } = &*self.inner;
-        let generation = memo.sync(factory);
-        let shared = shared.as_ref().map(|cache| (cache, self.model_digest()));
+        let shared = shared.as_ref().map(|cache| (&**cache, self.model_digest()));
         let mut out = Vec::with_capacity(events.len());
         // This call's misses in order, their keys, and the first slot of
         // each key; `fills` maps output positions to those slots.
@@ -284,16 +277,12 @@ impl Model {
         for event in events {
             let canonical = event.canonical();
             let key = canonical.fingerprint();
-            if let Some(value) = memo.logprob(&key, generation) {
-                hits += 1;
-                out.push(value);
-            } else if let Some(&slot) = slots.get(&key) {
+            if let Some(&slot) = slots.get(&key) {
                 hits += 1;
                 fills.push((out.len(), slot));
                 out.push(f64::NAN);
-            } else if let Some(value) = shared.and_then(|(cache, digest)| cache.get(digest, key)) {
-                missed += 1;
-                memo.put_logprob(key, generation, value);
+            } else if let Some(value) = memo.get(shared, key) {
+                hits += 1;
                 out.push(value);
             } else {
                 missed += 1;
@@ -310,10 +299,7 @@ impl Model {
         }
         let mut values = memo.arena(root).logprob_many(&misses)?;
         for (value, key) in values.iter_mut().zip(keys) {
-            if let Some((cache, digest)) = shared {
-                *value = cache.insert(digest, key, *value);
-            }
-            memo.put_logprob(key, generation, *value);
+            *value = memo.put(shared, key, *value);
         }
         for (at, slot) in fills {
             out[at] = values[slot];
@@ -352,9 +338,10 @@ impl Model {
     /// property, surfaced. The posterior shares this session's factory
     /// pointer-identically (one intern table, warm node-level memos) and
     /// inherits its [`SharedCache`] attachment, so a conditioning chain
-    /// never cools the caches. Conditioning itself is memoized: repeating
-    /// a chain is pure lookups, and two posteriors conditioned on the
-    /// same event share one underlying expression.
+    /// never cools the caches. Conditioning itself is memoized by the
+    /// factory under (node, canonical event): a repeat is one lookup, and
+    /// two posteriors conditioned on the same event share one underlying
+    /// expression.
     ///
     /// # Errors
     ///
@@ -381,7 +368,8 @@ impl Model {
 
     /// Sequentially conditions on each event in turn — the filtering
     /// workflow `S | e₁ | e₂ | …` — returning the final posterior as a
-    /// `Model`. Every prefix posterior is cached in the session memo, so
+    /// `Model`. Each step is [`condition`] on the canonical event, whose
+    /// factory memo answers a step already taken in one lookup, so
     /// extending an already-computed chain pays only for the new suffix.
     /// **Empty-chain semantics**: `condition_chain(&[])` is the identity
     /// — it returns a model over this session's own root (matching
@@ -412,28 +400,12 @@ impl Model {
     /// assert!(model.condition_chain(&[]).unwrap().root().same(model.root()));
     /// ```
     pub fn condition_chain(&self, events: &[Event]) -> Result<Model, SpplError> {
-        let Inner {
-            factory,
-            root,
-            memo,
-            ..
-        } = &*self.inner;
-        let generation = memo.sync(factory);
-        let mut current = root.clone();
-        let mut key = CHAIN_SEED;
-        for event in events {
-            let canonical = event.canonical();
-            key = key.chain(canonical.fingerprint());
-            if let Some(posterior) = memo.posterior(&key, generation) {
-                memo.count(1, 0);
-                current = posterior;
-                continue;
-            }
-            current = condition(factory, &current, &canonical)?;
-            memo.count(0, 1);
-            memo.put_posterior(key, generation, current.clone());
-        }
-        Ok(self.child(current))
+        let posterior = events
+            .iter()
+            .try_fold(self.root().clone(), |current, event| {
+                condition(self.factory(), &current, &event.canonical())
+            })?;
+        Ok(self.child(posterior))
     }
 
     /// Conditions on a conjunction of (possibly measure-zero) equality
@@ -510,30 +482,29 @@ impl Model {
         self.root().sample_many(rng, n)
     }
 
-    /// Memo statistics for this session: hits and misses across the
-    /// `logprob` and `condition` paths, and the entries stored. Shared by
-    /// all clones of this handle, *not* by posteriors — each posterior
-    /// model has its own memo over the shared factory. For the
-    /// node-level tables underneath, see [`Factory::prob_cache_stats`]
-    /// and [`Factory::cond_cache_stats`]; for the cross-session layer,
-    /// see [`SharedCache::stats`].
+    /// Query statistics for this session: a hit for every event its one
+    /// result store (or an earlier event of the same call) answered, a
+    /// miss for every event evaluated, and the entries of its own map —
+    /// zero when a [`SharedCache`] is attached, which keeps the answers
+    /// instead. Shared by all clones of this handle, *not* by posteriors
+    /// — each posterior model has its own. Conditioning is counted by the
+    /// factory: see [`Factory::cond_cache_stats`], and
+    /// [`Factory::prob_cache_stats`] for the node-level probability
+    /// table; for the cross-session layer, see [`SharedCache::stats`].
     pub fn stats(&self) -> CacheStats {
-        self.inner.memo.sync(&self.inner.factory);
         self.inner.memo.stats()
     }
 
-    /// Clears this session's memo and the shared factory's node-level
-    /// caches. **The factory is shared**: sibling sessions and
-    /// posteriors over the same factory drop their memo entries too
-    /// (their entries are generation-tagged against the factory). An
-    /// attached [`SharedCache`] is not touched — its entries are pure
-    /// values shared with other sessions; clear it explicitly via
-    /// [`SharedCache::clear`] if the memory must go.
+    /// Clears this session's own map and statistics and the shared
+    /// factory's node-level memos, to release memory: every entry is a
+    /// pure value, so no answer changes. Sibling sessions and posteriors
+    /// over the same factory keep their own maps. An attached
+    /// [`SharedCache`] is not touched — its entries are shared with
+    /// other sessions; clear it explicitly via [`SharedCache::clear`] if
+    /// the memory must go.
     pub fn clear_caches(&self) {
         self.inner.factory.clear_caches();
-        // clear_caches bumped the generation; syncing drops memo entries
-        // and resets the counters.
-        self.inner.memo.sync(&self.inner.factory);
+        self.inner.memo.clear();
     }
 
     /// A posterior session over `root`, sharing this session's factory

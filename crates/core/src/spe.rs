@@ -289,8 +289,8 @@ impl Default for FactoryOptions {
 /// node (the stored `Spe` handle), making address reuse impossible.
 ///
 /// The factory is `Send + Sync`: the intern table and both memo tables
-/// are sharded `ShardedMap`s, and the statistics/generation counters are
-/// atomics, so one factory can serve interning and memoized inference from
+/// are sharded `ShardedMap`s, and the statistics counters are atomics,
+/// so one factory can serve interning and memoized inference from
 /// many threads at once (clones of one [`Model`](crate::model::Model) and
 /// server workers conditioning one model rely on this).
 pub struct Factory {
@@ -301,7 +301,6 @@ pub struct Factory {
     pub(crate) cond_cache: ShardedMap<(usize, Fingerprint), (Spe, Result<Spe, SpplError>)>,
     pub(crate) prob_counters: CacheCounters,
     pub(crate) cond_counters: CacheCounters,
-    generation: AtomicU64,
 }
 
 /// Hit/miss counters for one factory-level memo table (relaxed atomics —
@@ -366,7 +365,6 @@ impl Factory {
             cond_cache: ShardedMap::new(),
             prob_counters: CacheCounters::default(),
             cond_counters: CacheCounters::default(),
-            generation: AtomicU64::new(0),
         }
     }
 
@@ -648,33 +646,19 @@ impl Factory {
         self.intern.fold_values(0, |acc, bucket| acc + bucket.len())
     }
 
-    /// Clears the memoization caches and resets their hit/miss statistics
-    /// (the intern table is kept), and bumps the cache generation so that
-    /// sessions layered on this factory (see [`Model`](crate::model::Model))
-    /// drop their own memo entries.
+    /// Clears the node-level memoization caches and resets their hit/miss
+    /// statistics (the intern table is kept). Sessions over this factory
+    /// (see [`Model`](crate::model::Model)) keep their own answers.
     ///
-    /// Safe to call while other threads are mid-query: the generation is
-    /// bumped *before* the tables are swept, and sessions tag every entry
-    /// they store with the generation current when its computation began,
-    /// so an entry derived from pre-clear state is never served after the
-    /// bump (see the [`engine`](crate::engine) module's invalidation
-    /// discipline). Memo values are
+    /// Safe to call while other threads are mid-query: memo values are
     /// pure functions of (node, event), so racing fills that land after
     /// the sweep are still correct — the clear is about memory and
     /// statistics, not semantics.
     pub fn clear_caches(&self) {
-        self.generation.fetch_add(1, Ordering::SeqCst);
         self.prob_cache.clear();
         self.cond_cache.clear();
         self.prob_counters.reset();
         self.cond_counters.reset();
-    }
-
-    /// A monotone counter bumped by every [`Factory::clear_caches`] call.
-    /// Caches keyed on this factory's memo tables compare generations to
-    /// detect invalidation.
-    pub fn cache_generation(&self) -> u64 {
-        self.generation.load(Ordering::SeqCst)
     }
 
     /// Hit/miss/entry statistics of the persistent node-level probability

@@ -2,8 +2,8 @@
 //! compile time, threads sharing one `Model` answer bit-for-bit like the
 //! tree walker, threads conditioning one factory converge on one
 //! posterior, the intern table keeps its pointer-identity invariant
-//! under racing builders, and cache-generation invalidation never serves
-//! a pre-clear entry across a racing `clear_caches`.
+//! under racing builders, and a racing `clear_caches` never makes a
+//! session serve a wrong entry.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -161,8 +161,8 @@ fn concurrent_interning_preserves_pointer_identity() {
     }
 }
 
-/// Regression test for generation invalidation under races: readers
-/// hammer one session while a writer repeatedly clears all caches.
+/// Clearing under races: readers hammer one session while a writer
+/// repeatedly clears all caches.
 /// Every answer must stay bit-identical to the reference (no stale or
 /// torn entry may ever be served), and a final quiescent clear must leave
 /// empty statistics.
@@ -194,7 +194,7 @@ fn clear_caches_racing_queries_never_serves_stale_entries() {
             });
         }
         // Clear through both entry points, repeatedly, while the readers
-        // run. Each clear bumps the factory generation.
+        // run.
         let clearer = {
             let eng = eng.clone();
             let stop = &stop;
@@ -213,7 +213,6 @@ fn clear_caches_racing_queries_never_serves_stale_entries() {
         clearer.join().unwrap();
     });
 
-    assert!(eng.factory().cache_generation() >= 200);
     // Quiescent clear: everything must read as empty...
     eng.clear_caches();
     assert_eq!(eng.stats(), CacheStats::default());

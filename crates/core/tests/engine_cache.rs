@@ -1,8 +1,9 @@
 //! Cache invariants of a [`Model`]'s query route: repeated queries are
 //! bit-identical hits, canonicalization folds structurally equivalent
 //! events onto one entry, a batch mixing every kind of answer matches
-//! per-event calls, and invalidation is tied to the factory's
-//! `clear_caches`.
+//! per-event calls, `clear_caches` empties the session and its factory,
+//! and an attached [`SharedCache`] is the session's one store, under its
+//! capacity bound.
 
 use std::sync::Arc;
 
@@ -47,13 +48,18 @@ fn repeated_condition_is_a_hit_returning_the_same_node() {
     let engine = engine();
     let e = le("X", 0.0);
     let p1 = engine.condition(&e).unwrap();
+    let before = engine.factory().cond_cache_stats();
     let p2 = engine.condition(&e).unwrap();
+    let after = engine.factory().cond_cache_stats();
     assert!(
         p1.root().same(p2.root()),
         "cached posterior must be the same physical node"
     );
-    let s = engine.stats();
-    assert_eq!((s.hits, s.misses), (1, 1));
+    assert_eq!(
+        (after.hits, after.misses),
+        (before.hits + 1, before.misses),
+        "a repeated step is one hit in the factory's conditioning memo"
+    );
 }
 
 #[test]
@@ -111,23 +117,6 @@ fn clear_caches_resets_stats_and_entries() {
 }
 
 #[test]
-fn factory_clear_invalidates_engine_entries() {
-    let engine = engine();
-    let e = le("Y", 0.5);
-    engine.logprob(&e).unwrap();
-    assert_eq!(engine.stats().entries, 1);
-
-    // Clearing through the *factory* (not the engine) must still drop the
-    // engine's derived entries: stats read as empty immediately, and the
-    // next query is a fresh miss.
-    engine.factory().clear_caches();
-    assert_eq!(engine.stats(), CacheStats::default());
-    engine.logprob(&e).unwrap();
-    let s = engine.stats();
-    assert_eq!((s.hits, s.misses, s.entries), (0, 1, 1));
-}
-
-#[test]
 fn batched_stats_account_every_lookup() {
     let engine = engine();
     let queries: Vec<Event> = (0..8).map(|i| le("X", f64::from(i) / 4.0)).collect();
@@ -140,8 +129,9 @@ fn batched_stats_account_every_lookup() {
     assert!((s.hit_rate() - 0.5).abs() < 1e-12);
 }
 
-/// A session whose memo holds `memo_hit` and whose shared cache holds
-/// `shared_hit`, filled there by another session over the same model.
+/// A session over a shared cache holding `memo_hit`, which the session
+/// asked itself, and `shared_hit`, which another session over the same
+/// model filled.
 fn primed(memo_hit: &Event, shared_hit: &Event) -> Model {
     let cache = Arc::new(SharedCache::new(64));
     engine()
@@ -181,11 +171,11 @@ fn mixed_batch_matches_per_event_calls() {
     }
     let after = batched.stats();
     assert_eq!(after, single.stats());
-    // The memo hit and the in-call repeat hit; the shared-cache answer
-    // and both fresh events miss.
+    // Both stored answers and the in-call repeat hit; the two fresh
+    // events miss.
     assert_eq!(
         (after.hits - before.hits, after.misses - before.misses),
-        (2, 3)
+        (3, 2)
     );
 
     // Unknown variables: the earliest error, and the same hits and
@@ -209,4 +199,25 @@ fn mixed_batch_matches_per_event_calls() {
     assert!(matches!(&err, SpplError::UnknownVariable { var } if var.as_str() == "Nope"));
     let (b, s) = (batched.stats(), single.stats());
     assert_eq!((b.hits, b.misses), (s.hits, s.misses));
+}
+
+#[test]
+fn an_attached_shared_cache_bounds_what_a_session_keeps() {
+    let cache = Arc::new(SharedCache::new(4));
+    let model = engine().with_shared_cache(Arc::clone(&cache));
+    let tree = |e: &Event| model.root().logprob(&e.canonical()).unwrap();
+    let events: Vec<Event> = (0..64).map(|i| le("X", f64::from(i) / 16.0)).collect();
+    for e in &events {
+        assert_eq!(model.logprob(e).unwrap().to_bits(), tree(e).to_bits());
+    }
+    let s = model.stats();
+    assert_eq!((s.hits, s.misses, s.entries), (0, 64, 0));
+    assert!(cache.stats().entries <= 4);
+
+    // The first answer went out of the cache long ago: asked again, it
+    // is evaluated again, to the same bits.
+    let again = model.logprob(&events[0]).unwrap();
+    assert_eq!(again.to_bits(), tree(&events[0]).to_bits());
+    let s = model.stats();
+    assert_eq!((s.hits, s.misses, s.entries), (0, 65, 0));
 }

@@ -30,7 +30,7 @@
 //!
 //! Bit-identity holds by construction: `logprob_many` answers each event
 //! exactly as a per-event [`logprob`](sppl_core::Model::logprob) call
-//! would (same route, same memo and [`SharedCache`] keys), `prob` is
+//! would (same route, same [`SharedCache`] keys), `prob` is
 //! derived from the coalesced log-probability by exactly the
 //! `exp().clamp(0.0, 1.0)` the model applies, and a batch-level error
 //! falls back to per-event evaluation so each waiter sees precisely the

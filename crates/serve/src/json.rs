@@ -17,9 +17,12 @@
 //!   [`crate::protocol`]).
 //!
 //! Parsing is hardened for untrusted network input: nesting depth is
-//! capped (a deeply nested `[[[[…]]]]` line cannot blow the stack) and
-//! every error carries the byte offset it was detected at.
+//! capped (a deeply nested `[[[[…]]]]` line cannot blow the stack), the
+//! duplicate-key check costs one lookup per key in a randomly keyed hash
+//! set (a line of many keys cannot cost quadratic time), and every error
+//! carries the byte offset it was detected at.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// Maximum nesting depth accepted by the parser. Deeper input is an
@@ -297,6 +300,9 @@ impl<'a> Parser<'a> {
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut pairs: Vec<(String, Json)> = Vec::new();
+        // Keys come from the network: the default hasher is randomly
+        // keyed, so no chosen key set collides into quadratic time.
+        let mut seen: HashSet<String> = HashSet::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.at += 1;
@@ -305,7 +311,7 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             let key = self.string()?;
-            if pairs.iter().any(|(k, _)| *k == key) {
+            if !seen.insert(key.clone()) {
                 return Err(self.err(&format!("duplicate object key `{key}`")));
             }
             self.skip_ws();
@@ -473,6 +479,18 @@ mod tests {
         let v = Json::parse(r#"{"b":1,"a":2}"#).unwrap();
         assert_eq!(v.render(), r#"{"b":1.0,"a":2.0}"#);
         assert!(Json::parse(r#"{"a":1,"a":2}"#).is_err());
+
+        // Many keys cost time linear in their count: a pairwise check
+        // would take minutes on 200k keys.
+        let keys: Vec<String> = (0..200_000).map(|i| format!(r#""k{i}":0"#)).collect();
+        let line = format!("{{{}}}", keys.join(","));
+        let started = std::time::Instant::now();
+        let v = Json::parse(&line).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        assert_eq!(v.get("k199999"), Some(&Json::Num(0.0)));
+        let repeated = format!(r#"{},"k0":1}}"#, &line[..line.len() - 1]);
+        let err = Json::parse(&repeated).unwrap_err();
+        assert!(err.message.contains("duplicate object key `k0`"), "{err}");
     }
 
     #[test]

@@ -121,14 +121,13 @@ impl ServerState {
     pub fn new(config: &ServeConfig) -> ServerState {
         let counters = Arc::new(ServeCounters::new());
         let cache = Arc::new(SharedCache::new(config.cache_capacity));
-        let mut compiler = CompileCache::new(config.registry_capacity.max(1)).share_factories(true);
+        let mut compiler = CompileCache::new(config.registry_capacity.max(1));
         if let Some(dir) = &config.compile_cache {
             match compiler.with_dir(dir, config.compile_cache_keep) {
                 Ok(with_disk) => compiler = with_disk,
                 Err(e) => {
                     eprintln!("sppl-serve: compile cache disabled on disk: {e}");
-                    compiler =
-                        CompileCache::new(config.registry_capacity.max(1)).share_factories(true);
+                    compiler = CompileCache::new(config.registry_capacity.max(1));
                 }
             }
         }

@@ -245,11 +245,12 @@ fn condition_chain_shares_factory_and_serves_shared_cache_hits() {
         hits_before + 1,
         "rerun chain must be served from the shared cache"
     );
-    // The twin's memo saw a local miss (fresh session) but the shared
-    // layer answered; its own memo is now promoted for the next call.
-    assert_eq!(twin.stats().misses, 1);
+    // The shared cache is the twin's one store: its answer is the twin's
+    // hit, and nothing is kept beside it.
+    let s = twin.stats();
+    assert_eq!((s.hits, s.misses, s.entries), (1, 0, 0));
     twin.prob(&probe).unwrap();
-    assert_eq!(twin.stats().hits, 1);
+    assert_eq!(twin.stats().hits, 2);
 }
 
 #[test]
