@@ -10,7 +10,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use sppl_core::transform::Transform;
-use sppl_lang::translate::Value;
+use sppl_lang::ops::Value;
 use sppl_sets::OutcomeSet;
 
 /// A compile-time constant as the analyzer sees it.

@@ -1,21 +1,21 @@
-//! Abstract expression evaluation: a diagnostics-emitting mirror of the
-//! translator's evaluator. Where the translator would hard-error, the
-//! abstract evaluator either emits a catalogued [`LintCode`] diagnostic
-//! or degrades to [`AbsValue::Top`] and lets the translator report the
-//! condition with its own message.
-
-use std::collections::HashMap;
+//! Abstract expression evaluation. Every operation on constants and
+//! random values, and every distribution call, is evaluated by the
+//! translator's own functions (`sppl_lang::ops`, `sppl_lang::dists`);
+//! this module adds what only the analyzer knows. A value can be unknown
+//! ([`AbsValue::Top`]), a failed operation becomes a catalogued
+//! [`LintCode`] diagnostic with the translator's text or a silent `Top`,
+//! and a partial transform is checked against the inferred support of
+//! its argument (`W104`).
 
 use sppl_core::event::Event;
 use sppl_core::transform::Transform;
 use sppl_core::var::Var;
 use sppl_lang::ast::{BinOp, CmpOp, Expr, UnOp};
 use sppl_lang::diagnostics::{LintCode, Span};
-use sppl_lang::translate::Value;
-use sppl_num::Polynomial;
+use sppl_lang::dists::Family;
+use sppl_lang::ops::{self, EvalError, Link, Partial, Value};
 use sppl_sets::{Interval, OutcomeSet};
 
-use crate::dists::{self, DistVerdict, Param};
 use crate::env::ConstVal;
 use crate::walk::Walker;
 
@@ -35,12 +35,22 @@ pub(crate) enum AbsValue {
     Top,
 }
 
-fn bad_log_inputs() -> OutcomeSet {
-    OutcomeSet::from(Interval::below(0.0, true).expect("0 is a valid bound"))
-}
-
-fn bad_even_root_inputs() -> OutcomeSet {
-    OutcomeSet::from(Interval::below(0.0, false).expect("0 is a valid bound"))
+/// The `W104` check of a partial transform: the argument values where it
+/// is undefined, and the message when the argument may take one.
+fn undefined_at(partial: Partial) -> (OutcomeSet, &'static str) {
+    let negative = || OutcomeSet::from(Interval::below(0.0, false).expect("0 is a valid bound"));
+    match partial {
+        Partial::Recip => (
+            OutcomeSet::real_point(0.0),
+            "division by a possibly zero random value",
+        ),
+        Partial::Sqrt => (negative(), "sqrt of a possibly negative random value"),
+        Partial::EvenRoot => (negative(), "even root of a possibly negative random value"),
+        Partial::Log => (
+            OutcomeSet::from(Interval::below(0.0, true).expect("0 is a valid bound")),
+            "log of a possibly non-positive random value",
+        ),
+    }
 }
 
 impl Walker {
@@ -68,9 +78,7 @@ impl Walker {
                 kwargs,
                 span,
             } => self.eval_call(func, args, kwargs, *span),
-            Expr::MethodCall {
-                recv, method, args, ..
-            } => self.eval_method(recv, method, args),
+            Expr::MethodCall { recv, method, .. } => self.eval_method(recv, method),
             Expr::Unary(op, inner, _) => {
                 let v = self.eval(inner);
                 match (op, v) {
@@ -192,17 +200,9 @@ impl Walker {
         }
     }
 
-    fn eval_method(&mut self, recv: &Expr, method: &str, _args: &[Expr]) -> AbsValue {
-        let r = self.eval(recv);
-        match (r, method) {
-            (AbsValue::Const(Value::Bin { lo, hi, .. }), "mean") => {
-                AbsValue::Const(Value::Num((lo + hi) / 2.0))
-            }
-            (AbsValue::Const(Value::Bin { lo, .. }), "lo") => AbsValue::Const(Value::Num(lo)),
-            (AbsValue::Const(Value::Bin { hi, .. }), "hi") => AbsValue::Const(Value::Num(hi)),
-            (AbsValue::Const(Value::List(vs)), "len") => {
-                AbsValue::Const(Value::Num(vs.len() as f64))
-            }
+    fn eval_method(&mut self, recv: &Expr, method: &str) -> AbsValue {
+        match self.eval(recv) {
+            AbsValue::Const(v) => ops::method(&v, method).map_or(AbsValue::Top, AbsValue::Const),
             _ => AbsValue::Top,
         }
     }
@@ -221,115 +221,51 @@ impl Walker {
             }
             _ => match (a, b) {
                 (Const(Value::Num(x)), Const(Value::Num(y))) => {
-                    let v = match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => {
-                            if y == 0.0 {
-                                return AbsValue::Top;
-                            }
-                            x / y
-                        }
-                        BinOp::Pow => x.powf(y),
-                        BinOp::And | BinOp::Or => unreachable!("handled above"),
-                    };
-                    if v.is_nan() {
-                        self.diag(
-                            LintCode::NonFiniteConstant,
-                            span,
-                            "constant arithmetic produces NaN (undefined value)",
-                        );
-                        return AbsValue::Top;
-                    }
-                    Const(Value::Num(v))
+                    let v = ops::arith(op, x, y);
+                    self.settle(v, span)
+                        .map_or(AbsValue::Top, |v| Const(Value::Num(v)))
                 }
-                (Rv(t), Const(Value::Num(c))) => self.rv_const_op(op, t, c, false, span),
-                (Const(Value::Num(c)), Rv(t)) => self.rv_const_op(op, t, c, true, span),
-                (Rv(ta), Rv(tb)) => rv_rv_op(op, ta, tb),
+                (Rv(t), Const(Value::Num(c))) => {
+                    self.partial_op(t.clone(), ops::rv_const_op(op, t, c, false), span)
+                }
+                (Const(Value::Num(c)), Rv(t)) => {
+                    self.partial_op(t.clone(), ops::rv_const_op(op, t, c, true), span)
+                }
+                (Rv(ta), Rv(tb)) => ops::rv_rv_op(op, ta, tb).map_or(AbsValue::Top, Rv),
                 _ => AbsValue::Top,
             },
         }
     }
 
-    fn rv_const_op(
+    /// The value of a shared operation, or `None` after the diagnostic
+    /// its error earns: `E007` for a non-finite constant, none otherwise
+    /// (the translator reports the rest with its own message).
+    fn settle<T>(&mut self, r: Result<T, EvalError>, span: Span) -> Option<T> {
+        match r {
+            Ok(v) => Some(v),
+            Err(EvalError::NonFinite(msg)) => {
+                self.diag(LintCode::NonFiniteConstant, span, msg);
+                None
+            }
+            Err(_) => None,
+        }
+    }
+
+    /// The result of a transform of the random value `t`, after the
+    /// `W104` check of where the transform is undefined.
+    fn partial_op(
         &mut self,
-        op: BinOp,
         t: Transform,
-        c: f64,
-        flipped: bool,
+        r: Result<(Transform, Option<Partial>), EvalError>,
         span: Span,
     ) -> AbsValue {
-        let out = match (op, flipped) {
-            (BinOp::Add, _) => t.add_const(c),
-            (BinOp::Sub, false) => t.add_const(-c),
-            (BinOp::Sub, true) => t.neg().add_const(c),
-            (BinOp::Mul, _) => t.mul_const(c),
-            (BinOp::Div, false) => {
-                if c == 0.0 {
-                    return AbsValue::Top;
-                }
-                t.mul_const(1.0 / c)
-            }
-            (BinOp::Div, true) => {
-                self.check_domain(
-                    &t,
-                    OutcomeSet::real_point(0.0),
-                    "division by a possibly zero random value",
-                    span,
-                );
-                t.recip().mul_const(c)
-            }
-            (BinOp::Pow, false) => {
-                if c >= 0.0 && c.fract() == 0.0 {
-                    t.pow_int(c as u32)
-                } else if c == 0.5 {
-                    self.check_domain(
-                        &t,
-                        bad_even_root_inputs(),
-                        "sqrt of a possibly negative random value",
-                        span,
-                    );
-                    t.sqrt()
-                } else if c == -1.0 {
-                    self.check_domain(
-                        &t,
-                        OutcomeSet::real_point(0.0),
-                        "division by a possibly zero random value",
-                        span,
-                    );
-                    t.recip()
-                } else if c < 0.0 && c.fract() == 0.0 {
-                    self.check_domain(
-                        &t,
-                        OutcomeSet::real_point(0.0),
-                        "division by a possibly zero random value",
-                        span,
-                    );
-                    t.pow_int((-c) as u32).recip()
-                } else if c > 0.0 && (1.0 / c).fract().abs() < 1e-12 {
-                    let n = (1.0 / c) as u32;
-                    if n % 2 == 0 {
-                        self.check_domain(
-                            &t,
-                            bad_even_root_inputs(),
-                            "even root of a possibly negative random value",
-                            span,
-                        );
-                    }
-                    t.root(n)
-                } else {
-                    return AbsValue::Top;
-                }
-            }
-            (BinOp::Pow, true) => {
-                if c <= 0.0 || c == 1.0 {
-                    return AbsValue::Top;
-                }
-                t.exp_base(c)
-            }
-            (BinOp::And | BinOp::Or, _) => return AbsValue::Top,
+        let Ok((out, partial)) = r else {
+            return AbsValue::Top;
         };
+        if let Some(partial) = partial {
+            let (bad, what) = undefined_at(partial);
+            self.check_domain(&t, bad, what, span);
+        }
         AbsValue::Rv(out)
     }
 
@@ -352,23 +288,16 @@ impl Walker {
         for (_, e) in chain {
             operands.push(self.eval(e));
         }
-        let mut events: Vec<Event> = Vec::new();
-        let mut statically_false = false;
-        for (i, (op, _)) in chain.iter().enumerate() {
-            match self.compare_pair(*op, &operands[i], &operands[i + 1], span) {
-                Some(CompareResult::Event(e)) => events.push(e),
-                Some(CompareResult::Static(true)) => {}
-                Some(CompareResult::Static(false)) => statically_false = true,
-                None => return AbsValue::Top,
-            }
+        let links = chain
+            .iter()
+            .enumerate()
+            .map(|(i, (op, _))| self.compare_pair(*op, &operands[i], &operands[i + 1], span))
+            .collect::<Option<Vec<_>>>();
+        match links.map(ops::chain) {
+            Some(Some(e)) => AbsValue::Event(e),
+            Some(None) => AbsValue::Const(Value::Bool(true)),
+            None => AbsValue::Top,
         }
-        if statically_false {
-            return AbsValue::Event(Event::never());
-        }
-        if events.is_empty() {
-            return AbsValue::Const(Value::Bool(true));
-        }
-        AbsValue::Event(Event::and(events))
     }
 
     fn compare_pair(
@@ -377,89 +306,20 @@ impl Walker {
         lhs: &AbsValue,
         rhs: &AbsValue,
         span: Span,
-    ) -> Option<CompareResult> {
+    ) -> Option<Link> {
         use AbsValue::{Const, Rv};
         match (lhs, rhs) {
-            (Const(a), Const(b)) => static_compare(op, a, b).map(CompareResult::Static),
-            (Rv(t), Const(v)) => self.rv_compare(op, t, v, false, span),
-            (Const(v), Rv(t)) => self.rv_compare(op, t, v, true, span),
+            (Const(a), Const(b)) => ops::static_compare(op, a, b).ok().map(Link::Static),
+            (Rv(t), Const(v)) => {
+                let e = ops::rv_compare(op, t, v, false);
+                self.settle(e, span).map(Link::Event)
+            }
+            (Const(v), Rv(t)) => {
+                let e = ops::rv_compare(op, t, v, true);
+                self.settle(e, span).map(Link::Event)
+            }
             _ => None,
         }
-    }
-
-    fn rv_compare(
-        &mut self,
-        op: CmpOp,
-        t: &Transform,
-        v: &Value,
-        flipped: bool,
-        span: Span,
-    ) -> Option<CompareResult> {
-        let op = if flipped {
-            match op {
-                CmpOp::Lt => CmpOp::Gt,
-                CmpOp::Le => CmpOp::Ge,
-                CmpOp::Gt => CmpOp::Lt,
-                CmpOp::Ge => CmpOp::Le,
-                other => other,
-            }
-        } else {
-            op
-        };
-        if let Value::Num(r) = v {
-            if !r.is_finite() {
-                self.diag(
-                    LintCode::NonFiniteConstant,
-                    span,
-                    format!("comparison against a non-finite constant ({r})"),
-                );
-                return None;
-            }
-        }
-        let ev = match (op, v) {
-            (CmpOp::Lt, Value::Num(r)) => Event::lt(t.clone(), *r),
-            (CmpOp::Le, Value::Num(r)) => Event::le(t.clone(), *r),
-            (CmpOp::Gt, Value::Num(r)) => Event::gt(t.clone(), *r),
-            (CmpOp::Ge, Value::Num(r)) => Event::ge(t.clone(), *r),
-            (CmpOp::Eq, Value::Num(r)) => Event::eq_real(t.clone(), *r),
-            (CmpOp::Ne, Value::Num(r)) => Event::eq_real(t.clone(), *r).negate(),
-            (CmpOp::Eq, Value::Str(s)) => Event::eq_str(t.clone(), s),
-            (CmpOp::Ne, Value::Str(s)) => Event::eq_str(t.clone(), s).negate(),
-            (CmpOp::Eq, Value::Bool(b)) => Event::eq_real(t.clone(), f64::from(*b)),
-            (CmpOp::Ne, Value::Bool(b)) => Event::eq_real(t.clone(), f64::from(*b)).negate(),
-            (CmpOp::In, Value::List(items)) => {
-                let set = self.values_to_set(items, span)?;
-                Event::in_set(t.clone(), set)
-            }
-            (CmpOp::In, Value::Bin { lo, hi, last }) => {
-                Event::in_set(t.clone(), bin_set(*lo, *hi, *last))
-            }
-            _ => return None,
-        };
-        Some(CompareResult::Event(ev))
-    }
-
-    fn values_to_set(&mut self, items: &[Value], span: Span) -> Option<OutcomeSet> {
-        let mut out = OutcomeSet::empty();
-        for item in items {
-            let piece = match item {
-                Value::Num(n) if !n.is_finite() => {
-                    self.diag(
-                        LintCode::NonFiniteConstant,
-                        span,
-                        "membership sets must contain finite numbers",
-                    );
-                    return None;
-                }
-                Value::Num(n) => OutcomeSet::real_point(*n),
-                Value::Str(s) => OutcomeSet::strings([s.as_str()]),
-                Value::Bool(b) => OutcomeSet::real_point(f64::from(*b)),
-                Value::Bin { lo, hi, last } => bin_set(*lo, *hi, *last),
-                Value::List(_) => return None,
-            };
-            out = out.union(&piece);
-        }
-        Some(out)
     }
 
     fn eval_call(
@@ -469,53 +329,17 @@ impl Walker {
         kwargs: &[(String, Expr)],
         span: Span,
     ) -> AbsValue {
-        if let "exp" | "ln" | "log" | "sqrt" | "abs" = func {
+        if ops::is_math(func) {
             if args.len() != 1 || !kwargs.is_empty() {
                 return AbsValue::Top;
             }
             return match self.eval(&args[0]) {
                 AbsValue::Const(Value::Num(x)) => {
-                    let v = match func {
-                        "exp" => x.exp(),
-                        "ln" | "log" => x.ln(),
-                        "sqrt" => x.sqrt(),
-                        _ => x.abs(),
-                    };
-                    if v.is_nan() {
-                        self.diag(
-                            LintCode::NonFiniteConstant,
-                            span,
-                            format!("{func}({x}) is undefined (argument outside the domain)"),
-                        );
-                        return AbsValue::Top;
-                    }
-                    AbsValue::Const(Value::Num(v))
+                    let v = ops::math_const(func, x);
+                    self.settle(v, span)
+                        .map_or(AbsValue::Top, |v| AbsValue::Const(Value::Num(v)))
                 }
-                AbsValue::Rv(t) => {
-                    let out = match func {
-                        "exp" => t.exp(),
-                        "ln" | "log" => {
-                            self.check_domain(
-                                &t,
-                                bad_log_inputs(),
-                                "log of a possibly non-positive random value",
-                                span,
-                            );
-                            t.ln()
-                        }
-                        "sqrt" => {
-                            self.check_domain(
-                                &t,
-                                bad_even_root_inputs(),
-                                "sqrt of a possibly negative random value",
-                                span,
-                            );
-                            t.sqrt()
-                        }
-                        _ => t.abs(),
-                    };
-                    AbsValue::Rv(out)
-                }
+                AbsValue::Rv(t) => self.partial_op(t.clone(), ops::math_rv(func, t), span),
                 _ => AbsValue::Top,
             };
         }
@@ -537,44 +361,21 @@ impl Walker {
                 ))
             }
             "binspace" => {
-                let mut pos = Vec::new();
+                let mut bounds = Vec::new();
                 for a in args {
                     match self.eval_number(a) {
-                        Some(Some(v)) => pos.push(v),
+                        Some(Some(v)) => bounds.push(v),
                         _ => return AbsValue::Top,
                     }
                 }
                 let mut n = None;
                 for (k, v) in kwargs {
-                    if k == "n" {
-                        match self.eval_number(v) {
-                            Some(Some(v)) => n = Some(v as usize),
-                            _ => return AbsValue::Top,
-                        }
-                    } else {
-                        return AbsValue::Top;
+                    match self.eval_number(v) {
+                        Some(Some(v)) if k == "n" => n = Some(v),
+                        _ => return AbsValue::Top,
                     }
                 }
-                let (&[lo, hi], Some(n)) = (pos.as_slice(), n) else {
-                    return AbsValue::Top;
-                };
-                if !lo.is_finite() || !hi.is_finite() || n == 0 || hi <= lo {
-                    return AbsValue::Top;
-                }
-                let step = (hi - lo) / n as f64;
-                AbsValue::Const(Value::List(
-                    (0..n)
-                        .map(|i| Value::Bin {
-                            lo: lo + step * i as f64,
-                            hi: if i + 1 == n {
-                                hi
-                            } else {
-                                lo + step * (i + 1) as f64
-                            },
-                            last: i + 1 == n,
-                        })
-                        .collect(),
-                ))
+                ops::binspace(&bounds, n).map_or(AbsValue::Top, AbsValue::Const)
             }
             "array" => AbsValue::Top,
             _ => self.eval_distribution(func, args, kwargs, span),
@@ -584,7 +385,7 @@ impl Walker {
     /// Evaluates an expression expected to be a constant number.
     /// `Some(Some(v))` known, `Some(None)` unknown, `None` invalid
     /// (non-numeric or random — an R4 violation for parameters).
-    fn eval_number(&mut self, e: &Expr) -> Option<Param> {
+    fn eval_number(&mut self, e: &Expr) -> Option<Option<f64>> {
         match self.eval(e) {
             AbsValue::Const(Value::Num(n)) => Some(Some(n)),
             AbsValue::Top => Some(None),
@@ -606,8 +407,8 @@ impl Walker {
         kwargs: &[(String, Expr)],
         span: Span,
     ) -> AbsValue {
-        let mut pos: Vec<Param> = Vec::new();
-        let mut dict: Option<Vec<(Value, Param)>> = None;
+        let mut pos = Vec::new();
+        let mut dict = None;
         let mut r4_violation = false;
         for a in args {
             if let Expr::Dict(items, _) = a {
@@ -617,170 +418,78 @@ impl Walker {
                         AbsValue::Const(c) => c,
                         _ => return AbsValue::Top,
                     };
-                    let w = match self.eval_number(v) {
-                        Some(w) => w,
-                        None => {
-                            r4_violation = true;
-                            None
-                        }
-                    };
+                    let w = self.eval_number(v).unwrap_or_else(|| {
+                        r4_violation = true;
+                        None
+                    });
                     pairs.push((key, w));
                 }
                 dict = Some(pairs);
             } else {
-                match self.eval_number(a) {
-                    Some(p) => pos.push(p),
-                    None => {
-                        self.diag(
-                            LintCode::InvalidParameter,
-                            a.span(),
-                            "distribution parameters must be compile-time constants (R4)",
-                        );
-                        r4_violation = true;
-                        pos.push(None);
-                    }
-                }
+                pos.push(self.eval_param(a, &mut r4_violation));
             }
         }
-        let mut named: HashMap<&str, Param> = HashMap::new();
+        let mut named = Vec::new();
         for (k, v) in kwargs {
-            match self.eval_number(v) {
-                Some(p) => {
-                    named.insert(k.as_str(), p);
-                }
-                None => {
-                    self.diag(
-                        LintCode::InvalidParameter,
-                        v.span(),
-                        "distribution parameters must be compile-time constants (R4)",
-                    );
-                    r4_violation = true;
-                    named.insert(k.as_str(), None);
-                }
-            }
+            named.push((k.as_str(), self.eval_param(v, &mut r4_violation)));
         }
-        match dists::infer(func, &pos, &named, dict.as_deref()) {
-            DistVerdict::Ok(support) => AbsValue::Dist(support),
-            DistVerdict::Invalid(msg, fallback) => {
-                if !r4_violation {
-                    self.diag(LintCode::InvalidParameter, span, msg);
-                }
-                AbsValue::Dist(fallback)
+        let family = match Family::named(func) {
+            Ok(family) => family,
+            Err(e) => {
+                self.diag(LintCode::UseBeforeDefine, span, e.to_string());
+                return AbsValue::Top;
             }
-            DistVerdict::UnknownName => {
-                self.diag(
-                    LintCode::UseBeforeDefine,
-                    span,
-                    format!("unknown function or distribution `{func}`"),
-                );
-                AbsValue::Top
+        };
+        match family.build(&pos, &named, dict.as_deref()) {
+            Ok(spec) => AbsValue::Dist(spec.support()),
+            Err(e) => {
+                if !r4_violation && e != EvalError::Unknown {
+                    self.diag(LintCode::InvalidParameter, span, e.to_string());
+                }
+                AbsValue::Dist(family.widest_support())
             }
         }
     }
 
-    /// Coerces a value to a predicate, mirroring the translator's
-    /// truthiness rules. `None` when unknown.
+    /// A distribution parameter, `None` when unknown; a random or
+    /// non-numeric one violates R4.
+    fn eval_param(&mut self, e: &Expr, r4_violation: &mut bool) -> Option<f64> {
+        self.eval_number(e).unwrap_or_else(|| {
+            self.diag(
+                LintCode::InvalidParameter,
+                e.span(),
+                "distribution parameters must be compile-time constants (R4)",
+            );
+            *r4_violation = true;
+            None
+        })
+    }
+
+    /// Coerces a value to a predicate by the translator's truthiness
+    /// rules. `None` when unknown.
     pub(crate) fn coerce_event(&mut self, v: AbsValue) -> Option<Event> {
         match v {
             AbsValue::Event(e) => Some(e),
-            AbsValue::Const(Value::Bool(b)) => {
-                Some(if b { Event::always() } else { Event::never() })
-            }
-            AbsValue::Const(Value::Num(n)) => Some(if n != 0.0 {
-                Event::always()
-            } else {
-                Event::never()
-            }),
-            AbsValue::Rv(t) => Some(Event::eq_real(t, 0.0).negate()),
+            AbsValue::Const(c) => ops::const_truth(&c),
+            AbsValue::Rv(t) => Some(ops::rv_truth(t)),
             _ => None,
         }
     }
 }
 
-enum CompareResult {
-    Event(Event),
-    Static(bool),
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-fn static_compare(op: CmpOp, a: &Value, b: &Value) -> Option<bool> {
-    match (a, b) {
-        (Value::Num(x), Value::Num(y)) => Some(match op {
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::In => return None,
-        }),
-        (Value::Str(x), Value::Str(y)) => match op {
-            CmpOp::Eq => Some(x == y),
-            CmpOp::Ne => Some(x != y),
-            _ => None,
-        },
-        (Value::Bool(x), Value::Bool(y)) => match op {
-            CmpOp::Eq => Some(x == y),
-            CmpOp::Ne => Some(x != y),
-            _ => None,
-        },
-        (v, Value::List(items)) if op == CmpOp::In => Some(items.iter().any(|i| i == v)),
-        (Value::Num(x), Value::Bin { lo, hi, last }) if op == CmpOp::In => {
-            Some(*x >= *lo && (*x < *hi || (*last && *x <= *hi)))
-        }
-        _ => None,
-    }
-}
-
-fn rv_rv_op(op: BinOp, ta: Transform, tb: Transform) -> AbsValue {
-    let (ia, pa) = poly_view(&ta);
-    let (ib, pb) = poly_view(&tb);
-    if ia != ib {
-        return AbsValue::Top;
-    }
-    let p = match op {
-        BinOp::Add => pa.add(&pb),
-        BinOp::Sub => pa.sub(&pb),
-        BinOp::Mul => pa.mul(&pb),
-        _ => return AbsValue::Top,
-    };
-    AbsValue::Rv(Transform::poly(ia.clone(), p))
-}
-
-fn poly_view(t: &Transform) -> (&Transform, Polynomial) {
-    match t {
-        Transform::Poly(inner, p) => (inner, p.clone()),
-        other => (other, Polynomial::identity()),
-    }
-}
-
-pub(crate) fn bin_set(lo: f64, hi: f64, last: bool) -> OutcomeSet {
-    let iv = if last {
-        Interval::closed(lo, hi)
-    } else {
-        Interval::closed_open(lo, hi)
-    };
-    OutcomeSet::from(iv)
-}
-
-/// Case value → guard event for `switch` desugaring (mirrors the
-/// translator's `case_event`).
-pub(crate) fn case_event(t: &Transform, case: &Value) -> Option<Event> {
-    match case {
-        Value::Num(n) if !n.is_finite() => None,
-        Value::Num(n) => Some(Event::eq_real(t.clone(), *n)),
-        Value::Str(s) => Some(Event::eq_str(t.clone(), s)),
-        Value::Bool(b) => Some(Event::eq_real(t.clone(), f64::from(*b))),
-        Value::Bin { lo, hi, last } => Some(Event::in_set(t.clone(), bin_set(*lo, *hi, *last))),
-        Value::List(_) => None,
-    }
-}
-
-/// Static case matching for constant switch subjects.
-pub(crate) fn static_case_matches(subject: &Value, case: &Value) -> bool {
-    match (subject, case) {
-        (Value::Num(x), Value::Bin { lo, hi, last }) => {
-            *x >= *lo && (*x < *hi || (*last && *x <= *hi))
-        }
-        (a, b) => a == b,
+    #[test]
+    fn a_large_integer_support_is_its_interval_hull() {
+        let program = sppl_lang::parse("X ~ randint(0, 10000000)").expect("parses");
+        let mut w = Walker::new();
+        w.exec_all(&program.commands);
+        assert!(w.diags.is_empty(), "{:?}", w.diags);
+        assert_eq!(
+            w.env.support_of("X"),
+            OutcomeSet::from(Interval::closed(0.0, 1e7))
+        );
     }
 }

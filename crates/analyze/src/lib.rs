@@ -22,6 +22,11 @@
 //!   definition (`W104`: `log`/`sqrt` of a possibly-negative value,
 //!   division by a possibly-zero value).
 //!
+//! Expressions and distribution calls are evaluated with the
+//! translator's own functions ([`sppl_lang::ops`], [`sppl_lang::dists`]),
+//! so the analyzer accepts the calls the translator accepts, and an
+//! `E006` or `E007` message is the translator's error text.
+//!
 //! [`compile_model`] is the pipeline face: parse → [`analyze`] → prune
 //! dead branches → translate. Analyzer errors become structured
 //! [`LangError`]s with source spans; dead branches are pruned before
@@ -40,7 +45,6 @@
 #![forbid(unsafe_code)]
 
 mod cache;
-mod dists;
 mod env;
 mod eval;
 mod sat;

@@ -19,11 +19,12 @@ use std::collections::HashMap;
 use sppl_core::event::Event;
 use sppl_lang::ast::{Command, Expr, Target};
 use sppl_lang::diagnostics::{Diagnostic, LintCode, Severity, Span};
-use sppl_lang::translate::{first_match_guards, Value};
+use sppl_lang::ops::{case_event, static_case_matches, Value};
+use sppl_lang::translate::first_match_guards;
 use sppl_sets::OutcomeSet;
 
 use crate::env::{ConstVal, Env};
-use crate::eval::{case_event, static_case_matches, AbsValue};
+use crate::eval::AbsValue;
 use crate::sat;
 
 /// How many loop iterations the analyzer will unroll in total before
@@ -406,7 +407,7 @@ impl Walker {
                 let resolved = self.env.resolve_transform(&t);
                 let guards: Vec<Option<Event>> = vals
                     .iter()
-                    .map(|case| case_event(&resolved, case))
+                    .map(|case| case_event(&resolved, case).ok())
                     .collect();
                 // First match, as in the translator: a repeated value's
                 // later case is dead.

@@ -7,6 +7,11 @@ use sppl_sets::{Interval, Outcome, OutcomeSet, StringSet};
 
 use crate::cdf::Cdf;
 
+/// The most points [`DistInt::support_points`] lists. Listing costs time
+/// and memory linear in the count, so a larger finite support is given
+/// by its interval hull in [`Distribution::support_set`].
+const MAX_SUPPORT_POINTS: f64 = 10_000.0;
+
 /// A continuous real distribution: a base [`Cdf`] restricted to an interval
 /// of positive probability (the paper's `DistR(F r₁ r₂)`).
 #[derive(Debug, Clone, PartialEq)]
@@ -226,13 +231,14 @@ impl DistInt {
         DistInt::new(self.cdf.clone(), lo.max(self.k_lo), hi.min(self.k_hi))
     }
 
-    /// The supported integers, if finitely many (used to enumerate atoms).
+    /// The supported integers, if at most 10,000 of them (used to
+    /// enumerate atoms).
     pub fn support_points(&self) -> Option<Vec<f64>> {
-        if !self.k_hi.is_finite() || !self.k_lo.is_finite() {
+        let n = self.k_hi - self.k_lo;
+        if n + 1.0 > MAX_SUPPORT_POINTS {
             return None;
         }
-        let n = (self.k_hi - self.k_lo) as usize;
-        Some((0..=n).map(|i| self.k_lo + i as f64).collect())
+        Some((0..=n as usize).map(|i| self.k_lo + i as f64).collect())
     }
 
     /// Samples an integer via the truncated integral probability transform.
@@ -418,8 +424,10 @@ impl Distribution {
         }
     }
 
-    /// The set of outcomes with positive probability (an over-approximation
-    /// for continuous supports: the support interval).
+    /// The set of outcomes with positive probability, over-approximated
+    /// by the support interval for a continuous distribution and by the
+    /// closed interval hull for an integer one with more than 10,000
+    /// points.
     pub fn support_set(&self) -> OutcomeSet {
         match self {
             Distribution::Real(d) => OutcomeSet::from(d.support()),
@@ -523,6 +531,19 @@ mod tests {
         assert_eq!(d.support_points().unwrap(), vec![0.0, 1.0, 2.0, 3.0]);
         let p = DistInt::new(Cdf::poisson(1.0), 0.0, f64::INFINITY).unwrap();
         assert!(p.support_points().is_none());
+    }
+
+    #[test]
+    fn int_support_past_the_point_cap_is_the_interval_hull() {
+        let n = MAX_SUPPORT_POINTS;
+        let at_cap = DistInt::new(Cdf::discrete_uniform(1, n as i64), 1.0, n).unwrap();
+        assert_eq!(at_cap.support_points().map(|p| p.len()), Some(n as usize));
+        let past = DistInt::new(Cdf::discrete_uniform(0, n as i64), 0.0, n).unwrap();
+        assert!(past.support_points().is_none());
+        assert_eq!(
+            Distribution::Int(past).support_set(),
+            OutcomeSet::from(Interval::closed(0.0, n))
+        );
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //! into SPPL source (`→SPPL`, Lst. 8) such that retranslating preserves
 //! the distribution (Eq. 46).
 //!
+//! What an expression means is defined once, for the translator and the
+//! static analyzer in `sppl-analyze` alike: [`dists`] holds the
+//! distribution family table, and [`ops`] the operations on constants and
+//! random values. Both return an [`ops::EvalError`] whose text both
+//! passes report.
+//!
 //! # Example
 //!
 //! ```
@@ -35,7 +41,9 @@
 
 pub mod ast;
 pub mod diagnostics;
+pub mod dists;
 pub mod lexer;
+pub mod ops;
 pub mod parser;
 pub mod translate;
 pub mod untranslate;

@@ -15,6 +15,10 @@
 //! guard probabilities; `for` unrolls; `switch` desugars per Eq. 4. An
 //! `if`/`elif` chain and a `switch` are both first-match chains, whose
 //! per-arm guards [`first_match_guards`] builds.
+//!
+//! Operators, comparisons and built-ins are evaluated by [`crate::ops`],
+//! and distribution calls by the family table in [`crate::dists`]; the
+//! static analyzer calls the same functions.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -23,12 +27,14 @@ use sppl_core::event::Event;
 use sppl_core::spe::{Factory, Node, Spe};
 use sppl_core::transform::Transform;
 use sppl_core::var::Var;
-use sppl_dists::{Cdf, DistInt, DistReal, DistStr, Distribution};
-use sppl_num::Polynomial;
-use sppl_sets::{Interval, OutcomeSet};
+use sppl_dists::Distribution;
+use sppl_sets::OutcomeSet;
 
 use crate::ast::{BinOp, CmpOp, Command, Expr, Program, Target, UnOp};
 use crate::diagnostics::{LangError, Span};
+use crate::dists::{DistSpec, Family};
+pub use crate::ops::Value;
+use crate::ops::{self, EvalError, Link};
 
 /// One `if`/`elif`/`switch` branch: guard event, body, and the optional
 /// constant binding a `switch` case introduces.
@@ -47,40 +53,6 @@ pub fn translate(factory: &Factory, program: &Program) -> Result<Spe, LangError>
     t.finish()
 }
 
-/// A compile-time constant value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A real number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-    /// A list of constants.
-    List(Vec<Value>),
-    /// A `binspace` bin `[lo, hi)` (closed at `hi` when `last`).
-    Bin {
-        /// Lower edge.
-        lo: f64,
-        /// Upper edge.
-        hi: f64,
-        /// Whether this is the final (closed) bin.
-        last: bool,
-    },
-}
-
-impl Value {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Value::Num(_) => "number",
-            Value::Str(_) => "string",
-            Value::Bool(_) => "boolean",
-            Value::List(_) => "list",
-            Value::Bin { .. } => "bin",
-        }
-    }
-}
-
 /// Result of evaluating an expression in the current state.
 #[derive(Debug, Clone)]
 enum Evaluated {
@@ -92,15 +64,6 @@ enum Evaluated {
     Dist(DistSpec),
     /// A predicate.
     Event(Event),
-}
-
-/// A distribution expression: either a primitive distribution or a numeric
-/// categorical (`discrete({v: w, …})`), which lowers to a mixture of
-/// atoms at sampling time.
-#[derive(Debug, Clone)]
-enum DistSpec {
-    Simple(Distribution),
-    NumericMixture(Vec<(f64, f64)>),
 }
 
 #[derive(Debug, Clone)]
@@ -121,6 +84,11 @@ pub struct Translator<'f> {
 
 fn err<S: Into<String>>(span: Span, msg: S) -> LangError {
     LangError::new(span, msg.into())
+}
+
+/// Reports a value operation's error at `span`.
+fn at(span: Span) -> impl Fn(EvalError) -> LangError {
+    move |e| err(span, e.to_string())
 }
 
 impl<'f> Translator<'f> {
@@ -236,7 +204,7 @@ impl<'f> Translator<'f> {
                     Evaluated::Const(v) => {
                         // Static dispatch: run the matching case only.
                         for case in &values {
-                            if static_case_matches(&v, case) {
+                            if ops::static_case_matches(&v, case) {
                                 let saved = self.state.consts.get(binder).cloned();
                                 self.state.consts.insert(binder.clone(), case.clone());
                                 self.exec_all(body)?;
@@ -252,7 +220,7 @@ impl<'f> Translator<'f> {
                     Evaluated::Rv(t) => {
                         let raw = values
                             .iter()
-                            .map(|case| case_event(&t, case, *span))
+                            .map(|case| ops::case_event(&t, case).map_err(at(*span)))
                             .collect::<Result<Vec<_>, _>>()?;
                         // The first matching case runs, so a repeated
                         // value's later case gets an empty guard.
@@ -551,17 +519,12 @@ impl<'f> Translator<'f> {
     fn coerce_event(&self, v: Evaluated, span: Span) -> Result<Event, LangError> {
         match v {
             Evaluated::Event(e) => Ok(e),
-            Evaluated::Const(Value::Bool(b)) => {
-                Ok(if b { Event::always() } else { Event::never() })
+            Evaluated::Rv(t) => Ok(ops::rv_truth(t)),
+            other => match &other {
+                Evaluated::Const(c) => ops::const_truth(c),
+                _ => None,
             }
-            Evaluated::Const(Value::Num(n)) => Ok(if n != 0.0 {
-                Event::always()
-            } else {
-                Event::never()
-            }),
-            // Truthiness of a random variable: nonzero.
-            Evaluated::Rv(t) => Ok(Event::eq_real(t, 0.0).negate()),
-            other => Err(err(span, format!("expected a predicate, got {other:?}"))),
+            .ok_or_else(|| err(span, format!("expected a predicate, got {other:?}"))),
         }
     }
 
@@ -600,11 +563,8 @@ impl<'f> Translator<'f> {
                 span,
             } => self.eval_call(func, args, kwargs, *span),
             Expr::MethodCall {
-                recv,
-                method,
-                args,
-                span,
-            } => self.eval_method(recv, method, args, *span),
+                recv, method, span, ..
+            } => self.eval_method(recv, method, *span),
             Expr::Unary(op, inner, span) => {
                 let v = self.eval(inner)?;
                 match (op, v) {
@@ -674,24 +634,15 @@ impl<'f> Translator<'f> {
         &mut self,
         recv: &Expr,
         method: &str,
-        args: &[Expr],
         span: Span,
     ) -> Result<Evaluated, LangError> {
         let r = self.eval(recv)?;
-        match (r, method) {
-            (Evaluated::Const(Value::Bin { lo, hi, .. }), "mean") => {
-                Ok(Evaluated::Const(Value::Num((lo + hi) / 2.0)))
-            }
-            (Evaluated::Const(Value::Bin { lo, .. }), "lo") => Ok(Evaluated::Const(Value::Num(lo))),
-            (Evaluated::Const(Value::Bin { hi, .. }), "hi") => Ok(Evaluated::Const(Value::Num(hi))),
-            (Evaluated::Const(Value::List(vs)), "len") => {
-                Ok(Evaluated::Const(Value::Num(vs.len() as f64)))
-            }
-            (r, m) => {
-                let _ = args;
-                Err(err(span, format!("unknown method .{m}() on {r:?}")))
+        if let Evaluated::Const(v) = &r {
+            if let Some(out) = ops::method(v, method) {
+                return Ok(Evaluated::Const(out));
             }
         }
+        Err(err(span, format!("unknown method .{method}() on {r:?}")))
     }
 
     fn eval_binary(
@@ -713,147 +664,24 @@ impl<'f> Translator<'f> {
             }
             _ => match (a, b) {
                 (Const(Value::Num(x)), Const(Value::Num(y))) => {
-                    let v = match op {
-                        BinOp::Add => x + y,
-                        BinOp::Sub => x - y,
-                        BinOp::Mul => x * y,
-                        BinOp::Div => {
-                            if y == 0.0 {
-                                return Err(err(span, "division by zero"));
-                            }
-                            x / y
-                        }
-                        BinOp::Pow => x.powf(y),
-                        BinOp::And | BinOp::Or => {
-                            return Err(err(span, "logical operators require boolean events"))
-                        }
-                    };
-                    if v.is_nan() {
-                        return Err(err(
-                            span,
-                            "constant arithmetic produced NaN (undefined value)",
-                        ));
-                    }
-                    Ok(Const(Value::Num(v)))
+                    ops::arith(op, x, y).map(|v| Const(Value::Num(v)))
                 }
-                (Rv(t), Const(Value::Num(c))) => self.rv_const_op(op, t, c, false, span),
-                (Const(Value::Num(c)), Rv(t)) => self.rv_const_op(op, t, c, true, span),
-                (Rv(ta), Rv(tb)) => self.rv_rv_op(op, ta, tb, span),
-                (a, b) => Err(err(
-                    span,
-                    format!("unsupported operands for {op:?}: {a:?} and {b:?}"),
-                )),
-            },
-        }
-    }
-
-    /// Arithmetic between a random transform and a constant; `flipped`
-    /// means the constant is on the left.
-    fn rv_const_op(
-        &self,
-        op: BinOp,
-        t: Transform,
-        c: f64,
-        flipped: bool,
-        span: Span,
-    ) -> Result<Evaluated, LangError> {
-        let out = match (op, flipped) {
-            (BinOp::Add, _) => t.add_const(c),
-            (BinOp::Sub, false) => t.add_const(-c),
-            (BinOp::Sub, true) => t.neg().add_const(c),
-            (BinOp::Mul, _) => t.mul_const(c),
-            (BinOp::Div, false) => {
-                if c == 0.0 {
-                    return Err(err(span, "division by zero"));
+                (Rv(t), Const(Value::Num(c))) => {
+                    ops::rv_const_op(op, t, c, false).map(|(t, _)| Rv(t))
                 }
-                t.mul_const(1.0 / c)
-            }
-            (BinOp::Div, true) => t.recip().mul_const(c),
-            (BinOp::Pow, false) => {
-                // t ** c
-                if c >= 0.0 && c.fract() == 0.0 {
-                    t.pow_int(c as u32)
-                } else if c == 0.5 {
-                    t.sqrt()
-                } else if c == -1.0 {
-                    t.recip()
-                } else if c < 0.0 && c.fract() == 0.0 {
-                    t.pow_int((-c) as u32).recip()
-                } else if c > 0.0 && (1.0 / c).fract().abs() < 1e-12 {
-                    t.root((1.0 / c) as u32)
-                } else {
+                (Const(Value::Num(c)), Rv(t)) => {
+                    ops::rv_const_op(op, t, c, true).map(|(t, _)| Rv(t))
+                }
+                (Rv(ta), Rv(tb)) => ops::rv_rv_op(op, ta, tb).map(Rv),
+                (a, b) => {
                     return Err(err(
                         span,
-                        format!("unsupported exponent {c}: use integers, 0.5, or 1/n"),
-                    ));
+                        format!("unsupported operands for {op:?}: {a:?} and {b:?}"),
+                    ))
                 }
             }
-            (BinOp::Pow, true) => {
-                // c ** t
-                if c <= 0.0 || c == 1.0 {
-                    return Err(err(
-                        span,
-                        format!("exponential base must be positive and ≠ 1, got {c}"),
-                    ));
-                }
-                t.exp_base(c)
-            }
-            (BinOp::And | BinOp::Or, _) => {
-                return Err(err(
-                    span,
-                    "logical operators apply to events, not random values",
-                ))
-            }
-        };
-        Ok(Evaluated::Rv(out))
-    }
-
-    /// Arithmetic between two random transforms: supported exactly when
-    /// both are polynomials of the *same* inner transform (hence still
-    /// univariate, satisfying R3).
-    fn rv_rv_op(
-        &self,
-        op: BinOp,
-        ta: Transform,
-        tb: Transform,
-        span: Span,
-    ) -> Result<Evaluated, LangError> {
-        let (ia, pa) = poly_view(&ta);
-        let (ib, pb) = poly_view(&tb);
-        if ia != ib {
-            let va = ta.vars();
-            let vb = tb.vars();
-            if va != vb {
-                return Err(err(
-                    span,
-                    "multivariate transforms are not expressible (R3): \
-                     operands mention different variables",
-                ));
-            }
-            return Err(err(
-                span,
-                "cannot combine these transforms exactly; rewrite as a polynomial \
-                 of a single subexpression",
-            ));
+            .map_err(at(span)),
         }
-        let p = match op {
-            BinOp::Add => pa.add(&pb),
-            BinOp::Sub => pa.sub(&pb),
-            BinOp::Mul => pa.mul(&pb),
-            BinOp::Div | BinOp::Pow => {
-                return Err(err(
-                    span,
-                    format!("{op:?} between two random expressions is not supported (R3)"),
-                ))
-            }
-            BinOp::And | BinOp::Or => {
-                return Err(err(
-                    span,
-                    "logical operators apply to events, not random values",
-                ))
-            }
-        };
-        Ok(Evaluated::Rv(Transform::poly(ia.clone(), p)))
     }
 
     fn eval_compare(
@@ -866,23 +694,12 @@ impl<'f> Translator<'f> {
         for (_, e) in chain {
             operands.push(self.eval(e)?);
         }
-        let mut events: Vec<Event> = Vec::new();
-        let mut statically_false = false;
-        for (i, (op, _)) in chain.iter().enumerate() {
-            match compare_pair(*op, &operands[i], &operands[i + 1], span)? {
-                CompareResult::Event(e) => events.push(e),
-                CompareResult::Static(true) => {}
-                CompareResult::Static(false) => statically_false = true,
-            }
-        }
-        if statically_false {
-            return Ok(Evaluated::Event(Event::never()));
-        }
-        if events.is_empty() {
-            // Entirely constant comparison.
-            return Ok(Evaluated::Const(Value::Bool(true)));
-        }
-        Ok(Evaluated::Event(Event::and(events)))
+        let links = chain
+            .iter()
+            .enumerate()
+            .map(|(i, (op, _))| compare_pair(*op, &operands[i], &operands[i + 1], span))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ops::chain(links).map_or(Evaluated::Const(Value::Bool(true)), Evaluated::Event))
     }
 
     fn eval_call(
@@ -893,37 +710,17 @@ impl<'f> Translator<'f> {
         span: Span,
     ) -> Result<Evaluated, LangError> {
         // Math functions over constants or random transforms.
-        if let "exp" | "ln" | "log" | "sqrt" | "abs" = func {
+        if ops::is_math(func) {
             if args.len() != 1 || !kwargs.is_empty() {
                 return Err(err(span, format!("{func}(x) takes exactly one argument")));
             }
             return match self.eval(&args[0])? {
-                Evaluated::Const(Value::Num(x)) => {
-                    let v = match func {
-                        "exp" => x.exp(),
-                        "ln" | "log" => x.ln(),
-                        "sqrt" => x.sqrt(),
-                        "abs" => x.abs(),
-                        other => return Err(err(span, format!("unknown math function `{other}`"))),
-                    };
-                    if v.is_nan() {
-                        return Err(err(
-                            span,
-                            format!("{func}({x}) is undefined (argument outside the domain)"),
-                        ));
-                    }
-                    Ok(Evaluated::Const(Value::Num(v)))
-                }
-                Evaluated::Rv(t) => {
-                    let out = match func {
-                        "exp" => t.exp(),
-                        "ln" | "log" => t.ln(),
-                        "sqrt" => t.sqrt(),
-                        "abs" => t.abs(),
-                        other => return Err(err(span, format!("unknown math function `{other}`"))),
-                    };
-                    Ok(Evaluated::Rv(out))
-                }
+                Evaluated::Const(Value::Num(x)) => ops::math_const(func, x)
+                    .map(|v| Evaluated::Const(Value::Num(v)))
+                    .map_err(at(span)),
+                Evaluated::Rv(t) => ops::math_rv(func, t)
+                    .map(|(t, _)| Evaluated::Rv(t))
+                    .map_err(at(span)),
                 other => Err(err(span, format!("{func} expects a number, got {other:?}"))),
             };
         }
@@ -947,42 +744,20 @@ impl<'f> Translator<'f> {
                 )))
             }
             "binspace" => {
-                let mut pos = Vec::new();
+                let mut bounds = Vec::new();
                 for a in args {
-                    pos.push(self.eval_number(a)?);
+                    bounds.push(self.eval_number(a)?);
                 }
                 let mut n = None;
                 for (k, v) in kwargs {
-                    if k == "n" {
-                        n = Some(self.eval_number(v)? as usize);
-                    } else {
+                    if k != "n" {
                         return Err(err(span, format!("unknown keyword {k} for binspace")));
                     }
+                    n = Some(self.eval_number(v)?);
                 }
-                let (lo, hi) = match pos.as_slice() {
-                    [a, b] => (*a, *b),
-                    _ => return Err(err(span, "binspace(lo, hi, n=k) requires two bounds")),
-                };
-                let n = n.ok_or_else(|| err(span, "binspace requires n=k"))?;
-                if !lo.is_finite() || !hi.is_finite() {
-                    return Err(err(span, "binspace bounds must be finite"));
-                }
-                if n == 0 || hi <= lo {
-                    return Err(err(span, "binspace requires n >= 1 and lo < hi"));
-                }
-                let step = (hi - lo) / n as f64;
-                let bins = (0..n)
-                    .map(|i| Value::Bin {
-                        lo: lo + step * i as f64,
-                        hi: if i + 1 == n {
-                            hi
-                        } else {
-                            lo + step * (i + 1) as f64
-                        },
-                        last: i + 1 == n,
-                    })
-                    .collect();
-                Ok(Evaluated::Const(Value::List(bins)))
+                ops::binspace(&bounds, n)
+                    .map(Evaluated::Const)
+                    .map_err(at(span))
             }
             "array" => Err(err(span, "array(n) is only valid as `name = array(n)`")),
             _ => self.eval_distribution(func, args, kwargs, span),
@@ -1009,8 +784,8 @@ impl<'f> Translator<'f> {
         span: Span,
     ) -> Result<Evaluated, LangError> {
         // Gather numeric parameters by position and keyword.
-        let mut pos: Vec<f64> = Vec::new();
-        let mut dict_arg: Option<Vec<(Value, f64)>> = None;
+        let mut pos = Vec::new();
+        let mut dict = None;
         for a in args {
             if let Expr::Dict(items, _) = a {
                 let mut pairs = Vec::new();
@@ -1024,292 +799,22 @@ impl<'f> Translator<'f> {
                             ))
                         }
                     };
-                    let w = self.eval_number(v)?;
-                    pairs.push((key, w));
+                    pairs.push((key, Some(self.eval_number(v)?)));
                 }
-                dict_arg = Some(pairs);
+                dict = Some(pairs);
             } else {
-                pos.push(self.eval_number(a)?);
+                pos.push(Some(self.eval_number(a)?));
             }
         }
-        let mut named: HashMap<&str, f64> = HashMap::new();
+        let mut named = Vec::new();
         for (k, v) in kwargs {
-            named.insert(k.as_str(), self.eval_number(v)?);
+            named.push((k.as_str(), Some(self.eval_number(v)?)));
         }
-        // All numeric parameters must be finite: NaN/±inf would otherwise
-        // slip past per-family range checks (NaN compares false against
-        // everything) and corrupt interval invariants downstream.
-        for p in pos.iter().chain(named.values()) {
-            if !p.is_finite() {
-                return Err(err(
-                    span,
-                    format!("distribution parameters must be finite, got {p}"),
-                ));
-            }
-        }
-        if let Some(pairs) = &dict_arg {
-            for (k, w) in pairs {
-                if !w.is_finite() {
-                    return Err(err(
-                        span,
-                        format!("distribution weights must be finite, got {w}"),
-                    ));
-                }
-                if let Value::Num(n) = k {
-                    if !n.is_finite() {
-                        return Err(err(
-                            span,
-                            format!("distribution outcomes must be finite, got {n}"),
-                        ));
-                    }
-                }
-            }
-        }
-        let get =
-            |named: &HashMap<&str, f64>, pos: &[f64], names: &[&str], i: usize| -> Option<f64> {
-                names
-                    .iter()
-                    .find_map(|n| named.get(n).copied())
-                    .or_else(|| pos.get(i).copied())
-            };
-
-        let dist = match func {
-            "normal" | "gaussian" => {
-                let mu = get(&named, &pos, &["mu", "loc", "mean"], 0)
-                    .ok_or_else(|| err(span, "normal requires a mean"))?;
-                let sigma = get(&named, &pos, &["sigma", "scale", "std"], 1)
-                    .ok_or_else(|| err(span, "normal requires a scale"))?;
-                if sigma <= 0.0 {
-                    return Err(err(
-                        span,
-                        format!("normal scale must be positive, got {sigma}"),
-                    ));
-                }
-                real_dist(Cdf::normal(mu, sigma), span)?
-            }
-            "uniform" => {
-                let a = get(&named, &pos, &["a", "lo", "loc"], 0)
-                    .ok_or_else(|| err(span, "uniform requires a lower bound"))?;
-                let b = get(&named, &pos, &["b", "hi"], 1)
-                    .ok_or_else(|| err(span, "uniform requires an upper bound"))?;
-                if b <= a {
-                    return Err(err(
-                        span,
-                        format!("uniform requires lo < hi, got [{a}, {b}]"),
-                    ));
-                }
-                DistReal::new(Cdf::uniform(a, b), Interval::closed(a, b))
-                    .map(Distribution::Real)
-                    .ok_or_else(|| err(span, "uniform restriction has zero mass"))?
-            }
-            "exponential" => {
-                let rate = get(&named, &pos, &["rate", "lam", "lambda_"], 0)
-                    .ok_or_else(|| err(span, "exponential requires a rate"))?;
-                if rate <= 0.0 {
-                    return Err(err(span, "exponential rate must be positive"));
-                }
-                real_dist(Cdf::exponential(rate), span)?
-            }
-            "gamma" => {
-                let shape = get(&named, &pos, &["shape", "a", "k"], 0)
-                    .ok_or_else(|| err(span, "gamma requires a shape"))?;
-                let scale = get(&named, &pos, &["scale", "theta"], 1).unwrap_or(1.0);
-                if shape <= 0.0 || scale <= 0.0 {
-                    return Err(err(span, "gamma parameters must be positive"));
-                }
-                real_dist(Cdf::gamma(shape, scale), span)?
-            }
-            "beta" => {
-                let a = get(&named, &pos, &["a", "alpha"], 0)
-                    .ok_or_else(|| err(span, "beta requires a"))?;
-                let b = get(&named, &pos, &["b", "beta"], 1)
-                    .ok_or_else(|| err(span, "beta requires b"))?;
-                let scale = get(&named, &pos, &["scale"], 2).unwrap_or(1.0);
-                if a <= 0.0 || b <= 0.0 || scale <= 0.0 {
-                    return Err(err(span, "beta parameters must be positive"));
-                }
-                real_dist(Cdf::beta_scaled(a, b, scale), span)?
-            }
-            "cauchy" => {
-                let loc = get(&named, &pos, &["loc"], 0)
-                    .ok_or_else(|| err(span, "cauchy requires loc"))?;
-                let scale = get(&named, &pos, &["scale"], 1)
-                    .ok_or_else(|| err(span, "cauchy requires scale"))?;
-                if scale <= 0.0 {
-                    return Err(err(span, "cauchy scale must be positive"));
-                }
-                real_dist(Cdf::cauchy(loc, scale), span)?
-            }
-            "laplace" => {
-                let loc = get(&named, &pos, &["loc"], 0)
-                    .ok_or_else(|| err(span, "laplace requires loc"))?;
-                let scale = get(&named, &pos, &["scale"], 1)
-                    .ok_or_else(|| err(span, "laplace requires scale"))?;
-                if scale <= 0.0 {
-                    return Err(err(span, "laplace scale must be positive"));
-                }
-                real_dist(Cdf::laplace(loc, scale), span)?
-            }
-            "logistic" => {
-                let loc = get(&named, &pos, &["loc"], 0)
-                    .ok_or_else(|| err(span, "logistic requires loc"))?;
-                let scale = get(&named, &pos, &["scale"], 1)
-                    .ok_or_else(|| err(span, "logistic requires scale"))?;
-                if scale <= 0.0 {
-                    return Err(err(span, "logistic scale must be positive"));
-                }
-                real_dist(Cdf::logistic(loc, scale), span)?
-            }
-            "student_t" | "studentt" => {
-                let df = get(&named, &pos, &["df"], 0)
-                    .ok_or_else(|| err(span, "student_t requires df"))?;
-                if df <= 0.0 {
-                    return Err(err(span, "student_t df must be positive"));
-                }
-                real_dist(Cdf::student_t(df), span)?
-            }
-            "bernoulli" => {
-                let p = get(&named, &pos, &["p"], 0)
-                    .ok_or_else(|| err(span, "bernoulli requires p"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(err(span, format!("bernoulli p must be in [0,1], got {p}")));
-                }
-                int_dist(Cdf::binomial(1, p), span)?
-            }
-            "binomial" => {
-                let n =
-                    get(&named, &pos, &["n"], 0).ok_or_else(|| err(span, "binomial requires n"))?;
-                let p =
-                    get(&named, &pos, &["p"], 1).ok_or_else(|| err(span, "binomial requires p"))?;
-                if n < 0.0 || n.fract() != 0.0 {
-                    return Err(err(span, "binomial n must be a nonnegative integer"));
-                }
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(err(span, "binomial p must be in [0,1]"));
-                }
-                int_dist(Cdf::binomial(n as u64, p), span)?
-            }
-            "poisson" => {
-                let mu = get(&named, &pos, &["mu", "lam", "rate", "mean"], 0)
-                    .ok_or_else(|| err(span, "poisson requires a mean"))?;
-                if mu <= 0.0 {
-                    return Err(err(
-                        span,
-                        format!("poisson mean must be positive, got {mu}"),
-                    ));
-                }
-                int_dist(Cdf::poisson(mu), span)?
-            }
-            "geometric" => {
-                let p = get(&named, &pos, &["p"], 0)
-                    .ok_or_else(|| err(span, "geometric requires p"))?;
-                if p <= 0.0 || p > 1.0 {
-                    return Err(err(span, "geometric p must be in (0,1]"));
-                }
-                int_dist(Cdf::geometric(p), span)?
-            }
-            "randint" | "discrete_uniform" => {
-                let lo = get(&named, &pos, &["lo"], 0)
-                    .ok_or_else(|| err(span, "randint requires lo"))?;
-                let hi = get(&named, &pos, &["hi"], 1)
-                    .ok_or_else(|| err(span, "randint requires hi"))?;
-                if lo.fract() != 0.0 || hi.fract() != 0.0 || hi < lo {
-                    return Err(err(span, "randint requires integer lo <= hi"));
-                }
-                int_dist(Cdf::discrete_uniform(lo as i64, hi as i64), span)?
-            }
-            "atomic" | "atom" => {
-                let loc = get(&named, &pos, &["loc"], 0)
-                    .ok_or_else(|| err(span, "atomic requires a location"))?;
-                Distribution::Atomic { loc }
-            }
-            "choice" => {
-                let pairs =
-                    dict_arg.ok_or_else(|| err(span, "choice requires a dict {value: weight}"))?;
-                let mut items = Vec::new();
-                for (k, w) in pairs {
-                    match k {
-                        Value::Str(s) => items.push((s, w)),
-                        other => {
-                            return Err(err(
-                                span,
-                                format!("choice keys must be strings, got {}", other.type_name()),
-                            ))
-                        }
-                    }
-                }
-                Distribution::Str(
-                    DistStr::new(items)
-                        .ok_or_else(|| err(span, "choice weights must include a positive entry"))?,
-                )
-            }
-            "discrete" => {
-                // Numeric categorical: lowers to a mixture of atoms.
-                let pairs = dict_arg
-                    .ok_or_else(|| err(span, "discrete requires a dict {value: weight}"))?;
-                let mut locs = Vec::new();
-                for (k, w) in pairs {
-                    match k {
-                        Value::Num(n) => {
-                            if w > 0.0 {
-                                locs.push((n, w));
-                            }
-                        }
-                        other => {
-                            return Err(err(
-                                span,
-                                format!("discrete keys must be numbers, got {}", other.type_name()),
-                            ))
-                        }
-                    }
-                }
-                let total: f64 = locs.iter().map(|(_, w)| w).sum();
-                if total <= 0.0 {
-                    return Err(err(span, "discrete weights must include a positive entry"));
-                }
-                for (_, w) in &mut locs {
-                    *w /= total;
-                }
-                return Ok(Evaluated::Dist(DistSpec::NumericMixture(locs)));
-            }
-            other => {
-                return Err(err(
-                    span,
-                    format!("unknown function or distribution `{other}`"),
-                ))
-            }
-        };
-        Ok(Evaluated::Dist(DistSpec::Simple(dist)))
+        Family::named(func)
+            .and_then(|family| family.build(&pos, &named, dict.as_deref()))
+            .map(Evaluated::Dist)
+            .map_err(at(span))
     }
-}
-
-fn real_dist(cdf: Cdf, span: Span) -> Result<Distribution, LangError> {
-    let (lo, hi) = cdf.support();
-    let iv = Interval::new(lo, lo.is_finite(), hi, hi.is_finite()).unwrap_or_else(Interval::all);
-    DistReal::new(cdf, iv)
-        .map(Distribution::Real)
-        .ok_or_else(|| err(span, "distribution support has zero mass"))
-}
-
-fn int_dist(cdf: Cdf, span: Span) -> Result<Distribution, LangError> {
-    let (lo, hi) = cdf.support();
-    DistInt::new(cdf, lo, hi)
-        .map(Distribution::Int)
-        .ok_or_else(|| err(span, "integer distribution has empty support"))
-}
-
-/// Splits a transform into `(inner, polynomial)` so that
-/// `t = polynomial(inner)`.
-fn poly_view(t: &Transform) -> (&Transform, Polynomial) {
-    match t {
-        Transform::Poly(inner, p) => (inner, p.clone()),
-        other => (other, Polynomial::identity()),
-    }
-}
-
-enum CompareResult {
-    Event(Event),
-    Static(bool),
 }
 
 fn compare_pair(
@@ -1317,135 +822,24 @@ fn compare_pair(
     lhs: &Evaluated,
     rhs: &Evaluated,
     span: Span,
-) -> Result<CompareResult, LangError> {
+) -> Result<Link, LangError> {
     use Evaluated::{Const, Rv};
     match (lhs, rhs) {
-        (Const(a), Const(b)) => static_compare(op, a, b, span).map(CompareResult::Static),
-        (Rv(t), Const(v)) => rv_compare(op, t, v, false, span),
-        (Const(v), Rv(t)) => rv_compare(op, t, v, true, span),
+        (Const(a), Const(b)) => ops::static_compare(op, a, b)
+            .map(Link::Static)
+            .map_err(at(span)),
+        (Rv(t), Const(v)) => ops::rv_compare(op, t, v, false)
+            .map(Link::Event)
+            .map_err(at(span)),
+        (Const(v), Rv(t)) => ops::rv_compare(op, t, v, true)
+            .map(Link::Event)
+            .map_err(at(span)),
         (Rv(_), Rv(_)) => Err(err(
             span,
             "comparisons between two random expressions are not expressible (R3)",
         )),
         (a, b) => Err(err(span, format!("cannot compare {a:?} with {b:?}"))),
     }
-}
-
-fn static_compare(op: CmpOp, a: &Value, b: &Value, span: Span) -> Result<bool, LangError> {
-    match (a, b) {
-        (Value::Num(x), Value::Num(y)) => Ok(match op {
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::In => return Err(err(span, "`in` requires a list on the right")),
-        }),
-        (Value::Str(x), Value::Str(y)) => match op {
-            CmpOp::Eq => Ok(x == y),
-            CmpOp::Ne => Ok(x != y),
-            _ => Err(err(span, "strings only support == and !=")),
-        },
-        (Value::Bool(x), Value::Bool(y)) => match op {
-            CmpOp::Eq => Ok(x == y),
-            CmpOp::Ne => Ok(x != y),
-            _ => Err(err(span, "booleans only support == and !=")),
-        },
-        (v, Value::List(items)) if op == CmpOp::In => Ok(items.iter().any(|i| i == v)),
-        (Value::Num(x), Value::Bin { lo, hi, last }) if op == CmpOp::In => {
-            Ok(*x >= *lo && (*x < *hi || (*last && *x <= *hi)))
-        }
-        (a, b) => Err(err(
-            span,
-            format!("cannot compare {} with {}", a.type_name(), b.type_name()),
-        )),
-    }
-}
-
-/// Comparison of a random transform against a constant. `flipped` means
-/// the constant was on the left (`c < t` ⇔ `t > c`).
-fn rv_compare(
-    op: CmpOp,
-    t: &Transform,
-    v: &Value,
-    flipped: bool,
-    span: Span,
-) -> Result<CompareResult, LangError> {
-    let op = if flipped {
-        match op {
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-            other => other,
-        }
-    } else {
-        op
-    };
-    // Interval endpoints must be real: NaN violates the interval
-    // invariants and ±inf cannot be an equality atom.
-    if let Value::Num(r) = v {
-        if !r.is_finite() {
-            return Err(err(
-                span,
-                format!("comparison against a non-finite constant ({r})"),
-            ));
-        }
-    }
-    let ev = match (op, v) {
-        (CmpOp::Lt, Value::Num(r)) => Event::lt(t.clone(), *r),
-        (CmpOp::Le, Value::Num(r)) => Event::le(t.clone(), *r),
-        (CmpOp::Gt, Value::Num(r)) => Event::gt(t.clone(), *r),
-        (CmpOp::Ge, Value::Num(r)) => Event::ge(t.clone(), *r),
-        (CmpOp::Eq, Value::Num(r)) => Event::eq_real(t.clone(), *r),
-        (CmpOp::Ne, Value::Num(r)) => Event::eq_real(t.clone(), *r).negate(),
-        (CmpOp::Eq, Value::Str(s)) => Event::eq_str(t.clone(), s),
-        (CmpOp::Ne, Value::Str(s)) => Event::eq_str(t.clone(), s).negate(),
-        (CmpOp::Eq, Value::Bool(b)) => Event::eq_real(t.clone(), f64::from(*b)),
-        (CmpOp::Ne, Value::Bool(b)) => Event::eq_real(t.clone(), f64::from(*b)).negate(),
-        (CmpOp::In, Value::List(items)) => {
-            let set = values_to_set(items, span)?;
-            Event::in_set(t.clone(), set)
-        }
-        (CmpOp::In, Value::Bin { lo, hi, last }) => {
-            Event::in_set(t.clone(), bin_set(*lo, *hi, *last))
-        }
-        (op, v) => {
-            return Err(err(
-                span,
-                format!("unsupported comparison {op:?} against {}", v.type_name()),
-            ))
-        }
-    };
-    Ok(CompareResult::Event(ev))
-}
-
-fn values_to_set(items: &[Value], span: Span) -> Result<OutcomeSet, LangError> {
-    let mut out = OutcomeSet::empty();
-    for item in items {
-        let piece = match item {
-            Value::Num(n) if !n.is_finite() => {
-                return Err(err(span, "membership sets must contain finite numbers"))
-            }
-            Value::Num(n) => OutcomeSet::real_point(*n),
-            Value::Str(s) => OutcomeSet::strings([s.as_str()]),
-            Value::Bool(b) => OutcomeSet::real_point(f64::from(*b)),
-            Value::Bin { lo, hi, last } => bin_set(*lo, *hi, *last),
-            Value::List(_) => return Err(err(span, "nested lists are not valid membership sets")),
-        };
-        out = out.union(&piece);
-    }
-    Ok(out)
-}
-
-fn bin_set(lo: f64, hi: f64, last: bool) -> OutcomeSet {
-    let iv = if last {
-        Interval::closed(lo, hi)
-    } else {
-        Interval::closed_open(lo, hi)
-    };
-    OutcomeSet::from(iv)
 }
 
 /// The effective guards of a first-match chain — an `if`/`elif` chain or
@@ -1499,28 +893,6 @@ fn single_subject(guards: &[Event]) -> Option<(&Transform, &OutcomeSet, Vec<&Out
         })
         .collect::<Option<Vec<_>>>()?;
     Some((t, first, rest))
-}
-
-fn static_case_matches(subject: &Value, case: &Value) -> bool {
-    match (subject, case) {
-        (Value::Num(x), Value::Bin { lo, hi, last }) => {
-            *x >= *lo && (*x < *hi || (*last && *x <= *hi))
-        }
-        (a, b) => a == b,
-    }
-}
-
-fn case_event(t: &Transform, case: &Value, span: Span) -> Result<Event, LangError> {
-    match case {
-        Value::Num(n) if !n.is_finite() => {
-            Err(err(span, "switch case values must be finite numbers"))
-        }
-        Value::Num(n) => Ok(Event::eq_real(t.clone(), *n)),
-        Value::Str(s) => Ok(Event::eq_str(t.clone(), s)),
-        Value::Bool(b) => Ok(Event::eq_real(t.clone(), f64::from(*b))),
-        Value::Bin { lo, hi, last } => Ok(Event::in_set(t.clone(), bin_set(*lo, *hi, *last))),
-        Value::List(_) => Err(err(span, "switch case values cannot be nested lists")),
-    }
 }
 
 fn is_always(e: &Event) -> bool {

@@ -557,6 +557,18 @@ fn discrete_rejects_non_finite_outcomes_and_weights() {
 }
 
 #[test]
+fn parameters_that_used_to_panic_or_answer_nan_are_rejected() {
+    // A negative categorical weight hit an assert, or was dropped.
+    expect_error("X ~ choice({'a': -1, 'b': 2})", "nonnegative");
+    expect_error("X ~ discrete({0: -1, 1: 2})", "nonnegative");
+    // The width overflows to inf, and every CDF answer was NaN.
+    expect_error("X ~ uniform(-1e308, 1e308)", "finite width");
+    // Past 2^53 the cast to an integer is not exact (1e20 saturated).
+    expect_error("X ~ binomial(1e20, 0.5)", "2^53");
+    expect_error("X ~ randint(0, 1e16)", "2^53");
+}
+
+#[test]
 fn rejected_programs_carry_spans() {
     let f = Factory::new();
     let e = compile(&f, "X ~ normal(0, 1)\ncondition(X < 0 * 1e400)").expect_err("rejected");

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
@@ -16,7 +16,7 @@ use sppl_core::digest::ModelDigest;
 use sppl_core::prelude::{Outcome, Var};
 use sppl_serve::protocol::{WireError, WireEvent, WireOutcome};
 use sppl_serve::server::SnapshotPolicy;
-use sppl_serve::{Client, ServeConfig, Server};
+use sppl_serve::{Client, Request, Response, ServeConfig, Server};
 
 /// The model served in every test: one continuous and one nominal
 /// variable, so comparisons, equality, and posteriors all have bite.
@@ -624,5 +624,54 @@ fn batched_request_errors_match_event_by_event_answers() {
     for (s, r) in served.iter().zip(direct.prob_many(&direct_events).unwrap()) {
         assert_eq!(s.to_bits(), r.to_bits());
     }
+    server.shutdown();
+}
+
+/// Sends one request on a fresh connection and decodes the reply. A
+/// connection closed without a reply, or one that stays silent, fails
+/// the test instead of blocking it.
+fn one_shot(addr: SocketAddr, request: &Request) -> Response {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut line = request.encode(Some(1));
+    line.push('\n');
+    stream.write_all(line.as_bytes()).expect("send");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .expect("reply arrives");
+    assert!(!reply.is_empty(), "connection closed without a reply");
+    Response::decode(&reply).expect("reply decodes").1
+}
+
+#[test]
+fn compiles_that_used_to_panic_leave_every_worker_serving() {
+    // Each of these once panicked inside `compile` and took its worker
+    // thread down with it; one compile more than there are workers would
+    // then find none left.
+    let workers = 2;
+    let server = start(ServeConfig {
+        workers,
+        ..ServeConfig::default()
+    });
+    let addr = server.local_addr();
+    for source in ["X ~ binomial(1e20, 0.5)", "X ~ choice({'a': -1, 'b': 2})"] {
+        for _ in 0..=workers {
+            let request = Request::Compile {
+                source: source.into(),
+            };
+            match one_shot(addr, &request) {
+                Response::Compiled { .. } => {}
+                Response::Error(e) => assert_eq!(e.kind, "compile", "{source}: {e:?}"),
+                other => panic!("{source}: unexpected reply {other:?}"),
+            }
+        }
+    }
+    assert!(matches!(
+        one_shot(addr, &Request::Stats),
+        Response::Stats(_)
+    ));
     server.shutdown();
 }

@@ -48,6 +48,7 @@ const BENCH_BINS: &[&str] = &[
 
 const CRATE_SUITES: &[&str] = &[
     "crates/analyze/tests/corpus.rs",
+    "crates/analyze/tests/one_verdict.rs",
     "crates/sets/tests/algebra.rs",
     "crates/core/tests/artifact_goldens.rs",
     "crates/core/tests/concurrency.rs",
