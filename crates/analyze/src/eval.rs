@@ -109,7 +109,7 @@ impl Walker {
                 ConstVal::Unknown => AbsValue::Top,
             };
         }
-        if self.env.rvs.contains(name) || self.env.maybe_rvs.contains(name) {
+        if self.env.is_defined(name) || self.env.maybe_rvs.contains(name) {
             return AbsValue::Rv(Transform::id(Var::new(name)));
         }
         if self.env.arrays.contains_key(name) {
@@ -133,7 +133,7 @@ impl Walker {
             if self.env.arrays.contains_key(name) {
                 return match self.element_name(name, idx, span) {
                     Some(element) => {
-                        if self.env.rvs.contains(&element)
+                        if self.env.is_defined(&element)
                             || self.env.maybe_rvs.contains(&element)
                             || self.env.havoc_arrays.contains(name)
                         {

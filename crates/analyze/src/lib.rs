@@ -47,6 +47,7 @@
 mod cache;
 mod env;
 mod eval;
+mod pmap;
 mod sat;
 mod walk;
 

@@ -19,7 +19,7 @@ use crate::env::Env;
 pub(crate) fn resolve_event(e: &Event, env: &Env) -> Event {
     let mut out = e.clone();
     for v in e.vars() {
-        if let Some((_, t)) = env.derived.get(v.name()) {
+        if let Some(t) = env.derived_transform(v.name()) {
             out = out.substitute(&v, t);
         }
     }
@@ -71,9 +71,9 @@ pub(crate) fn refine(env: &mut Env, e: &Event) {
     match e {
         Event::In(t, v) => {
             if let Some(var) = t.the_var() {
-                let name = var.name().to_string();
-                let narrowed = env.support_of(&name).intersection(&t.preimage_full(v));
-                env.supports.insert(name, narrowed);
+                let name = var.name();
+                let narrowed = env.support_of(name).intersection(&t.preimage_full(v));
+                env.narrow(name, narrowed);
             }
         }
         Event::And(children) => {
@@ -106,7 +106,7 @@ pub(crate) fn refine(env: &mut Env, e: &Event) {
                     });
                 }
                 if let Some(set) = acc {
-                    env.supports.insert(name.to_string(), set);
+                    env.narrow(name, set);
                 }
             }
         }

@@ -13,6 +13,14 @@
 //! translator never evaluates the body of a probability-zero branch, and
 //! "dead" is decided on symbolic sets, so the runtime guard probability
 //! is exactly zero).
+//!
+//! A branch forks the environment once per may-live arm. The fork is
+//! O(1) (the maps that grow with the program are persistent), each arm
+//! starts with an empty [`Env::changed`] log, and [`Env::join`] visits
+//! only the names the arms logged, so an arm costs what it changes, not
+//! the size of the program before it. The join, and an all-dead
+//! branch, carry the enclosing arm's log forward, so an outer join
+//! still sees what that arm changed.
 
 use std::collections::HashMap;
 
@@ -208,7 +216,7 @@ impl Walker {
         };
         match self.eval(expr) {
             AbsValue::Const(v) => {
-                if self.env.rvs.contains(&name) {
+                if self.env.is_defined(&name) {
                     self.diag(
                         LintCode::Redefinition,
                         span,
@@ -220,7 +228,7 @@ impl Walker {
                 self.env.consts.insert(name, ConstVal::Known(v));
             }
             AbsValue::Top => {
-                if self.env.rvs.contains(&name) {
+                if self.env.is_defined(&name) {
                     self.diag(
                         LintCode::Redefinition,
                         span,
@@ -274,7 +282,7 @@ impl Walker {
     /// The translator's `check_fresh` as a lint; `true` means the name
     /// is definitely taken (diagnostic emitted, skip the definition).
     fn check_fresh(&mut self, name: &str, span: Span) -> bool {
-        if self.env.rvs.contains(name) {
+        if self.env.is_defined(name) {
             self.diag(
                 LintCode::Redefinition,
                 span,
@@ -482,7 +490,7 @@ impl Walker {
             if !live {
                 continue;
             }
-            self.env = parent.clone();
+            self.env = parent.fork();
             let definitely_entered = matches!(&plan.effective, Some(e) if event_is_always(e));
             if let Some(e) = &plan.effective {
                 sat::refine(&mut self.env, e);
@@ -550,12 +558,12 @@ impl Walker {
                 }
             }
         }
-        self.env.havoc_arrays.extend(pass.havoc_arrays);
-        for name in pass.rvs {
-            if !self.env.rvs.contains(&name) {
-                self.env.maybe_rvs.insert(name);
+        for name in pass.defined() {
+            if !self.env.is_defined(name) {
+                self.env.maybe_rvs.insert(name.clone());
             }
         }
+        self.env.havoc_arrays.extend(pass.havoc_arrays);
         self.env.maybe_rvs.extend(pass.maybe_rvs);
         // Supports of pre-existing variables keep their pre-loop values:
         // conditioning inside the body only narrows them, so the saved

@@ -18,11 +18,13 @@
 //! least 10× faster than cold translation on the Fig. 3 HMM and the
 //! 10³-component mixture — the headline claim of `BENCH_compile.json`.
 //!
-//! Both modes also gate how a branch chain's cold compile scales: the
-//! `elif` mixture at K = 400 must compile within [`SCALING_BOUND`] times
-//! its K = 25 time (a ratio of two best-of-N timings on one box, not a
-//! wall-clock bound). Full mode adds the cold-compile ladder over
-//! K ∈ {100, 200, 400, 1000}.
+//! Both modes also gate how a cold compile scales, as a ratio of two
+//! best-of-N timings on one box (not a wall-clock bound): the `elif`
+//! mixture at K = 400 must compile within [`SCALING_BOUND`] times its
+//! K = 25 time, and the Fig. 3 HMM at n = 200 within
+//! [`HMM_SCALING_BOUND`] times its n = 25 time. Full mode adds the
+//! cold-compile ladders over K ∈ {100, 200, 400, 1000} and
+//! n ∈ {100, 200, 400}.
 //!
 //! Flags:
 //!
@@ -40,20 +42,32 @@ use sppl_core::event::var;
 use sppl_core::{Event, Model};
 use sppl_models::{fairness, hmm};
 
-/// The chain sizes and the bound of the scaling gate. The `elif`
-/// mixture compiles in at most about K² time (the analyzer's per-arm
-/// environments), and the 16× larger chain read 68–114× slower on a
-/// 2-vCPU box; guards re-solved per arm (K³) read about 3000×.
+/// The chain sizes and the bound of the chain scaling gate. The `elif`
+/// mixture compiles in about K² time, and the 16× larger chain read
+/// 65–123× slower on a 2-vCPU box; guards re-solved per arm (K³) read
+/// about 3000×. The K² is not the analyzer's per-arm environments: with
+/// O(1) forks its K = 1000 analysis still took 278 ms (301 ms with a
+/// whole-environment copy per arm).
 const SCALING_SIZES: (usize, usize) = (25, 400);
 const SCALING_BOUND: f64 = 500.0;
 
 /// The chain sizes of the full-mode cold-compile ladder.
 const LADDER: [usize; 4] = [100, 200, 400, 1000];
 
+/// The horizons and the bound of the HMM scaling gate. The HMM's SPE
+/// grows linearly with n, and the 8× longer horizon read 20–29× slower
+/// on a 2-vCPU box; copying the analyzer's whole environment per branch
+/// arm and every factor's scope per product read 52–79×.
+const HMM_SCALING_SIZES: (usize, usize) = (25, 200);
+const HMM_SCALING_BOUND: f64 = 45.0;
+
+/// The horizons of the full-mode HMM cold-compile ladder.
+const HMM_LADDER: [usize; 3] = [100, 200, 400];
+
 /// A `K`-component mixture as one `choice` plus an `if`/`elif` chain —
 /// the shape whose wire payload stays a flat sum of leaves. Its cold
-/// compile grows about as K²: translation solves the chain's guards in
-/// one pass, and the analyzer clones and joins one environment per arm.
+/// compile still grows about as K², though translation solves the
+/// chain's guards in one pass and an analyzer arm costs what it changes.
 fn mixture_source(k: usize) -> String {
     let weight = 1.0 / k as f64;
     let mut src = String::new();
@@ -106,13 +120,22 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     (out, best)
 }
 
-/// Best-of-`reps` cold compile of the `K`-arm `elif` mixture.
-fn cold_chain_s(k: usize, reps: usize) -> f64 {
-    let source = mixture_source(k);
+/// Best-of-`reps` cold compile of `source`.
+fn cold_compile_s(source: &str, reps: usize) -> f64 {
     best_of(reps, || {
-        compile_model_uncached(&source).expect("chain compile")
+        compile_model_uncached(source).expect("cold compile")
     })
     .1
+}
+
+/// Best-of-`reps` cold compile of the `K`-arm `elif` mixture.
+fn cold_chain_s(k: usize, reps: usize) -> f64 {
+    cold_compile_s(&mixture_source(k), reps)
+}
+
+/// Best-of-`reps` cold compile of the Fig. 3 HMM over horizon `n`.
+fn cold_hmm_s(n: usize, reps: usize) -> f64 {
+    cold_compile_s(&hmm::hierarchical_hmm(n).source, reps)
 }
 
 fn answers(model: &Model, events: &[Event]) -> Vec<f64> {
@@ -298,6 +321,30 @@ fn main() {
         println!("elif chain cold compile, K={k}: {}", fmt_secs(*s));
     }
 
+    let (small_n, large_n) = HMM_SCALING_SIZES;
+    let hmm_small_s = cold_hmm_s(small_n, 9);
+    let hmm_large_s = cold_hmm_s(large_n, 5);
+    let hmm_ratio = hmm_large_s / hmm_small_s;
+    println!(
+        "\nhmm scaling: n={small_n} {}, n={large_n} {}, ratio {hmm_ratio:.0}x \
+         (bound {HMM_SCALING_BOUND:.0}x)",
+        fmt_secs(hmm_small_s),
+        fmt_secs(hmm_large_s)
+    );
+    assert!(
+        hmm_ratio <= HMM_SCALING_BOUND,
+        "hmm n={large_n} compiled {hmm_ratio:.0}x slower than n={small_n}, \
+         bound {HMM_SCALING_BOUND:.0}x: a branch arm is copying the whole program state"
+    );
+    let hmm_ladder: Vec<(usize, f64)> = if args.test {
+        Vec::new()
+    } else {
+        HMM_LADDER.iter().map(|&n| (n, cold_hmm_s(n, 3))).collect()
+    };
+    for (n, s) in &hmm_ladder {
+        println!("hmm cold compile, n={n}: {}", fmt_secs(*s));
+    }
+
     if !args.test {
         for run in [&fig3, &mixture] {
             assert!(
@@ -340,6 +387,16 @@ fn main() {
             .num("chain_scaling_bound", SCALING_BOUND);
         for (k, s) in &ladder {
             json = json.num(&format!("chain_cold_k{k}_s"), *s);
+        }
+        json = json
+            .int("hmm_scaling_small_n", small_n as u64)
+            .int("hmm_scaling_large_n", large_n as u64)
+            .num("hmm_scaling_small_s", hmm_small_s)
+            .num("hmm_scaling_large_s", hmm_large_s)
+            .num("hmm_scaling_ratio", hmm_ratio)
+            .num("hmm_scaling_bound", HMM_SCALING_BOUND);
+        for (n, s) in &hmm_ladder {
+            json = json.num(&format!("hmm_cold_n{n}_s"), *s);
         }
         json.write("BENCH_compile.json")
             .expect("write BENCH_compile.json");

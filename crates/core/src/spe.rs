@@ -618,8 +618,16 @@ impl Factory {
         if flat.len() == 1 {
             return Ok(flat.pop().expect("len checked"));
         }
-        let mut scope: BTreeSet<Var> = BTreeSet::new();
-        for c in &flat {
+        // Start from the largest factor's scope and insert the others'
+        // variables, so a factor joining a big product costs its own size.
+        let largest = (0..flat.len())
+            .max_by_key(|&i| flat[i].scope().len())
+            .expect("len checked");
+        let mut scope = flat[largest].scope().clone();
+        for (i, c) in flat.iter().enumerate() {
+            if i == largest {
+                continue;
+            }
             for v in c.scope() {
                 if !scope.insert(v.clone()) {
                     return Err(SpplError::IllFormed {

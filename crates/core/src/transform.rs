@@ -126,7 +126,9 @@ impl Transform {
 
     /// `self^n` for a nonnegative integer power.
     pub fn pow_int(self, n: u32) -> Transform {
-        Transform::poly(self, Polynomial::identity().pow(n as usize))
+        let mut monomial = vec![0.0; n as usize + 1];
+        monomial[n as usize] = 1.0;
+        Transform::poly(self, Polynomial::new(monomial))
     }
 
     /// `1 / self`.
@@ -707,6 +709,24 @@ mod tests {
 
     fn set(iv: Interval) -> OutcomeSet {
         OutcomeSet::from(iv)
+    }
+
+    /// `pow_int` writes the monomial directly; its coefficients are the
+    /// bits that multiplying `x` by itself `n` times gives.
+    #[test]
+    fn pow_int_is_the_repeated_product_to_the_bit() {
+        let bits = |t: &Transform| match t {
+            Transform::Poly(_, p) => p.coeffs().iter().map(|c| c.to_bits()).collect(),
+            _ => Vec::new(),
+        };
+        let mut product = Polynomial::constant(1.0);
+        for n in 0..=64u32 {
+            let expected = Transform::poly(Transform::id(x()), product.clone());
+            let got = Transform::id(x()).pow_int(n);
+            assert_eq!(got, expected, "x^{n}");
+            assert_eq!(bits(&got), bits(&expected), "x^{n}");
+            product = product.mul(&Polynomial::identity());
+        }
     }
 
     /// Soundness probe: x ∈ preimg(t, v) ⟺ t(x) ∈ v on a grid.

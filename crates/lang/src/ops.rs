@@ -190,8 +190,20 @@ pub fn rv_const_op(
     })
 }
 
+/// The largest integer exponent `t ** c` accepts, in magnitude. `t ** n`
+/// is a degree-`n` polynomial whose preimages are solved numerically, and
+/// that cost grows faster than `n²` (on a 2-vCPU box, a `condition` on
+/// `X ** 1000` took 0.9 s to analyze, on `X ** 4000` 18 s). No program
+/// here uses more than 3.
+const MAX_POWER: u32 = 100;
+
 /// `t ** c`: integer powers and their reciprocals, and the roots `1/n`.
 fn power(t: Transform, c: f64) -> Result<(Transform, Option<Partial>), EvalError> {
+    if c.fract() == 0.0 && c.abs() > f64::from(MAX_POWER) {
+        return Err(invalid(format!(
+            "exponent {c} is too large: integer powers go up to ±{MAX_POWER}"
+        )));
+    }
     Ok(if c >= 0.0 && c.fract() == 0.0 {
         (t.pow_int(c as u32), None)
     } else if c == 0.5 {
@@ -411,13 +423,23 @@ pub fn static_case_matches(subject: &Value, case: &Value) -> bool {
     }
 }
 
+/// The most bins `binspace` makes. Each bin is one `switch` case, and
+/// no program here uses more than 10.
+const MAX_BINS: usize = 10_000;
+
 /// `binspace(lo, hi, n=k)`: `k` equal bins from `lo` to `hi`, given the
 /// positional `bounds` and the `n` keyword.
 pub fn binspace(bounds: &[f64], n: Option<f64>) -> Result<Value, EvalError> {
     let &[lo, hi] = bounds else {
         return Err(invalid("binspace(lo, hi, n=k) requires two bounds"));
     };
-    let n = n.ok_or_else(|| invalid("binspace requires n=k"))? as usize;
+    let n = n.ok_or_else(|| invalid("binspace requires n=k"))?;
+    if n > MAX_BINS as f64 {
+        return Err(invalid(format!(
+            "binspace makes at most {MAX_BINS} bins, got n={n}"
+        )));
+    }
+    let n = n as usize;
     if !lo.is_finite() || !hi.is_finite() {
         return Err(non_finite("binspace bounds must be finite"));
     }
@@ -425,19 +447,27 @@ pub fn binspace(bounds: &[f64], n: Option<f64>) -> Result<Value, EvalError> {
         return Err(invalid("binspace requires n >= 1 and lo < hi"));
     }
     let step = (hi - lo) / n as f64;
-    Ok(Value::List(
-        (0..n)
-            .map(|i| Value::Bin {
-                lo: lo + step * i as f64,
-                hi: if i + 1 == n {
-                    hi
-                } else {
-                    lo + step * (i + 1) as f64
-                },
-                last: i + 1 == n,
-            })
-            .collect(),
-    ))
+    let bins: Vec<Value> = (0..n)
+        .map(|i| Value::Bin {
+            lo: lo + step * i as f64,
+            hi: if i + 1 == n {
+                hi
+            } else {
+                lo + step * (i + 1) as f64
+            },
+            last: i + 1 == n,
+        })
+        .collect();
+    if bins
+        .iter()
+        .any(|b| matches!(b, Value::Bin { lo, hi, .. } if lo >= hi))
+    {
+        return Err(invalid(format!(
+            "binspace({lo}, {hi}, n={n}) has bins too narrow to represent: \
+             use fewer bins or a wider range"
+        )));
+    }
+    Ok(Value::List(bins))
 }
 
 /// The method call `recv.name()`: a bin's `.mean()`, `.lo()` and

@@ -544,6 +544,20 @@ fn binspace_rejects_non_finite_bounds() {
 }
 
 #[test]
+fn binspace_rejects_bins_it_cannot_represent_or_afford() {
+    // Bins narrower than one ulp collapsed to `lo == hi` and panicked.
+    expect_error(
+        "X ~ normal(0, 1)\nswitch X cases (b in binspace(1e16, 1e16 + 4, n=8)) { Y ~ atomic(b.mean()) }",
+        "too narrow",
+    );
+    // Every bin was allocated up front, however many were asked for.
+    expect_error(
+        "X ~ normal(0, 1)\nswitch X cases (b in binspace(0, 1, n=1e6)) { Y ~ atomic(b.mean()) }",
+        "at most",
+    );
+}
+
+#[test]
 fn nan_constant_arithmetic_is_rejected() {
     expect_error("c = 1e400 - 1e400\nX ~ normal(c, 1)", "NaN");
     expect_error("c = ln(0 - 1)\nX ~ normal(c, 1)", "undefined");
@@ -566,6 +580,9 @@ fn parameters_that_used_to_panic_or_answer_nan_are_rejected() {
     // Past 2^53 the cast to an integer is not exact (1e20 saturated).
     expect_error("X ~ binomial(1e20, 0.5)", "2^53");
     expect_error("X ~ randint(0, 1e16)", "2^53");
+    // An integer exponent is a polynomial's degree; 1e10 saturated to
+    // 2^32 - 1 and asked for that many coefficients.
+    expect_error("X ~ normal(0, 1)\nY = X ** 1e10", "too large");
 }
 
 #[test]

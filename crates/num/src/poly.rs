@@ -170,15 +170,6 @@ impl Polynomial {
         Polynomial::new(out)
     }
 
-    /// Integer power.
-    pub fn pow(&self, n: usize) -> Polynomial {
-        let mut acc = Polynomial::constant(1.0);
-        for _ in 0..n {
-            acc = acc.mul(self);
-        }
-        acc
-    }
-
     /// Composition `self(inner(x))`, by Horner over polynomials.
     pub fn compose(&self, inner: &Polynomial) -> Polynomial {
         let mut acc = Polynomial::zero();
@@ -446,7 +437,7 @@ mod tests {
         assert_eq!(p.mul(&q), Polynomial::new(vec![-1.0, 0.0, 1.0])); // x² - 1
         assert_eq!(p.add(&q), Polynomial::new(vec![0.0, 2.0]));
         assert_eq!(p.sub(&p), Polynomial::zero());
-        assert_eq!(p.pow(2), Polynomial::new(vec![1.0, 2.0, 1.0]));
+        assert_eq!(p.mul(&p), Polynomial::new(vec![1.0, 2.0, 1.0]));
     }
 
     #[test]
@@ -516,8 +507,7 @@ mod tests {
     #[test]
     fn quintic_with_touching_root() {
         // x²(x-1)(x-2)(x-3): roots 0 (double), 1, 2, 3.
-        let p = Polynomial::new(vec![0.0, 1.0])
-            .pow(2)
+        let p = Polynomial::new(vec![0.0, 0.0, 1.0])
             .mul(&Polynomial::new(vec![-1.0, 1.0]))
             .mul(&Polynomial::new(vec![-2.0, 1.0]))
             .mul(&Polynomial::new(vec![-3.0, 1.0]));

@@ -657,7 +657,11 @@ fn compiles_that_used_to_panic_leave_every_worker_serving() {
         ..ServeConfig::default()
     });
     let addr = server.local_addr();
-    for source in ["X ~ binomial(1e20, 0.5)", "X ~ choice({'a': -1, 'b': 2})"] {
+    for source in [
+        "X ~ binomial(1e20, 0.5)",
+        "X ~ choice({'a': -1, 'b': 2})",
+        "X ~ normal(0, 1)\nswitch X cases (b in binspace(1e16, 1e16 + 4, n=8)) { Y ~ atomic(b.mean()) }",
+    ] {
         for _ in 0..=workers {
             let request = Request::Compile {
                 source: source.into(),
