@@ -1,9 +1,13 @@
 //! One message per verdict: the analyzer and the translator evaluate a
 //! distribution call with the same family table, so for every family an
 //! invalid call is rejected by `check` as `E006` (`E001` for an unknown
-//! name) with exactly the text `sppl_lang::compile` fails with.
+//! name) with exactly the text `sppl_lang::compile` fails with. Both
+//! passes also meet the polynomial degree bound before any preimage is
+//! solved.
 
-use sppl_analyze::{check, Severity};
+use std::time::{Duration, Instant};
+
+use sppl_analyze::{check, compile_model, Severity};
 use sppl_core::Factory;
 
 /// Invalid calls of every family: a missing parameter, an out-of-range
@@ -104,4 +108,23 @@ fn unknown_names_read_the_same_in_both_passes() {
     for call in UNKNOWN_NAMES {
         assert_one_verdict(call, "E001");
     }
+}
+
+#[test]
+fn a_polynomial_past_the_degree_bound_is_refused_before_it_is_solved() {
+    // `(X ** 60) ** 60` is degree 3,600; solving its preimage for the
+    // condition took 15 s when only the exponent was bounded.
+    let source = "X ~ normal(0, 1)\nY = (X ** 60) ** 60\ncondition(Y > 0.5)";
+    let start = Instant::now();
+    check(source);
+    let checked = start.elapsed();
+    assert!(checked < Duration::from_secs(5), "check took {checked:?}");
+    let start = Instant::now();
+    let err = compile_model(source).expect_err("degree 3600 is past the bound");
+    let compiled = start.elapsed();
+    assert!(
+        compiled < Duration::from_secs(5),
+        "compile took {compiled:?}"
+    );
+    assert!(err.message.contains("too large"), "{err}");
 }

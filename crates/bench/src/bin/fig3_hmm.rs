@@ -16,15 +16,13 @@
 //!   and the second *process* answers every shared-cache query without
 //!   touching the evaluator (warm restart; asserted below).
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sppl_bench::args::BenchArgs;
 use sppl_bench::json::JsonObject;
-use sppl_bench::{bits_match, fmt_count, fmt_secs, nproc, timed, tree_logprobs, Table};
+use sppl_bench::{bits_match, fmt_count, fmt_secs, nproc, restart, timed, tree_logprobs, Table};
 use sppl_core::stats::graph_stats;
-use sppl_core::{Event, SharedCache};
+use sppl_core::Event;
 use sppl_models::hmm;
 
 fn main() {
@@ -169,86 +167,18 @@ fn main() {
         println!("{t}, {}, {:.4}", trace.z[t], series[t]);
     }
 
-    // Cross-process persistence. A *separate* session over the run's
-    // SharedCache answers the whole batch: on a cold start it fills the
-    // cache (one evaluator pass); when `--cache-snapshot` found a file
-    // written by a previous process, every one of these lookups must be
-    // a hit — the previous process already computed the working set
-    // under the same content digests. The main measurements above stay
-    // evaluator-cold either way.
-    let (cache, snapshot_loaded) = args.shared_cache(1 << 16);
-    if snapshot_loaded > 0 {
-        println!("\nwarm restart: loaded {snapshot_loaded} shared-cache entries from snapshot");
-    }
-    let shared_posterior = hmm::hierarchical_hmm(n)
-        .session()
-        .expect("compiles")
-        .with_shared_cache(Arc::clone(&cache))
-        .constrain(&hmm::observation_assignment(&trace.x, &trace.y))
-        .expect("positive density");
-    let (shared_answers, shared_fill_t) =
-        timed(|| shared_posterior.logprob_many(&batch).expect("batch"));
-    assert!(
-        bits_match(&model_cold, &shared_answers),
-        "shared-cache session must agree bit-for-bit"
-    );
-    let shared = cache.stats();
-    if snapshot_loaded > 0 {
-        assert_eq!(
-            shared.misses, 0,
-            "snapshot-warm run must be pure shared-cache hits ({shared:?}) — \
-             run the writer and reader with the same mode/size flags"
-        );
-    }
-    let snapshot_saved = args.save_cache(&cache);
-    println!(
-        "\nshared cache: batch in {} — {} hits / {} misses / {} entries \
-         (loaded {snapshot_loaded}, saved {snapshot_saved})",
-        fmt_secs(shared_fill_t),
-        shared.hits,
-        shared.misses,
-        shared.entries,
-    );
-
-    // Warm-restart demonstration, in-process: restore the snapshot we
-    // just wrote into a *fresh* cache behind a *fresh* session (new
-    // factory, new pointers — everything a restarted server would
-    // rebuild) and replay the batch. Every answer must come from the
-    // restored cache, bit-identical to the cold pass. CI's double run of
-    // this binary proves the same property across two real processes.
-    let mut warm_restart_batch_s = 0.0;
-    let mut warm_restart_pure_hits = false;
-    if let Some(path) = &args.cache_snapshot {
-        let restored = Arc::new(SharedCache::new(1 << 16));
-        let reloaded = restored.load_snapshot(path).expect("reload own snapshot");
-        let session = hmm::hierarchical_hmm(n)
+    // Cross-process persistence: the shared-cache session, the snapshot
+    // and the in-process warm restart (see `sppl_bench::restart`). The
+    // main measurements above stay evaluator-cold either way.
+    let observations = hmm::observation_assignment(&trace.x, &trace.y);
+    let restart = restart::run(&args, &batch, &model_cold, model_cold_t, |cache| {
+        hmm::hierarchical_hmm(n)
             .session()
             .expect("compiles")
-            .with_shared_cache(Arc::clone(&restored));
-        let posterior2 = session
-            .constrain(&hmm::observation_assignment(&trace.x, &trace.y))
-            .expect("positive density");
-        let (replay, t) = timed(|| posterior2.logprob_many(&batch).expect("warm batch"));
-        warm_restart_batch_s = t;
-        let rs = restored.stats();
-        assert_eq!(
-            rs.misses, 0,
-            "restored snapshot must answer the batch without the evaluator ({rs:?})"
-        );
-        assert!(
-            bits_match(&model_cold, &replay),
-            "replay must be bit-identical"
-        );
-        warm_restart_pure_hits = true;
-        println!(
-            "warm restart replay: {} events in {} from {reloaded} restored entries \
-             (cold pass was {}) — {:.0}x",
-            batch.len(),
-            fmt_secs(t),
-            fmt_secs(model_cold_t),
-            model_cold_t / t,
-        );
-    }
+            .with_shared_cache(cache)
+            .constrain(&observations)
+            .expect("positive density")
+    });
 
     if args.json {
         let json = JsonObject::new()
@@ -268,24 +198,10 @@ fn main() {
             .num("model_speedup", model_speedup)
             .num("warm_s", warm_t)
             .num("engine_hit_rate", final_stats.hit_rate())
-            .bool("bits_identical", bits_identical)
-            .int("shared_hits", shared.hits)
-            .int("shared_misses", shared.misses)
-            .int("shared_entries", shared.entries as u64)
-            .num("shared_batch_s", shared_fill_t)
-            .int("snapshot_loaded", snapshot_loaded as u64)
-            .int("snapshot_saved", snapshot_saved as u64)
-            .num("warm_restart_batch_s", warm_restart_batch_s)
-            .num(
-                "warm_restart_speedup",
-                if warm_restart_batch_s > 0.0 {
-                    model_cold_t / warm_restart_batch_s
-                } else {
-                    0.0
-                },
-            )
-            .bool("warm_restart_pure_hits", warm_restart_pure_hits);
-        json.write("BENCH_fig3.json")
+            .bool("bits_identical", bits_identical);
+        restart
+            .json(json)
+            .write("BENCH_fig3.json")
             .expect("write BENCH_fig3.json");
         println!("\nwrote BENCH_fig3.json");
     }

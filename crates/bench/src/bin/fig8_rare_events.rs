@@ -12,16 +12,13 @@
 //!   when it exists and save one on exit (warm restart across
 //!   processes; pure hits asserted when a snapshot was loaded).
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sppl_baseline::sampler::RejectionEstimator;
 use sppl_bench::args::BenchArgs;
 use sppl_bench::json::JsonObject;
-use sppl_bench::{bits_match, fmt_secs, nproc, timed, tree_logprobs};
+use sppl_bench::{bits_match, fmt_secs, nproc, restart, timed, tree_logprobs};
 use sppl_core::event::Event;
-use sppl_core::SharedCache;
 use sppl_models::rare_event;
 
 fn main() {
@@ -99,71 +96,14 @@ fn main() {
     println!("\nExact answers are O(ms) and deterministic; sampler estimates fluctuate");
     println!("and may report zero hits long past the exact answer's availability.");
 
-    // Cross-process persistence (see fig3_hmm): a separate session over
-    // the run's SharedCache fills it on a cold start; on a
-    // snapshot-loaded run every lookup must be a hit.
-    let (cache, snapshot_loaded) = args.shared_cache(1 << 16);
-    if snapshot_loaded > 0 {
-        println!("\nwarm restart: loaded {snapshot_loaded} shared-cache entries from snapshot");
-    }
-    let shared_session = rare_event::chain_network(chain_len)
-        .session()
-        .expect("compiles")
-        .with_shared_cache(Arc::clone(&cache));
-    let (shared_answers, shared_fill_t) =
-        timed(|| shared_session.logprob_many(&events).expect("batch"));
-    assert!(
-        bits_match(&cold, &shared_answers),
-        "shared-cache session must agree bit-for-bit"
-    );
-    let shared = cache.stats();
-    if snapshot_loaded > 0 {
-        assert_eq!(
-            shared.misses, 0,
-            "snapshot-warm run must be pure shared-cache hits ({shared:?}) — \
-             run the writer and reader with the same mode/size flags"
-        );
-    }
-    let snapshot_saved = args.save_cache(&cache);
-    println!(
-        "shared cache: batch in {} — {} hits / {} misses / {} entries \
-         (loaded {snapshot_loaded}, saved {snapshot_saved})",
-        fmt_secs(shared_fill_t),
-        shared.hits,
-        shared.misses,
-        shared.entries,
-    );
-
-    // Warm-restart demonstration, in-process (see fig3_hmm): a fresh
-    // session over a fresh cache restored from the snapshot replays the
-    // batch as pure hits, bit-identical to the cold pass.
-    let mut warm_restart_batch_s = 0.0;
-    let mut warm_restart_pure_hits = false;
-    if let Some(path) = &args.cache_snapshot {
-        let restored = Arc::new(SharedCache::new(1 << 16));
-        let reloaded = restored.load_snapshot(path).expect("reload own snapshot");
-        let session = rare_event::chain_network(chain_len)
+    // Cross-process persistence: the shared-cache session, the snapshot
+    // and the in-process warm restart (see `sppl_bench::restart`).
+    let restart = restart::run(&args, &events, &cold, cold_t, |cache| {
+        rare_event::chain_network(chain_len)
             .session()
             .expect("compiles")
-            .with_shared_cache(Arc::clone(&restored));
-        let (replay, t) = timed(|| session.logprob_many(&events).expect("warm batch"));
-        warm_restart_batch_s = t;
-        let rs = restored.stats();
-        assert_eq!(
-            rs.misses, 0,
-            "restored snapshot must answer the batch without the evaluator ({rs:?})"
-        );
-        assert!(bits_match(&cold, &replay), "replay must be bit-identical");
-        warm_restart_pure_hits = true;
-        println!(
-            "warm restart replay: {} events in {} from {reloaded} restored entries \
-             (cold pass was {}) — {:.0}x",
-            events.len(),
-            fmt_secs(t),
-            fmt_secs(cold_t),
-            cold_t / t,
-        );
-    }
+            .with_shared_cache(cache)
+    });
 
     if args.json {
         let json = JsonObject::new()
@@ -178,24 +118,10 @@ fn main() {
             .num("model_speedup", tree_cold_t / cold_t)
             .num("warm_s", warm_t)
             .num("engine_hit_rate", stats.hit_rate())
-            .bool("bits_identical", bits_identical)
-            .int("shared_hits", shared.hits)
-            .int("shared_misses", shared.misses)
-            .int("shared_entries", shared.entries as u64)
-            .num("shared_batch_s", shared_fill_t)
-            .int("snapshot_loaded", snapshot_loaded as u64)
-            .int("snapshot_saved", snapshot_saved as u64)
-            .num("warm_restart_batch_s", warm_restart_batch_s)
-            .num(
-                "warm_restart_speedup",
-                if warm_restart_batch_s > 0.0 {
-                    cold_t / warm_restart_batch_s
-                } else {
-                    0.0
-                },
-            )
-            .bool("warm_restart_pure_hits", warm_restart_pure_hits);
-        json.write("BENCH_fig8.json")
+            .bool("bits_identical", bits_identical);
+        restart
+            .json(json)
+            .write("BENCH_fig8.json")
             .expect("write BENCH_fig8.json");
         println!("\nwrote BENCH_fig8.json");
     }

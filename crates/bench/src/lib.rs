@@ -164,4 +164,5 @@ mod tests {
 
 pub mod args;
 pub mod json;
+pub mod restart;
 pub mod suite;

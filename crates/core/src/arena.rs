@@ -14,11 +14,8 @@
 //!   (`Vec`-indexed, weights alongside for mixtures), preserving the
 //!   digest-canonical child order so accumulation is deterministic and
 //!   bit-identical to the tree walker;
-//! * leaf parameters are **packed per distribution kind** (real /
-//!   integer / nominal / atomic), so the per-lane leaf kernels dispatch
-//!   once per leaf, not once per evaluation;
 //! * a batch is evaluated in **struct-of-arrays layout**: one
-//!   `node × lane` value matrix per chunk, filled leaf kernels first,
+//!   `node × lane` value matrix per chunk, filled leaf rows first,
 //!   then internal nodes in topo order with a vectorizable log-sum-exp
 //!   at every mixture.
 //!
@@ -31,11 +28,16 @@
 //! # Bit parity
 //!
 //! Every answer equals the tree walker's bit for bit (`to_bits`
-//! equality), including errors: unknown-variable checks, the solved-DNF
-//! clause decomposition at products, the stored child order at sums, and
-//! the exact [`logsumexp`] reduction are all shared with or mirrored
-//! from [`prob`](crate::prob). `tests/arena_parity.rs` proves this
-//! differentially against random models and the paper's golden values.
+//! equality), including errors. The node rules are shared with
+//! [`prob`](crate::prob), not mirrored: each leaf holds its
+//! [`Distribution`] and measures through the one leaf kernel,
+//! [`Distribution::log_measure`]; events meet the same scope check
+//! ([`check_scope`]) before the same solved-DNF clause decomposition;
+//! derived-variable leaves take their literals from the same product
+//! router ([`Clause::event_in`]). Mixtures fold their children in the
+//! stored order with the exact [`logsumexp`] reduction.
+//! `tests/arena_parity.rs` proves this differentially against random
+//! models and the paper's golden values.
 //!
 //! # Example
 //!
@@ -58,15 +60,14 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use sppl_dists::{DistInt, DistReal, DistStr, Distribution};
+use sppl_dists::Distribution;
 use sppl_num::float::logsumexp;
 use sppl_sets::OutcomeSet;
 
-use crate::disjoin::solve_and_disjoin;
+use crate::disjoin::{solve_and_disjoin, Clause};
 use crate::error::SpplError;
 use crate::event::Event;
-use crate::spe::{leaf_event_outcomes, Env, Node, Spe};
-use crate::transform::Transform;
+use crate::spe::{check_scope, leaf_event_outcomes, Env, Node, Spe};
 use crate::var::Var;
 
 /// Lane budget per evaluation chunk: events are grouped until their
@@ -86,17 +87,8 @@ enum ANode {
     Product { lo: u32, hi: u32 },
 }
 
-/// Which packed parameter table a leaf's distribution lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LeafKind {
-    Real,
-    Int,
-    Str,
-    Atomic,
-}
-
-/// Per-leaf compile output: everything the kernels need, with the
-/// distribution itself packed per-kind in the arena's parameter tables.
+/// Per-leaf compile output: the leaf's own parts, plus its place in the
+/// arena.
 #[derive(Debug, Clone)]
 struct LeafSpec {
     /// The arena node this leaf occupies.
@@ -105,26 +97,19 @@ struct LeafSpec {
     var: Var,
     /// Arena id of the base variable.
     var_id: u32,
+    /// The base variable's distribution.
+    dist: Distribution,
     /// Derived-variable transforms (usually empty).
     env: Env,
-    /// Sorted arena ids of the leaf's full scope (base + derived).
-    scope_ids: Vec<u32>,
-    /// Which packed table holds the distribution.
-    kind: LeafKind,
-    /// Index into that table.
-    slot: u32,
+    /// The leaf's full scope (base + derived).
+    scope: BTreeSet<Var>,
 }
 
-/// One solved clause resolved to arena variable ids, sorted by id (the
-/// ids are assigned in `Var` order, so this matches the clause's own
-/// `BTreeMap` iteration order).
-type LaneClause = Vec<(u32, OutcomeSet)>;
-
 /// A prepared event: scope-checked and (when the model contains
-/// products) solved into disjoint clause lanes.
+/// products) solved into disjoint clauses, one lane each.
 struct Prep<'e> {
     event: &'e Event,
-    lanes: Vec<LaneClause>,
+    clauses: Vec<Clause>,
 }
 
 /// Reusable per-batch scratch: the `node × lane` value/touched matrices
@@ -152,16 +137,6 @@ pub(crate) struct ArenaModel {
     /// Child-index edges of every product, concatenated.
     prod_edges: Vec<u32>,
     leaves: Vec<LeafSpec>,
-    /// Leaf indices bucketed by kind, for per-kind kernel dispatch.
-    real_leaves: Vec<u32>,
-    int_leaves: Vec<u32>,
-    str_leaves: Vec<u32>,
-    atomic_leaves: Vec<u32>,
-    /// Packed per-kind leaf parameters.
-    real_dists: Vec<DistReal>,
-    int_dists: Vec<DistInt>,
-    str_dists: Vec<DistStr>,
-    atomic_locs: Vec<f64>,
     /// Nodes reachable from the root through `Sum` edges only, in topo
     /// order. These see the *full* event; everything below a product
     /// sees routed clause lanes instead.
@@ -193,7 +168,7 @@ impl ArenaModel {
             let mut lane_count = 0;
             while at < events.len() && (preps.is_empty() || lane_count < LANE_BUDGET) {
                 let prep = self.prepare(&events[at])?;
-                lane_count += prep.lanes.len();
+                lane_count += prep.clauses.len();
                 preps.push(prep);
                 at += 1;
             }
@@ -211,11 +186,6 @@ impl ArenaModel {
     pub(crate) fn build(root: &Spe) -> ArenaModel {
         let scope = root.scope().clone();
         let vars: Vec<Var> = scope.iter().cloned().collect();
-        let var_ids: HashMap<Var, u32> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.clone(), i as u32))
-            .collect();
 
         let mut arena = ArenaModel {
             scope,
@@ -224,14 +194,6 @@ impl ArenaModel {
             sum_edges: Vec::new(),
             prod_edges: Vec::new(),
             leaves: Vec::new(),
-            real_leaves: Vec::new(),
-            int_leaves: Vec::new(),
-            str_leaves: Vec::new(),
-            atomic_leaves: Vec::new(),
-            real_dists: Vec::new(),
-            int_dists: Vec::new(),
-            str_dists: Vec::new(),
-            atomic_locs: Vec::new(),
             spine: Vec::new(),
             spine_has_product: false,
         };
@@ -268,8 +230,15 @@ impl ArenaModel {
                             env,
                             scope,
                         } => {
-                            let li = arena.pack_leaf(slot, var, dist, env, scope, &var_ids);
-                            ANode::Leaf(li)
+                            arena.leaves.push(LeafSpec {
+                                node: slot,
+                                var: var.clone(),
+                                var_id: arena.var_id(var),
+                                dist: dist.clone(),
+                                env: env.clone(),
+                                scope: scope.clone(),
+                            });
+                            ANode::Leaf(arena.leaves.len() as u32 - 1)
                         }
                         Node::Sum { children, .. } => {
                             let lo = arena.sum_edges.len() as u32;
@@ -323,50 +292,9 @@ impl ArenaModel {
         arena
     }
 
-    fn pack_leaf(
-        &mut self,
-        node: u32,
-        var: &Var,
-        dist: &Distribution,
-        scope_vars_env: &Env,
-        scope: &BTreeSet<Var>,
-        var_ids: &HashMap<Var, u32>,
-    ) -> u32 {
-        let li = self.leaves.len() as u32;
-        let (kind, slot) = match dist {
-            Distribution::Real(d) => {
-                self.real_dists.push(d.clone());
-                self.real_leaves.push(li);
-                (LeafKind::Real, self.real_dists.len() - 1)
-            }
-            Distribution::Int(d) => {
-                self.int_dists.push(d.clone());
-                self.int_leaves.push(li);
-                (LeafKind::Int, self.int_dists.len() - 1)
-            }
-            Distribution::Str(d) => {
-                self.str_dists.push(d.clone());
-                self.str_leaves.push(li);
-                (LeafKind::Str, self.str_dists.len() - 1)
-            }
-            Distribution::Atomic { loc } => {
-                self.atomic_locs.push(*loc);
-                self.atomic_leaves.push(li);
-                (LeafKind::Atomic, self.atomic_locs.len() - 1)
-            }
-        };
-        let mut scope_ids: Vec<u32> = scope.iter().map(|v| var_ids[v]).collect();
-        scope_ids.sort_unstable();
-        self.leaves.push(LeafSpec {
-            node,
-            var: var.clone(),
-            var_id: var_ids[var],
-            env: scope_vars_env.clone(),
-            scope_ids,
-            kind,
-            slot: slot as u32,
-        });
-        li
+    /// The arena id of a scope variable.
+    fn var_id(&self, var: &Var) -> u32 {
+        self.vars.binary_search(var).expect("in scope") as u32
     }
 
     // ------------------------------------------------------------------
@@ -374,48 +302,28 @@ impl ArenaModel {
     // ------------------------------------------------------------------
 
     /// Scope-checks one canonical event; solves it into clause lanes when
-    /// the model contains products. Mirrors the tree walker's error order
-    /// exactly: the unknown-variable check (raised by every leaf/product
-    /// on the spine, all of which share the root's scope by C4) wins over
-    /// the clause solver's multivariate-literal check.
+    /// the model contains products. Keeps the tree walker's error order:
+    /// the scope check (made by every leaf and product on the spine, all
+    /// of which share the root's scope by C4) wins over the clause
+    /// solver's multivariate-literal check.
     fn prepare<'e>(&self, event: &'e Event) -> Result<Prep<'e>, SpplError> {
-        for v in event.vars() {
-            if !self.scope.contains(&v) {
-                return Err(SpplError::UnknownVariable {
-                    var: v.name().into(),
-                });
-            }
-        }
-        let lanes = if self.spine_has_product {
+        check_scope(&self.scope, &event.vars())?;
+        let clauses = if self.spine_has_product {
             solve_and_disjoin(event)?
-                .iter()
-                .map(|clause| {
-                    clause
-                        .constraints()
-                        .iter()
-                        .map(|(v, set)| {
-                            (
-                                self.vars.binary_search(v).expect("in scope") as u32,
-                                set.clone(),
-                            )
-                        })
-                        .collect()
-                })
-                .collect()
         } else {
             Vec::new()
         };
-        Ok(Prep { event, lanes })
+        Ok(Prep { event, clauses })
     }
 
     /// Evaluates one chunk: phase 1 fills the leaf rows of the
-    /// `node × lane` matrix (per-kind kernels over the packed parameter
-    /// tables), phase 2 fills internal rows in topo order, phase 3 walks
-    /// the spine once per event with its full event and clause-lane
-    /// range, pushing the root's value.
+    /// `node × lane` matrix through the leaf kernel, phase 2 fills
+    /// internal rows in topo order, phase 3 walks the spine once per
+    /// event with its full event and clause-lane range, pushing the
+    /// root's value.
     fn eval_chunk(&self, preps: &[Prep], scratch: &mut Scratch, out: &mut Vec<f64>) {
-        let lanes: Vec<&LaneClause> = preps.iter().flat_map(|p| p.lanes.iter()).collect();
-        let lc = lanes.len();
+        let clauses: Vec<&Clause> = preps.iter().flat_map(|p| &p.clauses).collect();
+        let lc = clauses.len();
 
         if lc > 0 {
             let cells = self.nodes.len() * lc;
@@ -424,28 +332,18 @@ impl ArenaModel {
             scratch.touched.clear();
             scratch.touched.resize(cells, false);
 
-            // Phase 1: leaf kernels, one packed-kind bucket at a time.
-            for &li in &self.real_leaves {
-                let d = &self.real_dists[self.leaves[li as usize].slot as usize];
-                self.leaf_pass(li, &lanes, scratch, |set| d.measure(set));
-            }
-            for &li in &self.int_leaves {
-                let d = &self.int_dists[self.leaves[li as usize].slot as usize];
-                self.leaf_pass(li, &lanes, scratch, |set| d.measure(set));
-            }
-            for &li in &self.str_leaves {
-                let d = &self.str_dists[self.leaves[li as usize].slot as usize];
-                self.leaf_pass(li, &lanes, scratch, |set| d.measure(set));
-            }
-            for &li in &self.atomic_leaves {
-                let loc = self.atomic_locs[self.leaves[li as usize].slot as usize];
-                self.leaf_pass(li, &lanes, scratch, |set| {
-                    if set.contains_real(loc) {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                });
+            // Phase 1: every leaf row. Each lane's constraints keyed by
+            // arena variable id, sorted (ids follow `Var` order, as the
+            // clause's own map does).
+            let lanes: Vec<Vec<(u32, &OutcomeSet)>> = clauses
+                .iter()
+                .map(|c| {
+                    let constraints = c.constraints().iter();
+                    constraints.map(|(v, set)| (self.var_id(v), set)).collect()
+                })
+                .collect();
+            for leaf in &self.leaves {
+                self.leaf_pass(leaf, &clauses, &lanes, scratch);
             }
 
             // Phase 2: internal nodes, children already filled.
@@ -503,14 +401,14 @@ impl ArenaModel {
         scratch.full.resize(self.nodes.len(), 0.0);
         let mut lane_at = 0;
         for prep in preps {
-            let lane_range = lane_at..lane_at + prep.lanes.len();
+            let lane_range = lane_at..lane_at + prep.clauses.len();
             lane_at = lane_range.end;
             for &n in &self.spine {
                 let value = match self.nodes[n as usize] {
                     ANode::Leaf(li) => {
                         let leaf = &self.leaves[li as usize];
                         let outcomes = leaf_event_outcomes(&leaf.var, &leaf.env, prep.event);
-                        self.measure_leaf(leaf, &outcomes).ln()
+                        leaf.dist.log_measure(&outcomes)
                     }
                     ANode::Sum { lo, hi } => {
                         scratch.terms.clear();
@@ -546,61 +444,35 @@ impl ArenaModel {
 
     /// Phase-1 kernel for one leaf: fills its matrix row over all lanes.
     /// A lane touches the leaf iff the clause constrains a variable in
-    /// the leaf's scope — exactly the tree walker's literal routing. The
-    /// common no-`env` case measures the clause's constraint set
-    /// directly (`Id` preimages are identity, so this is the routed
-    /// literal's outcome set, bit for bit); derived-variable leaves
-    /// rebuild the routed conjunction and substitute through the `env`
-    /// like the tree walker does.
+    /// the leaf's scope, exactly the tree walker's routing. The common
+    /// no-`env` case measures the clause's constraint set directly
+    /// (`Id` preimages are identity, so this is the routed literal's
+    /// outcome set, bit for bit); derived-variable leaves take the routed
+    /// conjunction from the product router and substitute through the
+    /// `env` like the tree walker does.
     fn leaf_pass(
         &self,
-        li: u32,
-        lanes: &[&LaneClause],
+        leaf: &LeafSpec,
+        clauses: &[&Clause],
+        lanes: &[Vec<(u32, &OutcomeSet)>],
         scratch: &mut Scratch,
-        measure: impl Fn(&OutcomeSet) -> f64,
     ) {
-        let leaf = &self.leaves[li as usize];
-        let row = leaf.node as usize * lanes.len();
+        let row = leaf.node as usize * clauses.len();
+        let mut fill = |lane: usize, value: f64| {
+            scratch.vals[row + lane] = value;
+            scratch.touched[row + lane] = true;
+        };
         if leaf.env.is_empty() {
-            for (lane, clause) in lanes.iter().enumerate() {
-                if let Ok(at) = clause.binary_search_by_key(&leaf.var_id, |&(id, _)| id) {
-                    scratch.vals[row + lane] = measure(&clause[at].1).ln();
-                    scratch.touched[row + lane] = true;
+            for (lane, ids) in lanes.iter().enumerate() {
+                if let Ok(at) = ids.binary_search_by_key(&leaf.var_id, |&(id, _)| id) {
+                    fill(lane, leaf.dist.log_measure(ids[at].1));
                 }
             }
         } else {
-            for (lane, clause) in lanes.iter().enumerate() {
-                let literals: Vec<Event> = clause
-                    .iter()
-                    .filter(|(id, _)| leaf.scope_ids.binary_search(id).is_ok())
-                    .map(|(id, set)| {
-                        Event::In(Transform::id(self.vars[*id as usize].clone()), set.clone())
-                    })
-                    .collect();
-                if literals.is_empty() {
-                    continue;
-                }
-                let routed = Event::and(literals);
-                let outcomes = leaf_event_outcomes(&leaf.var, &leaf.env, &routed);
-                scratch.vals[row + lane] = measure(&outcomes).ln();
-                scratch.touched[row + lane] = true;
-            }
-        }
-    }
-
-    /// Measures `set` under the leaf's packed distribution — the same
-    /// dispatch as [`Distribution::measure`], against the per-kind
-    /// parameter tables.
-    fn measure_leaf(&self, leaf: &LeafSpec, set: &OutcomeSet) -> f64 {
-        match leaf.kind {
-            LeafKind::Real => self.real_dists[leaf.slot as usize].measure(set),
-            LeafKind::Int => self.int_dists[leaf.slot as usize].measure(set),
-            LeafKind::Str => self.str_dists[leaf.slot as usize].measure(set),
-            LeafKind::Atomic => {
-                if set.contains_real(self.atomic_locs[leaf.slot as usize]) {
-                    1.0
-                } else {
-                    0.0
+            for (lane, clause) in clauses.iter().enumerate() {
+                if let Some(routed) = clause.event_in(&leaf.scope) {
+                    let outcomes = leaf_event_outcomes(&leaf.var, &leaf.env, &routed);
+                    fill(lane, leaf.dist.log_measure(&outcomes));
                 }
             }
         }
@@ -612,7 +484,7 @@ mod tests {
     use super::*;
     use crate::event::var;
     use crate::spe::Factory;
-    use sppl_dists::Cdf;
+    use sppl_dists::{Cdf, DistReal, DistStr};
     use sppl_sets::Interval;
 
     fn normal_leaf(f: &Factory, name: &str, mean: f64) -> Spe {

@@ -8,6 +8,12 @@
 //! (physical node, event fingerprint), so deduplicated subgraphs are
 //! conditioned once (Sec. 5.1's memoization optimization).
 //!
+//! Conditioning applies the node rules of [`prob`](crate::prob), not a
+//! copy of them: the same scope check, the same product router for each
+//! clause, and leaf-piece and clause weights from the same leaf kernel,
+//! so a posterior's mixture weights are the prior's probabilities bit
+//! for bit.
+//!
 //! # Concurrency
 //!
 //! [`condition`] runs on the calling thread, but many threads may
@@ -23,8 +29,7 @@ use crate::disjoin::{solve_and_disjoin, Clause};
 use crate::error::SpplError;
 use crate::event::Event;
 use crate::prob::clause_logprob;
-use crate::spe::{leaf_event_outcomes, Env, Factory, Node, Spe};
-use crate::transform::Transform;
+use crate::spe::{check_scope, leaf_event_outcomes, Env, Factory, Node, Spe};
 use crate::var::Var;
 
 /// Conditions `spe` on `event` (Thm. 4.1). Memoized: a pointer-keyed
@@ -63,13 +68,7 @@ fn condition_uncached(factory: &Factory, spe: &Spe, event: &Event) -> Result<Spe
             env,
             scope,
         } => {
-            for v in event.vars() {
-                if !scope.contains(&v) {
-                    return Err(SpplError::UnknownVariable {
-                        var: v.name().into(),
-                    });
-                }
-            }
+            check_scope(scope, &event.vars())?;
             let outcomes = leaf_event_outcomes(var, env, event);
             condition_leaf(factory, var, dist, env, &outcomes, event)
         }
@@ -91,13 +90,7 @@ fn condition_uncached(factory: &Factory, spe: &Spe, event: &Event) -> Result<Spe
             factory.sum(parts)
         }
         Node::Product { children, scope } => {
-            for v in event.vars() {
-                if !scope.contains(&v) {
-                    return Err(SpplError::UnknownVariable {
-                        var: v.name().into(),
-                    });
-                }
-            }
+            check_scope(scope, &event.vars())?;
             let clauses = solve_and_disjoin(event)?;
             match clauses.len() {
                 0 => Err(SpplError::ZeroProbability {
@@ -140,7 +133,8 @@ fn condition_uncached(factory: &Factory, spe: &Spe, event: &Event) -> Result<Spe
 }
 
 /// Conditions each factor of a product on the clause constraints that fall
-/// in its scope (the single-hyperrectangle case of Lst. 6c).
+/// in its scope (the single-hyperrectangle case of Lst. 6c), routed as in
+/// the probability rule ([`Clause::event_in`]).
 fn condition_product_clause(
     factory: &Factory,
     children: &[Spe],
@@ -149,23 +143,14 @@ fn condition_product_clause(
 ) -> Result<Spe, SpplError> {
     let out = children
         .iter()
-        .map(|child| {
-            let literals: Vec<Event> = clause
-                .constraints()
-                .iter()
-                .filter(|(v, _)| child.scope().contains(v))
-                .map(|(v, set)| Event::In(Transform::id(v.clone()), set.clone()))
-                .collect();
-            if literals.is_empty() {
-                return Ok(child.clone());
-            }
-            let sub = Event::and(literals);
-            condition(factory, child, &sub).map_err(|e| match e {
+        .map(|child| match clause.event_in(child.scope()) {
+            None => Ok(child.clone()),
+            Some(sub) => condition(factory, child, &sub).map_err(|e| match e {
                 SpplError::ZeroProbability { .. } => SpplError::ZeroProbability {
                     event: original.to_string(),
                 },
                 other => other,
-            })
+            }),
         })
         .collect::<Result<Vec<Spe>, SpplError>>()?;
     factory.product(out)
@@ -174,7 +159,8 @@ fn condition_product_clause(
 /// Conditions a leaf on the solved outcome set of its base variable
 /// (Lst. 6a): truncation for positive-length pieces, atom extraction for
 /// integer points, restriction for nominal values; a union of pieces
-/// becomes a mixture weighted by the pieces' prior probabilities.
+/// becomes a mixture weighted by the pieces' prior probabilities, each
+/// measured by the leaf kernel the probability rule uses.
 fn condition_leaf(
     factory: &Factory,
     var: &Var,
@@ -185,11 +171,11 @@ fn condition_leaf(
 ) -> Result<Spe, SpplError> {
     let mut parts: Vec<(Spe, f64)> = Vec::new();
     for piece in outcomes.pieces() {
-        let w = dist.measure(&piece);
-        if w > 0.0 {
+        let lw = dist.log_measure(&piece);
+        if lw > f64::NEG_INFINITY {
             let restricted = restrict_dist(dist, &piece)?;
             let leaf = factory.leaf_env(var.clone(), restricted, env.clone())?;
-            parts.push((leaf, w.ln()));
+            parts.push((leaf, lw));
         }
     }
     if parts.is_empty() {
@@ -249,6 +235,7 @@ fn restrict_dist(dist: &Distribution, piece: &OutcomeSet) -> Result<Distribution
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::Transform;
     use sppl_dists::{Cdf, DistInt, DistReal, DistStr};
     use sppl_num::float::approx_eq;
     use sppl_sets::Interval;

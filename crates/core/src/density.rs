@@ -6,8 +6,13 @@
 //! continuous dimensions participating in the weight, adapting
 //! "lexicographic likelihood weighting" to exact inference. Mixtures keep
 //! only the children of minimal degree among those with positive weight.
+//!
+//! The density and `constrain` share each node rule rather than restate
+//! it: one lexicographic sum rule picks the kept children, one router
+//! hands each product factor the part of the assignment in its scope, and
+//! out-of-scope variables meet the scope check every query uses.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use sppl_dists::Distribution;
 use sppl_num::float::logsumexp;
@@ -15,7 +20,7 @@ use sppl_sets::Outcome;
 
 use crate::digest::{Digester, Fingerprint};
 use crate::error::SpplError;
-use crate::spe::{Env, Factory, Node, Spe};
+use crate::spe::{check_scope, Env, Factory, Node, Spe};
 use crate::var::Var;
 
 /// A measure-zero constraint: an exact value for each listed variable
@@ -57,13 +62,7 @@ impl Spe {
     /// * [`SpplError::UnknownVariable`] for out-of-scope variables;
     /// * [`SpplError::TransformedConstraint`] for derived variables.
     pub fn logdensity(&self, assignment: &Assignment) -> Result<Density, SpplError> {
-        for v in assignment.keys() {
-            if !self.scope().contains(v) {
-                return Err(SpplError::UnknownVariable {
-                    var: v.name().into(),
-                });
-            }
-        }
+        check_scope(self.scope(), assignment.keys())?;
         logdensity_inner(self, assignment, &mut DensityMemo::new())
     }
 }
@@ -103,30 +102,22 @@ fn logdensity_inner(
     let out = match spe.node() {
         Node::Leaf { var, dist, env, .. } => leaf_density(var, dist, env, assignment)?,
         Node::Sum { children, .. } => {
-            let mut parts: Vec<(u64, f64)> = Vec::with_capacity(children.len());
+            let mut parts = Vec::with_capacity(children.len());
             for (child, lw) in children {
                 let d = logdensity_inner(child, assignment, memo)?;
                 parts.push((d.degree, lw + d.ln_weight));
             }
-            let positive: Vec<&(u64, f64)> = parts
-                .iter()
-                .filter(|(_, w)| *w > f64::NEG_INFINITY)
-                .collect();
-            if positive.is_empty() {
-                Density {
+            match lexicographic_min(&parts) {
+                None => Density {
                     degree: 1,
                     ln_weight: f64::NEG_INFINITY,
-                }
-            } else {
-                let dmin = positive.iter().map(|(d, _)| *d).min().expect("nonempty");
-                let terms: Vec<f64> = positive
-                    .iter()
-                    .filter(|(d, _)| *d == dmin)
-                    .map(|(_, w)| *w)
-                    .collect();
-                Density {
-                    degree: dmin,
-                    ln_weight: logsumexp(&terms),
+                },
+                Some((degree, kept)) => {
+                    let terms: Vec<f64> = kept.iter().map(|&i| parts[i].1).collect();
+                    Density {
+                        degree,
+                        ln_weight: logsumexp(&terms),
+                    }
                 }
             }
         }
@@ -134,23 +125,41 @@ fn logdensity_inner(
             let mut degree = 0;
             let mut ln_weight = 0.0;
             for child in children {
-                let restricted: Assignment = assignment
-                    .iter()
-                    .filter(|(v, _)| child.scope().contains(v))
-                    .map(|(v, o)| (v.clone(), o.clone()))
-                    .collect();
-                if restricted.is_empty() {
-                    continue;
+                if let Some(restricted) = assignment_in(assignment, child.scope()) {
+                    let d = logdensity_inner(child, &restricted, memo)?;
+                    degree += d.degree;
+                    ln_weight += d.ln_weight;
                 }
-                let d = logdensity_inner(child, &restricted, memo)?;
-                degree += d.degree;
-                ln_weight += d.ln_weight;
             }
             Density { degree, ln_weight }
         }
     };
     memo.insert(key, out);
     Ok(out)
+}
+
+/// The lexicographic sum rule (Lst. 1d) over each child's
+/// `(degree, weighted log density)`: the minimal degree among children of
+/// positive weight, and those children of that degree, in stored order.
+/// `None` when no child has positive weight.
+fn lexicographic_min(parts: &[(u64, f64)]) -> Option<(u64, Vec<usize>)> {
+    let positive = |w: f64| w > f64::NEG_INFINITY;
+    let degree = parts.iter().filter(|p| positive(p.1)).map(|p| p.0).min()?;
+    let kept = (0..parts.len())
+        .filter(|&i| parts[i].0 == degree && positive(parts[i].1))
+        .collect();
+    Some((degree, kept))
+}
+
+/// The product rule's router for assignments: the part of `assignment`
+/// in a factor's `scope`, or `None` when the factor is unconstrained.
+fn assignment_in(assignment: &Assignment, scope: &BTreeSet<Var>) -> Option<Assignment> {
+    let restricted: Assignment = assignment
+        .iter()
+        .filter(|(v, _)| scope.contains(v))
+        .map(|(v, o)| (v.clone(), o.clone()))
+        .collect();
+    (!restricted.is_empty()).then_some(restricted)
 }
 
 fn leaf_density(
@@ -185,13 +194,7 @@ fn leaf_density(
 /// * [`SpplError::TransformedConstraint`] for derived variables;
 /// * [`SpplError::UnknownVariable`] for out-of-scope variables.
 pub fn constrain(factory: &Factory, spe: &Spe, assignment: &Assignment) -> Result<Spe, SpplError> {
-    for v in assignment.keys() {
-        if !spe.scope().contains(v) {
-            return Err(SpplError::UnknownVariable {
-                var: v.name().into(),
-            });
-        }
-    }
+    check_scope(spe.scope(), assignment.keys())?;
     // Per-call memo tables over the shared DAG: without them, constrain
     // would redo work once per *path* to each deduplicated node, turning
     // linear-size expressions (e.g. long HMMs) into exponential work.
@@ -286,30 +289,17 @@ fn constrain_compute(
                 let d = logdensity_inner(child, assignment, &mut memos.density)?;
                 densities.push((d.degree, lw + d.ln_weight));
             }
-            let positive: Vec<usize> = densities
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, w))| *w > f64::NEG_INFINITY)
-                .map(|(i, _)| i)
-                .collect();
-            if positive.is_empty() {
+            let Some((_, kept)) = lexicographic_min(&densities) else {
                 return Err(SpplError::ZeroProbability {
                     event: format!("{assignment:?}"),
                 });
-            }
-            let dmin = positive
-                .iter()
-                .map(|&i| densities[i].0)
-                .min()
-                .expect("nonempty");
-            let mut parts = Vec::with_capacity(positive.len());
-            for i in positive {
-                if densities[i].0 == dmin {
-                    parts.push((
-                        constrain_inner(factory, &children[i].0, assignment, memos)?,
-                        densities[i].1,
-                    ));
-                }
+            };
+            let mut parts = Vec::with_capacity(kept.len());
+            for i in kept {
+                parts.push((
+                    constrain_inner(factory, &children[i].0, assignment, memos)?,
+                    densities[i].1,
+                ));
             }
             factory.sum(parts)
         }
@@ -317,15 +307,9 @@ fn constrain_compute(
             // Each factor takes the part of the assignment in its scope.
             let mut out = Vec::with_capacity(children.len());
             for child in children {
-                let restricted: Assignment = assignment
-                    .iter()
-                    .filter(|(v, _)| child.scope().contains(v))
-                    .map(|(v, o)| (v.clone(), o.clone()))
-                    .collect();
-                out.push(if restricted.is_empty() {
-                    child.clone()
-                } else {
-                    constrain_inner(factory, child, &restricted, memos)?
+                out.push(match assignment_in(assignment, child.scope()) {
+                    None => child.clone(),
+                    Some(restricted) => constrain_inner(factory, child, &restricted, memos)?,
                 });
             }
             factory.product(out)

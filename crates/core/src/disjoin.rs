@@ -7,7 +7,7 @@
 //! clauses are *pairwise disjoint* (Prop. D.6), which is what `condition`
 //! needs to turn a `Product` into a `Sum`-of-`Product` (Fig. 5).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sppl_sets::{Outcome, OutcomeSet};
 
@@ -113,6 +113,19 @@ impl Clause {
                 .map(|(var, set)| Event::In(Transform::id(var.clone()), set.clone()))
                 .collect(),
         )
+    }
+
+    /// The product rule's router: the clause's constraints on the
+    /// variables in `scope`, as the conjunction a factor with that scope
+    /// answers. `None` when the clause leaves all of them free.
+    pub(crate) fn event_in(&self, scope: &BTreeSet<Var>) -> Option<Event> {
+        let literals: Vec<Event> = self
+            .constraints
+            .iter()
+            .filter(|(var, _)| scope.contains(var))
+            .map(|(var, set)| Event::In(Transform::id(var.clone()), set.clone()))
+            .collect();
+        (!literals.is_empty()).then(|| Event::and(literals))
     }
 
     /// Membership of a full assignment.

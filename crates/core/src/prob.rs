@@ -2,6 +2,15 @@
 //! probabilities, computed in log space with memoization over the
 //! deduplicated DAG.
 //!
+//! Each node rule has one definition, which the arena evaluator and
+//! [`condition`](mod@crate::condition) call too: a leaf measures the solved
+//! outcome set of the event through the one leaf kernel,
+//! [`Distribution::log_measure`](sppl_dists::Distribution::log_measure);
+//! a product routes each clause's constraints to the factor that owns
+//! their variables (`Clause::event_in`); a sum mixes its children by
+//! weight; and leaves and products reject a variable outside their scope
+//! with one scope check (`spe::check_scope`).
+//!
 //! Disjunctions at `Product` nodes are handled by decomposing the event
 //! into pairwise-disjoint clauses (`disjoin`, Appx. D.1) and summing clause
 //! probabilities — semantically identical to the paper's
@@ -15,8 +24,7 @@ use crate::digest::Fingerprint;
 use crate::disjoin::{solve_and_disjoin, Clause};
 use crate::error::SpplError;
 use crate::event::Event;
-use crate::spe::{leaf_event_outcomes, Factory, Node, Spe};
-use crate::transform::Transform;
+use crate::spe::{check_scope, leaf_event_outcomes, Factory, Node, Spe};
 
 /// Memoization storage for probability queries: either a per-call local
 /// table (safe because the queried expression pins all its descendants for
@@ -135,15 +143,8 @@ pub(crate) fn logprob_memo(
             env,
             scope,
         } => {
-            for v in event.vars() {
-                if !scope.contains(&v) {
-                    return Err(SpplError::UnknownVariable {
-                        var: v.name().into(),
-                    });
-                }
-            }
-            let outcomes = leaf_event_outcomes(var, env, event);
-            dist.measure(&outcomes).ln()
+            check_scope(scope, &event.vars())?;
+            dist.log_measure(&leaf_event_outcomes(var, env, event))
         }
         Node::Sum { children, .. } => {
             let mut terms = Vec::with_capacity(children.len());
@@ -153,13 +154,7 @@ pub(crate) fn logprob_memo(
             logsumexp(&terms)
         }
         Node::Product { children, scope } => {
-            for v in event.vars() {
-                if !scope.contains(&v) {
-                    return Err(SpplError::UnknownVariable {
-                        var: v.name().into(),
-                    });
-                }
-            }
+            check_scope(scope, &event.vars())?;
             let clauses = solve_and_disjoin(event)?;
             let mut terms = Vec::with_capacity(clauses.len());
             for clause in &clauses {
@@ -173,8 +168,8 @@ pub(crate) fn logprob_memo(
 }
 
 /// Probability of a single conjunction clause under a product: route each
-/// per-variable constraint to the unique child owning the variable and
-/// multiply (sum logs).
+/// per-variable constraint to the unique child owning the variable
+/// ([`Clause::event_in`]) and multiply (sum logs).
 pub(crate) fn clause_logprob(
     children: &[Spe],
     clause: &Clause,
@@ -182,14 +177,8 @@ pub(crate) fn clause_logprob(
 ) -> Result<f64, SpplError> {
     let mut total = 0.0;
     for child in children {
-        let literals: Vec<Event> = clause
-            .constraints()
-            .iter()
-            .filter(|(v, _)| child.scope().contains(v))
-            .map(|(v, set)| Event::In(Transform::id(v.clone()), set.clone()))
-            .collect();
-        if !literals.is_empty() {
-            total += logprob_memo(child, &Event::and(literals), memo)?;
+        if let Some(routed) = clause.event_in(child.scope()) {
+            total += logprob_memo(child, &routed, memo)?;
         }
         if total == f64::NEG_INFINITY {
             break;
@@ -201,6 +190,7 @@ pub(crate) fn clause_logprob(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::Transform;
     use crate::var::Var;
     use sppl_dists::{Cdf, DistInt, DistReal, DistStr, Distribution};
     use sppl_num::float::approx_eq;

@@ -784,6 +784,21 @@ pub(crate) fn leaf_event_outcomes(var: &Var, env: &Env, event: &Event) -> sppl_s
     e.outcomes_for(var)
 }
 
+/// The scope check of every query, posterior and density: the first of
+/// `vars` (callers pass them sorted) outside `scope` is an
+/// [`SpplError::UnknownVariable`].
+pub(crate) fn check_scope<'a>(
+    scope: &BTreeSet<Var>,
+    vars: impl IntoIterator<Item = &'a Var>,
+) -> Result<(), SpplError> {
+    match vars.into_iter().find(|v| !scope.contains(v)) {
+        Some(v) => Err(SpplError::UnknownVariable {
+            var: v.name().into(),
+        }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -397,6 +397,13 @@ impl Distribution {
         }
     }
 
+    /// Natural log of [`measure`](Distribution::measure) (`-∞` for
+    /// probability zero): the one leaf kernel every inference path calls,
+    /// so a leaf's log-probability is computed in exactly one place.
+    pub fn log_measure(&self, v: &OutcomeSet) -> f64 {
+        self.measure(v).ln()
+    }
+
     /// Generalized density at a single outcome, as the pair
     /// `(degree, weight)` of the lexicographic semantics (Lst. 1d): the
     /// degree counts continuous dimensions participating in the weight.

@@ -190,19 +190,37 @@ pub fn rv_const_op(
     })
 }
 
-/// The largest integer exponent `t ** c` accepts, in magnitude. `t ** n`
-/// is a degree-`n` polynomial whose preimages are solved numerically, and
-/// that cost grows faster than `n²` (on a 2-vCPU box, a `condition` on
-/// `X ** 1000` took 0.9 s to analyze, on `X ** 4000` 18 s). No program
-/// here uses more than 3.
-const MAX_POWER: u32 = 100;
+/// The largest degree a polynomial of a random value may reach, by one
+/// exponent (`X ** n`), by composition (`(X ** a) ** b` has degree
+/// `a·b`) or by products (`X ** a * X ** b` has degree `a + b`). The
+/// preimages of a degree-`n` polynomial are solved numerically, and that
+/// cost grows about as `n³`: on a 2-vCPU box, `Y = (X ** a) ** b` with
+/// `condition(Y > 0.5)` compiled in 0.7 / 115 / 1,094 ms at degree
+/// 100 / 400 / 900, and a single `X ** 4000` took 18 s to analyze. No
+/// program here goes past degree 3.
+const MAX_DEGREE: u32 = 100;
+
+/// Rejects a polynomial of `degree` past [`MAX_DEGREE`]; callers check
+/// before the polynomial is built.
+fn check_degree(degree: f64) -> Result<(), EvalError> {
+    if degree > f64::from(MAX_DEGREE) {
+        return Err(invalid(format!(
+            "polynomial degree {degree} is too large: polynomials go up to degree {MAX_DEGREE}"
+        )));
+    }
+    Ok(())
+}
+
+/// A polynomial's degree (0 for the zero polynomial), as the bound's
+/// arithmetic takes it: in `f64`, so a huge exponent cannot overflow.
+fn degree(p: &Polynomial) -> f64 {
+    p.degree().unwrap_or(0) as f64
+}
 
 /// `t ** c`: integer powers and their reciprocals, and the roots `1/n`.
 fn power(t: Transform, c: f64) -> Result<(Transform, Option<Partial>), EvalError> {
-    if c.fract() == 0.0 && c.abs() > f64::from(MAX_POWER) {
-        return Err(invalid(format!(
-            "exponent {c} is too large: integer powers go up to ±{MAX_POWER}"
-        )));
+    if c.fract() == 0.0 {
+        check_degree(degree(&poly_view(&t).1) * c.abs())?;
     }
     Ok(if c >= 0.0 && c.fract() == 0.0 {
         (t.pow_int(c as u32), None)
@@ -212,7 +230,11 @@ fn power(t: Transform, c: f64) -> Result<(Transform, Option<Partial>), EvalError
         (t.recip(), Some(Partial::Recip))
     } else if c < 0.0 && c.fract() == 0.0 {
         (t.pow_int((-c) as u32).recip(), Some(Partial::Recip))
-    } else if c > 0.0 && (1.0 / c).fract().abs() < 1e-12 {
+    } else if c > 0.0
+        && c < 1.0
+        && (1.0 / c).fract().abs() < 1e-12
+        && 1.0 / c <= f64::from(u32::MAX)
+    {
         let n = (1.0 / c) as u32;
         (t.root(n), (n % 2 == 0).then_some(Partial::EvenRoot))
     } else {
@@ -240,7 +262,10 @@ pub fn rv_rv_op(op: BinOp, ta: Transform, tb: Transform) -> Result<Transform, Ev
     let p = match op {
         BinOp::Add => pa.add(&pb),
         BinOp::Sub => pa.sub(&pb),
-        BinOp::Mul => pa.mul(&pb),
+        BinOp::Mul => {
+            check_degree(degree(&pa) + degree(&pb))?;
+            pa.mul(&pb)
+        }
         BinOp::Div | BinOp::Pow => {
             return Err(invalid(format!(
                 "{op:?} between two random expressions is not supported (R3)"

@@ -583,6 +583,30 @@ fn parameters_that_used_to_panic_or_answer_nan_are_rejected() {
     // An integer exponent is a polynomial's degree; 1e10 saturated to
     // 2^32 - 1 and asked for that many coefficients.
     expect_error("X ~ normal(0, 1)\nY = X ** 1e10", "too large");
+    // Composition multiplies degrees and products add them, so the bound
+    // is on the degree, not on one exponent.
+    expect_error(
+        "X ~ normal(0, 1)\nY = (X ** 60) ** 60",
+        "polynomial degree 3600 is too large: polynomials go up to degree 100",
+    );
+    expect_error("X ~ normal(0, 1)\nY = X ** 60 * X ** 60", "degree 120");
+    expect_error("X ~ normal(0, 1)\nY = X ** -101", "degree 101");
+    // An infinite or huge non-integer exponent read as the root 1/0, and
+    // a root index past u32::MAX saturated to it.
+    for src in [
+        "X ~ normal(0, 1)\nY = X ** 1e400",
+        "X ~ normal(0, 1)\nY = X ** 10000000000000.5",
+        "X ~ normal(0, 1)\nY = X ** 0.0000000000001",
+    ] {
+        expect_error(src, "unsupported exponent");
+    }
+    for src in [
+        "X ~ normal(0, 1)\nY = (X ** 10) ** 10",
+        "X ~ normal(0, 1)\nY = X ** 100",
+        "X ~ normal(0, 1)\nY = X ** 50 * X ** 50",
+    ] {
+        compile(&Factory::new(), src).unwrap_or_else(|e| panic!("{src:?}: {e}"));
+    }
 }
 
 #[test]

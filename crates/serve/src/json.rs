@@ -382,9 +382,13 @@ impl<'a> Parser<'a> {
             if end > p.bytes.len() {
                 return Err(p.err("truncated \\u escape"));
             }
-            let s = std::str::from_utf8(&p.bytes[p.at..end])
-                .map_err(|_| p.err("invalid \\u escape"))?;
-            let v = u32::from_str_radix(s, 16).map_err(|_| p.err("invalid \\u escape"))?;
+            // ASCII hex digits only: `from_str_radix` would take a sign.
+            let mut digits = p.bytes[p.at..end]
+                .iter()
+                .map(|&b| char::from(b).to_digit(16));
+            let v = digits
+                .try_fold(0, |v, d| Some(v * 16 + d?))
+                .ok_or_else(|| p.err("invalid \\u escape"))?;
             p.at = end;
             Ok(v)
         };
@@ -507,6 +511,7 @@ mod tests {
     fn unicode_escapes() {
         assert_eq!(Json::parse(r#""é😀""#).unwrap(), Json::Str("é😀".into()));
         assert!(Json::parse(r#""\ud800""#).is_err(), "lone surrogate");
+        assert!(Json::parse(r#""\u+041""#).is_err(), "signed escape");
         // Raw multi-byte UTF-8 passes through unescaped.
         let v = Json::parse("\"héllo\"").unwrap();
         assert_eq!(v, Json::Str("héllo".into()));

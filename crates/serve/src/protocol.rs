@@ -586,9 +586,25 @@ pub fn parse_digest(hex: &str) -> Result<ModelDigest, WireError> {
             hex.len()
         )));
     }
-    u128::from_str_radix(hex, 16)
-        .map(ModelDigest::from_u128)
-        .map_err(|_| WireError::bad_request("digest must be 32 hex digits"))
+    hex_bytes(hex)
+        .and_then(|bytes| bytes.try_into().ok())
+        .map(|bytes| ModelDigest::from_u128(u128::from_be_bytes(bytes)))
+        .ok_or_else(|| WireError::bad_request("digest must be 32 hex digits"))
+}
+
+/// Decodes hex two digits per byte, accepting ASCII hex digits only:
+/// no sign, no whitespace, and no other character (a multi-byte one
+/// included). `None` on odd length or any other character. Every hex
+/// field of the protocol goes through here.
+fn hex_bytes(hex: &str) -> Option<Vec<u8>> {
+    let digit = |b: u8| char::from(b).to_digit(16);
+    let pairs = hex.as_bytes().chunks(2);
+    pairs
+        .map(|pair| match *pair {
+            [hi, lo] => Some((digit(hi)? * 16 + digit(lo)?) as u8),
+            _ => None,
+        })
+        .collect()
 }
 
 /// Renders a binary wire payload (an SPE export) as lowercase hex — the
@@ -612,13 +628,7 @@ pub fn parse_payload(hex: &str) -> Result<Vec<u8>, WireError> {
             "binary payload hex must have even length",
         ));
     }
-    (0..hex.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&hex[i..i + 2], 16)
-                .map_err(|_| WireError::bad_request("binary payload must be hex"))
-        })
-        .collect()
+    hex_bytes(hex).ok_or_else(|| WireError::bad_request("binary payload must be hex"))
 }
 
 impl Request {
@@ -957,9 +967,10 @@ fn parse_bits(json: &Json) -> Result<f64, WireError> {
     if hex.len() != 16 {
         return Err(WireError::bad_request("`bits` must be 16 hex digits"));
     }
-    u64::from_str_radix(hex, 16)
-        .map(f64::from_bits)
-        .map_err(|_| WireError::bad_request("`bits` must be 16 hex digits"))
+    hex_bytes(hex)
+        .and_then(|bytes| bytes.try_into().ok())
+        .map(|bytes| f64::from_bits(u64::from_be_bytes(bytes)))
+        .ok_or_else(|| WireError::bad_request("`bits` must be 16 hex digits"))
 }
 
 impl Response {

@@ -5,11 +5,13 @@
 //! authoritative representation and is what the decoder reads.
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sppl_core::digest::ModelDigest;
 use sppl_serve::protocol::{
     Cmp, Request, Response, StatsSnapshot, WireError, WireEvent, WireOutcome,
 };
+use sppl_serve::server::{ServeConfig, ServerState};
 
 fn digest(x: u128) -> ModelDigest {
     ModelDigest::from_u128(x)
@@ -244,12 +246,35 @@ fn malformed_requests_decode_to_bad_request_with_id_echo() {
         ("{\"op\":\"logprob\",\"model\":\"00000000000000000000000000000001\"}", None), // no event
         ("{\"op\":\"compile\"}", None),                       // no source
         ("{\"id\":9,\"op\":\"condition\",\"model\":\"00000000000000000000000000000001\",\"event\":{\"var\":\"X\"}}", Some(9)), // incomplete event
+        ("{\"id\":10,\"op\":\"import\",\"spe\":\"a€\"}", Some(10)), // non-ASCII hex
+        ("{\"id\":11,\"op\":\"lookup\",\"model\":\"+0000000000000000000000000000001\"}", Some(11)), // signed digest
     ];
     for (line, expect_id) in cases {
         let (id, err) = Request::decode(line).expect_err("malformed line must not decode");
         assert_eq!(&id, expect_id, "id echo for {line}");
         assert_eq!(err.kind, "bad_request", "kind for {line}: {err}");
         assert!(!err.message.is_empty(), "error must explain itself");
+    }
+}
+
+#[test]
+fn no_truncation_or_non_ascii_byte_panics_the_decoder_or_the_server() {
+    // Every prefix of every request line, and the line with each byte
+    // replaced by a three-byte character, must decode to a request or a
+    // structured error, and the server must answer it.
+    let state = ServerState::new(&ServeConfig::default());
+    for (i, request) in every_request().into_iter().enumerate() {
+        let line = request.encode(Some(i as u64));
+        assert!(line.is_ascii(), "request lines are ASCII: {line}");
+        let truncations = (0..line.len()).map(|at| line[..at].to_string());
+        let replacements = (0..line.len()).map(|at| format!("{}€{}", &line[..at], &line[at + 1..]));
+        for mutant in truncations.chain(replacements) {
+            let decoded = catch_unwind(AssertUnwindSafe(|| Request::decode(&mutant).is_ok()));
+            assert!(decoded.is_ok(), "Request::decode panicked on {mutant:?}");
+            let reply = catch_unwind(AssertUnwindSafe(|| state.handle_line(&mutant)))
+                .unwrap_or_else(|_| panic!("handle_line panicked on {mutant:?}"));
+            assert!(reply.contains("\"ok\""), "{mutant:?} -> {reply:?}");
+        }
     }
 }
 

@@ -224,7 +224,7 @@ fn protocol_errors_come_back_structured() {
     let mut over_long = vec![b'x'; (16 << 20) + 1];
     over_long.push(b'\n');
     let bad = ["\"ok\":false", "\"kind\":\"bad_request\""];
-    let cases: [(Vec<&[u8]>, &[&str]); 7] = [
+    let cases: [(Vec<&[u8]>, &[&str]); 8] = [
         (vec![b"this is not json\n"], &bad),
         (
             vec![b"{\"id\":31,\"op\":\"warble\"}\n"],
@@ -240,6 +240,11 @@ fn protocol_errors_come_back_structured() {
         ),
         (vec![b"{\"id\":42,\"op\":\"st\xffats\"}\n"], &bad),
         (vec![&over_long], &bad),
+        // A non-ASCII character in a hex payload.
+        (
+            vec!["{\"id\":44,\"op\":\"import\",\"spe\":\"a€\"}\n".as_bytes()],
+            &["\"ok\":false", "\"kind\":\"bad_request\"", "\"id\":44"],
+        ),
         (
             vec![b"{\"id\":43,\"op\":\"stats\"}\n"],
             &["\"ok\":true", "\"id\":43"],
@@ -262,7 +267,7 @@ fn protocol_errors_come_back_structured() {
 
     // The connection survives all of that: a good request still works.
     let stats = client.stats().expect("stats after errors");
-    assert!(stats.errors >= 8, "every failure above was counted");
+    assert!(stats.errors >= 9, "every failure above was counted");
     server.shutdown();
 }
 
