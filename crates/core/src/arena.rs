@@ -334,7 +334,10 @@ impl ArenaModel {
 
             // Phase 1: every leaf row. Each lane's constraints keyed by
             // arena variable id, sorted (ids follow `Var` order, as the
-            // clause's own map does).
+            // clause's own map does). Looking each leaf's `Var` up in the
+            // clause's map instead made the Fig. 3 n = 100 posterior's
+            // 199-event cold batch 19% slower (2.69 vs 2.26 ms, median of
+            // 8 per-run minima, 2-vCPU box).
             let lanes: Vec<Vec<(u32, &OutcomeSet)>> = clauses
                 .iter()
                 .map(|c| {

@@ -220,7 +220,10 @@ fn degree(p: &Polynomial) -> f64 {
 /// `t ** c`: integer powers and their reciprocals, and the roots `1/n`.
 fn power(t: Transform, c: f64) -> Result<(Transform, Option<Partial>), EvalError> {
     if c.fract() == 0.0 {
-        check_degree(degree(&poly_view(&t).1) * c.abs())?;
+        // `pow_int` builds the monomial `x^|c|` before composing it with
+        // `t`, so a constant or zero `t` counts as degree 1: `|c|` itself
+        // stays bounded.
+        check_degree(degree(&poly_view(&t).1).max(1.0) * c.abs())?;
     }
     Ok(if c >= 0.0 && c.fract() == 0.0 {
         (t.pow_int(c as u32), None)

@@ -591,6 +591,10 @@ fn parameters_that_used_to_panic_or_answer_nan_are_rejected() {
     );
     expect_error("X ~ normal(0, 1)\nY = X ** 60 * X ** 60", "degree 120");
     expect_error("X ~ normal(0, 1)\nY = X ** -101", "degree 101");
+    // A constant or zero polynomial still builds the monomial `x^c`.
+    expect_error("X ~ normal(0, 1)\nY = (X ** 0) ** 1e10", "too large");
+    expect_error("X ~ normal(0, 1)\nY = (X * 0) ** 1e10", "too large");
+    expect_error("X ~ normal(0, 1)\nY = (X - X) ** 1e10", "too large");
     // An infinite or huge non-integer exponent read as the root 1/0, and
     // a root index past u32::MAX saturated to it.
     for src in [
