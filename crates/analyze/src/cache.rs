@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
-use sppl_core::digest::{Digester, ModelDigest, DIGEST_VERSION};
+use sppl_core::digest::{Digester, Encoder, ModelDigest, DIGEST_VERSION};
 use sppl_core::wire::{deserialize_spe, serialize_spe};
 use sppl_core::{store, Factory, Model, SpplError};
 use sppl_lang::ast::Program;

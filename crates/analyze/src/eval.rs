@@ -275,7 +275,7 @@ impl Walker {
         let resolved = self.env.resolve_transform(t);
         if let Some(v) = resolved.the_var() {
             let overlap = resolved
-                .preimage_full(&bad)
+                .preimage(&bad)
                 .intersection(&self.env.support_of(v.name()));
             if !overlap.is_empty() {
                 self.diag(LintCode::InvalidTransformDomain, span, what);

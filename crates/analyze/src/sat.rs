@@ -32,7 +32,7 @@ pub(crate) fn may_sat(e: &Event, env: &Env) -> bool {
     match e {
         Event::In(t, v) => match t.the_var() {
             Some(var) => !t
-                .preimage_full(v)
+                .preimage(v)
                 .intersection(&env.support_of(var.name()))
                 .is_empty(),
             // Multi-variable transforms (piecewise): stay conservative.
@@ -48,7 +48,7 @@ pub(crate) fn may_sat(e: &Event, env: &Env) -> bool {
             for c in children {
                 if let Event::In(t, v) = c {
                     if let Some(var) = t.the_var() {
-                        let pre = t.preimage_full(v);
+                        let pre = t.preimage(v);
                         per_var
                             .entry(var.name().to_string())
                             .and_modify(|acc| *acc = acc.intersection(&pre))
@@ -72,7 +72,7 @@ pub(crate) fn refine(env: &mut Env, e: &Event) {
         Event::In(t, v) => {
             if let Some(var) = t.the_var() {
                 let name = var.name();
-                let narrowed = env.support_of(name).intersection(&t.preimage_full(v));
+                let narrowed = env.support_of(name).intersection(&t.preimage(v));
                 env.narrow(name, narrowed);
             }
         }

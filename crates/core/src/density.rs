@@ -18,7 +18,7 @@ use sppl_dists::Distribution;
 use sppl_num::float::logsumexp;
 use sppl_sets::Outcome;
 
-use crate::digest::{Digester, Fingerprint};
+use crate::digest::{Digester, Encoder, Fingerprint};
 use crate::error::SpplError;
 use crate::spe::{check_scope, Env, Factory, Node, Spe};
 use crate::var::Var;

@@ -31,32 +31,43 @@
 //!
 //! # Encoding
 //!
+//! This section is the one description of how a domain value becomes
+//! bytes, in a digest stream and in a record of the
+//! [SPE wire format](crate::wire) alike. The `encode_*` functions in this
+//! module are the single source of truth: each writes its value once,
+//! into an [`Encoder`] sink. The two sinks differ only in the width of a
+//! *length* (a string's byte length or a sequence's element count):
+//! [`Digester`] writes it as a `u64`, the wire writer as a `u32`.
+//!
 //! All integers are little-endian. `f64` is encoded as the little-endian
 //! bytes of [`f64::to_bits`] (so `-0.0 ≠ 0.0` and every NaN payload is
 //! distinct — encoding is *structural*, not numeric). Strings are a
-//! `u64` byte length followed by the UTF-8 bytes. Sequences are a `u64`
-//! element count followed by the elements. Enums are a one-byte variant
-//! tag followed by the variant's fields in declaration order. Every
-//! digest stream begins with the `u32` [`DIGEST_VERSION`].
+//! length followed by the UTF-8 bytes. Sequences are a length followed
+//! by the elements. Enums are a one-byte variant tag followed by the
+//! variant's fields in declaration order. Every digest stream begins
+//! with the `u32` [`DIGEST_VERSION`].
 //!
-//! The per-type layouts (tag bytes in parentheses) are implemented by the
-//! `encode_*` functions in this module, which are the single source of
-//! truth; the important ones:
+//! The per-type layouts (tag bytes in parentheses); `len` is the sink's
+//! length:
 //!
 //! * `Interval` — `lo: f64, lo_closed: u8, hi: f64, hi_closed: u8`
-//! * `RealSet` — `count: u64, intervals…`
-//! * `StringSet` — polarity `u8` (0 finite, 1 cofinite), `count: u64`,
+//! * `RealSet` — `count: len, intervals…`
+//! * `StringSet` — polarity `u8` (0 finite, 1 cofinite), `count: len`,
 //!   sorted strings
 //! * `OutcomeSet` — reals then strings
 //! * `Transform` — tag (0 `Id`, 1 `Reciprocal`, 2 `Abs`, 3 `Root`,
 //!   4 `Exp`, 5 `Log`, 6 `Poly`, 7 `Piecewise`), then fields
 //! * `Event` — tag (0 `In`, 1 `And`, 2 `Or`), then fields
 //! * `Distribution` — tag (0 real, 1 int, 2 str, 3 atomic), then the
-//!   `Cdf` (its own tag + parameters) and support
-//! * SPE nodes — Merkle-style: tag (0 leaf, 1 sum, 2 product); sums fold
-//!   the `(child digest, weight)` pairs sorted by that pair, products the
-//!   sorted child digests, so node identity is order-insensitive and
-//!   shared subgraphs hash once (see [`Spe::digest`](crate::spe::Spe::digest)).
+//!   `Cdf` (its own tag + parameters, each 8 bytes) and support
+//! * Leaf — variable, distribution, then the environment: `count: len`
+//!   and each derived variable with its transform, in insertion order
+//! * SPE nodes in a digest — Merkle-style: tag (0 leaf, 1 sum,
+//!   2 product); sums fold the `(child digest, weight)` pairs sorted by
+//!   that pair, products the sorted child digests, so node identity is
+//!   order-insensitive and shared subgraphs hash once (see
+//!   [`Spe::digest`](crate::spe::Spe::digest)). Wire records tag nodes
+//!   the same way but reference children by record index.
 
 use std::fmt;
 
@@ -64,6 +75,7 @@ use sppl_dists::{Cdf, Distribution};
 use sppl_sets::{Interval, OutcomeSet, RealSet, StringSet};
 
 use crate::event::Event;
+use crate::spe::Env;
 use crate::transform::Transform;
 use crate::var::Var;
 
@@ -199,8 +211,57 @@ impl Sip128 {
 }
 
 // ---------------------------------------------------------------------------
-// The digest writer.
+// The byte sink and the digest writer.
 // ---------------------------------------------------------------------------
+
+/// A byte sink for the domain encoders (see [Encoding](self#encoding)):
+/// a sink supplies [`bytes`](Encoder::bytes) and a [`len`](Encoder::len)
+/// whose width it picks; the fixed-width writes are provided.
+pub trait Encoder {
+    /// Raw bytes, as-is (no length prefix; composite encoders add their
+    /// own counts).
+    fn bytes(&mut self, bytes: &[u8]);
+
+    /// A sequence length or string byte length, in the sink's width.
+    fn len(&mut self, n: usize);
+
+    /// A one-byte variant tag.
+    fn u8(&mut self, x: u8) {
+        self.bytes(&[x]);
+    }
+
+    /// A little-endian `u32`.
+    fn u32(&mut self, x: u32) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    /// A little-endian `u64`.
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    /// A little-endian `u128`.
+    fn u128(&mut self, x: u128) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    /// An `f64`, encoded structurally as the little-endian bytes of its
+    /// bit pattern.
+    fn f64(&mut self, x: f64) {
+        self.u64(x.to_bits());
+    }
+
+    /// A boolean as one byte (0/1).
+    fn bool(&mut self, x: bool) {
+        self.u8(u8::from(x));
+    }
+
+    /// A string: its byte length, then the UTF-8 bytes.
+    fn str(&mut self, s: &str) {
+        self.len(s.len());
+        self.bytes(s.as_bytes());
+    }
+}
 
 /// A write-only stream computing the versioned content hash (see the
 /// [module docs](self) for the encoding rules). Construction folds
@@ -225,58 +286,21 @@ impl Digester {
         d
     }
 
-    /// Raw bytes, as-is (no length prefix; used by the fixed-width
-    /// primitives below — composite encoders must add their own counts).
-    pub fn bytes(&mut self, bytes: &[u8]) {
-        self.sip.write(bytes);
-    }
-
-    /// A one-byte variant tag (or boolean).
-    pub fn u8(&mut self, x: u8) {
-        self.bytes(&[x]);
-    }
-
-    /// A little-endian `u32`.
-    pub fn u32(&mut self, x: u32) {
-        self.bytes(&x.to_le_bytes());
-    }
-
-    /// A little-endian `u64`.
-    pub fn u64(&mut self, x: u64) {
-        self.bytes(&x.to_le_bytes());
-    }
-
-    /// A little-endian `u128`.
-    pub fn u128(&mut self, x: u128) {
-        self.bytes(&x.to_le_bytes());
-    }
-
-    /// An `f64`, encoded structurally as the little-endian bytes of its
-    /// bit pattern.
-    pub fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
-
-    /// A boolean as one byte (0/1).
-    pub fn bool(&mut self, x: bool) {
-        self.u8(u8::from(x));
-    }
-
-    /// A sequence length (usize as `u64`).
-    pub fn len(&mut self, n: usize) {
-        self.u64(n as u64);
-    }
-
-    /// A string: `u64` byte length, then the UTF-8 bytes.
-    pub fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.bytes(s.as_bytes());
-    }
-
     /// The 128-bit hash of everything written so far (the stream remains
     /// usable; finalization runs on a copy).
     pub fn finish(&self) -> u128 {
         self.sip.finish128()
+    }
+}
+
+impl Encoder for Digester {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.sip.write(bytes);
+    }
+
+    /// A `u64` length.
+    fn len(&mut self, n: usize) {
+        self.u64(n as u64);
     }
 }
 
@@ -371,202 +395,211 @@ pub fn transform_fingerprint(t: &Transform) -> Fingerprint {
 // Domain encoders (the byte-level layouts documented in the module docs).
 // ---------------------------------------------------------------------------
 
-pub(crate) fn encode_var(d: &mut Digester, v: &Var) {
-    d.str(v.name());
+pub(crate) fn encode_var(e: &mut impl Encoder, v: &Var) {
+    e.str(v.name());
 }
 
-pub(crate) fn encode_interval(d: &mut Digester, iv: &Interval) {
-    d.f64(iv.lo());
-    d.bool(iv.lo_closed());
-    d.f64(iv.hi());
-    d.bool(iv.hi_closed());
+pub(crate) fn encode_interval(e: &mut impl Encoder, iv: &Interval) {
+    e.f64(iv.lo());
+    e.bool(iv.lo_closed());
+    e.f64(iv.hi());
+    e.bool(iv.hi_closed());
 }
 
-pub(crate) fn encode_real_set(d: &mut Digester, rs: &RealSet) {
-    d.len(rs.intervals().len());
+pub(crate) fn encode_real_set(e: &mut impl Encoder, rs: &RealSet) {
+    e.len(rs.intervals().len());
     for iv in rs.intervals() {
-        encode_interval(d, iv);
+        encode_interval(e, iv);
     }
 }
 
-pub(crate) fn encode_string_set(d: &mut Digester, ss: &StringSet) {
-    d.u8(u8::from(!ss.is_finite()));
-    let names: Vec<&str> = ss.named().collect(); // BTreeSet order: sorted
-    d.len(names.len());
+pub(crate) fn encode_string_set(e: &mut impl Encoder, ss: &StringSet) {
+    let (polarity, names) = match ss {
+        StringSet::Finite(names) => (0, names),
+        StringSet::Cofinite(names) => (1, names),
+    };
+    e.u8(polarity);
+    e.len(names.len());
     for name in names {
-        d.str(name);
+        e.str(name);
     }
 }
 
-pub(crate) fn encode_outcome_set(d: &mut Digester, v: &OutcomeSet) {
-    encode_real_set(d, v.reals());
-    encode_string_set(d, v.strs());
+pub(crate) fn encode_outcome_set(e: &mut impl Encoder, v: &OutcomeSet) {
+    encode_real_set(e, v.reals());
+    encode_string_set(e, v.strs());
 }
 
-pub(crate) fn encode_cdf(d: &mut Digester, c: &Cdf) {
+pub(crate) fn encode_cdf(e: &mut impl Encoder, c: &Cdf) {
     match *c {
         Cdf::Normal { mu, sigma } => {
-            d.u8(0);
-            d.f64(mu);
-            d.f64(sigma);
+            e.u8(0);
+            e.f64(mu);
+            e.f64(sigma);
         }
         Cdf::Uniform { a, b } => {
-            d.u8(1);
-            d.f64(a);
-            d.f64(b);
+            e.u8(1);
+            e.f64(a);
+            e.f64(b);
         }
         Cdf::Exponential { rate } => {
-            d.u8(2);
-            d.f64(rate);
+            e.u8(2);
+            e.f64(rate);
         }
         Cdf::Gamma { shape, scale } => {
-            d.u8(3);
-            d.f64(shape);
-            d.f64(scale);
+            e.u8(3);
+            e.f64(shape);
+            e.f64(scale);
         }
         Cdf::Beta { a, b, scale } => {
-            d.u8(4);
-            d.f64(a);
-            d.f64(b);
-            d.f64(scale);
+            e.u8(4);
+            e.f64(a);
+            e.f64(b);
+            e.f64(scale);
         }
         Cdf::Cauchy { loc, scale } => {
-            d.u8(5);
-            d.f64(loc);
-            d.f64(scale);
+            e.u8(5);
+            e.f64(loc);
+            e.f64(scale);
         }
         Cdf::Laplace { loc, scale } => {
-            d.u8(6);
-            d.f64(loc);
-            d.f64(scale);
+            e.u8(6);
+            e.f64(loc);
+            e.f64(scale);
         }
         Cdf::Logistic { loc, scale } => {
-            d.u8(7);
-            d.f64(loc);
-            d.f64(scale);
+            e.u8(7);
+            e.f64(loc);
+            e.f64(scale);
         }
         Cdf::StudentT { df } => {
-            d.u8(8);
-            d.f64(df);
+            e.u8(8);
+            e.f64(df);
         }
         Cdf::Poisson { mu } => {
-            d.u8(9);
-            d.f64(mu);
+            e.u8(9);
+            e.f64(mu);
         }
         Cdf::Binomial { n, p } => {
-            d.u8(10);
-            d.u64(n);
-            d.f64(p);
+            e.u8(10);
+            e.u64(n);
+            e.f64(p);
         }
         Cdf::Geometric { p } => {
-            d.u8(11);
-            d.f64(p);
+            e.u8(11);
+            e.f64(p);
         }
         Cdf::DiscreteUniform { lo, hi } => {
-            d.u8(12);
-            d.u64(lo as u64);
-            d.u64(hi as u64);
+            e.u8(12);
+            e.u64(lo as u64);
+            e.u64(hi as u64);
         }
     }
 }
 
-pub(crate) fn encode_distribution(d: &mut Digester, dist: &Distribution) {
+pub(crate) fn encode_distribution(e: &mut impl Encoder, dist: &Distribution) {
     match dist {
         Distribution::Real(dr) => {
-            d.u8(0);
-            encode_cdf(d, dr.cdf());
-            encode_interval(d, &dr.support());
+            e.u8(0);
+            encode_cdf(e, dr.cdf());
+            encode_interval(e, &dr.support());
         }
         Distribution::Int(di) => {
-            d.u8(1);
-            encode_cdf(d, di.cdf());
-            d.f64(di.lo());
-            d.f64(di.hi());
+            e.u8(1);
+            encode_cdf(e, di.cdf());
+            e.f64(di.lo());
+            e.f64(di.hi());
         }
         Distribution::Str(ds) => {
-            d.u8(2);
-            d.len(ds.items().len());
+            e.u8(2);
+            e.len(ds.items().len());
             for (s, w) in ds.items() {
-                d.str(s);
-                d.f64(*w);
+                e.str(s);
+                e.f64(*w);
             }
         }
         Distribution::Atomic { loc } => {
-            d.u8(3);
-            d.f64(*loc);
+            e.u8(3);
+            e.f64(*loc);
         }
     }
 }
 
-pub(crate) fn encode_transform(d: &mut Digester, t: &Transform) {
+pub(crate) fn encode_transform(e: &mut impl Encoder, t: &Transform) {
     match t {
         Transform::Id(v) => {
-            d.u8(0);
-            encode_var(d, v);
+            e.u8(0);
+            encode_var(e, v);
         }
         Transform::Reciprocal(inner) => {
-            d.u8(1);
-            encode_transform(d, inner);
+            e.u8(1);
+            encode_transform(e, inner);
         }
         Transform::Abs(inner) => {
-            d.u8(2);
-            encode_transform(d, inner);
+            e.u8(2);
+            encode_transform(e, inner);
         }
         Transform::Root(inner, n) => {
-            d.u8(3);
-            encode_transform(d, inner);
-            d.u32(*n);
+            e.u8(3);
+            encode_transform(e, inner);
+            e.u32(*n);
         }
         Transform::Exp(inner, base) => {
-            d.u8(4);
-            encode_transform(d, inner);
-            d.f64(*base);
+            e.u8(4);
+            encode_transform(e, inner);
+            e.f64(*base);
         }
         Transform::Log(inner, base) => {
-            d.u8(5);
-            encode_transform(d, inner);
-            d.f64(*base);
+            e.u8(5);
+            encode_transform(e, inner);
+            e.f64(*base);
         }
         Transform::Poly(inner, p) => {
-            d.u8(6);
-            encode_transform(d, inner);
-            d.len(p.coeffs().len());
+            e.u8(6);
+            encode_transform(e, inner);
+            e.len(p.coeffs().len());
             for &c in p.coeffs() {
-                d.f64(c);
+                e.f64(c);
             }
         }
         Transform::Piecewise(cases) => {
-            d.u8(7);
-            d.len(cases.len());
+            e.u8(7);
+            e.len(cases.len());
             for (branch, guard) in cases {
-                encode_transform(d, branch);
-                encode_event(d, guard);
+                encode_transform(e, branch);
+                encode_event(e, guard);
             }
         }
     }
 }
 
-pub(crate) fn encode_event(d: &mut Digester, e: &Event) {
-    match e {
+pub(crate) fn encode_event(e: &mut impl Encoder, event: &Event) {
+    match event {
         Event::In(t, v) => {
-            d.u8(0);
-            encode_transform(d, t);
-            encode_outcome_set(d, v);
+            e.u8(0);
+            encode_transform(e, t);
+            encode_outcome_set(e, v);
         }
-        Event::And(es) => {
-            d.u8(1);
-            d.len(es.len());
-            for e in es {
-                encode_event(d, e);
+        Event::And(items) | Event::Or(items) => {
+            e.u8(if matches!(event, Event::And(_)) { 1 } else { 2 });
+            e.len(items.len());
+            for item in items {
+                encode_event(e, item);
             }
         }
-        Event::Or(es) => {
-            d.u8(2);
-            d.len(es.len());
-            for e in es {
-                encode_event(d, e);
-            }
-        }
+    }
+}
+
+/// A leaf's content (its node tag is the caller's): the variable, the
+/// distribution, then the environment's derived variables and their
+/// transforms in insertion order.
+pub(crate) fn encode_leaf(e: &mut impl Encoder, var: &Var, dist: &Distribution, env: &Env) {
+    encode_var(e, var);
+    encode_distribution(e, dist);
+    e.len(env.entries().len());
+    for (v, t) in env.entries() {
+        encode_var(e, v);
+        encode_transform(e, t);
     }
 }
 

@@ -159,7 +159,7 @@ pub fn solve_event(event: &Event) -> Result<Vec<Clause>, SpplError> {
                 });
             }
             let var = vars.into_iter().next().expect("len checked");
-            let pre = t.preimage_full(v);
+            let pre = t.preimage(v);
             if pre.is_empty() {
                 return Ok(vec![]);
             }

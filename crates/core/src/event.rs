@@ -210,7 +210,7 @@ impl Transform {
 }
 
 /// A predicate on program variables.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
     /// Containment `(t in v)`: the transform's value lies in the set.
     In(Transform, OutcomeSet),

@@ -18,7 +18,7 @@ use std::sync::{Arc, OnceLock};
 use sppl_dists::Distribution;
 use sppl_num::float::logsumexp;
 
-use crate::digest::{self, Digester, Fingerprint, ModelDigest};
+use crate::digest::{self, Digester, Encoder, Fingerprint, ModelDigest};
 use crate::error::SpplError;
 use crate::event::Event;
 use crate::sync_map::ShardedMap;
@@ -28,7 +28,7 @@ use crate::var::Var;
 /// The environment of a leaf: derived variables defined as transforms of
 /// the leaf variable (the paper's `σ : Var → Transform`, conditions C1–C2;
 /// the implicit `x ↦ Id(x)` entry is not stored).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Env {
     entries: Vec<(Var, Transform)>,
 }
@@ -178,13 +178,7 @@ impl Spe {
             match self.node() {
                 Node::Leaf { var, dist, env, .. } => {
                     d.u8(0);
-                    digest::encode_var(&mut d, var);
-                    digest::encode_distribution(&mut d, dist);
-                    d.len(env.entries().len());
-                    for (v, t) in env.entries() {
-                        digest::encode_var(&mut d, v);
-                        digest::encode_transform(&mut d, t);
-                    }
+                    digest::encode_leaf(&mut d, var, dist, env);
                 }
                 Node::Sum { children, .. } => {
                     d.u8(1);
@@ -712,13 +706,7 @@ fn shallow_hash(node: &Node) -> u64 {
     match node {
         Node::Leaf { var, dist, env, .. } => {
             d.u8(0);
-            digest::encode_var(&mut d, var);
-            digest::encode_distribution(&mut d, dist);
-            d.len(env.entries().len());
-            for (v, t) in env.entries() {
-                digest::encode_var(&mut d, v);
-                digest::encode_transform(&mut d, t);
-            }
+            digest::encode_leaf(&mut d, var, dist, env);
         }
         Node::Sum { children, .. } => {
             d.u8(1);

@@ -17,7 +17,6 @@
 //! primitives in closed form.
 
 use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
 
 use sppl_num::Polynomial;
 use sppl_sets::{Interval, OutcomeSet, RealSet};
@@ -52,36 +51,6 @@ pub enum Transform {
 }
 
 impl Eq for Transform {}
-
-impl Hash for Transform {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match self {
-            Transform::Id(v) => v.hash(state),
-            Transform::Reciprocal(t) | Transform::Abs(t) => t.hash(state),
-            Transform::Root(t, n) => {
-                t.hash(state);
-                n.hash(state);
-            }
-            Transform::Exp(t, b) | Transform::Log(t, b) => {
-                t.hash(state);
-                b.to_bits().hash(state);
-            }
-            Transform::Poly(t, p) => {
-                t.hash(state);
-                for c in p.coeffs() {
-                    c.to_bits().hash(state);
-                }
-            }
-            Transform::Piecewise(cases) => {
-                for (t, e) in cases {
-                    t.hash(state);
-                    e.hash(state);
-                }
-            }
-        }
-    }
-}
 
 impl Transform {
     /// The identity transform on a variable.
@@ -685,19 +654,6 @@ fn poly_lte_region(p: &Polynomial, r: f64, strict: bool) -> RealSet {
     RealSet::from_intervals(parts)
 }
 
-// Piecewise preimage needs to be dispatched from `preimage`; patch the
-// method table here (kept separate for readability).
-impl Transform {
-    /// Full preimage dispatch, including piecewise transforms. This is the
-    /// public entry point used by the event solver.
-    pub fn preimage_full(&self, v: &OutcomeSet) -> OutcomeSet {
-        match self {
-            Transform::Piecewise(_) => self.preimage_piecewise(v),
-            _ => self.preimage(v),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,7 +687,7 @@ mod tests {
 
     /// Soundness probe: x ∈ preimg(t, v) ⟺ t(x) ∈ v on a grid.
     fn check_soundness(t: &Transform, v: &OutcomeSet) {
-        let pre = t.preimage_full(v);
+        let pre = t.preimage(v);
         for i in -200..=200 {
             let xv = i as f64 / 8.0;
             let lhs = pre.contains_real(xv);
@@ -911,7 +867,7 @@ mod tests {
         assert_eq!(t.eval(-3.0), Some(3.0));
         assert_eq!(t.eval(2.0), Some(4.0));
         let v = set(Interval::closed(0.0, 4.0));
-        let pre = t.preimage_full(&v);
+        let pre = t.preimage(&v);
         assert!(pre.contains_real(-4.0) && pre.contains_real(2.0) && !pre.contains_real(-5.0));
         check_soundness(&t, &v);
     }

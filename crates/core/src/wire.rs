@@ -34,6 +34,13 @@
 //! variable environment (transforms, including piecewise cases with
 //! their guard events) in full.
 //!
+//! Inside a record, domain values (intervals, sets, CDFs, distributions,
+//! transforms, events, leaves) are laid out by the digest's encoders, as
+//! the [digest encoding](crate::digest#encoding) describes, with every
+//! length a `u32`: a value has one byte layout, whether it is hashed or
+//! shipped. This module owns the node framing (postorder, record indices,
+//! record length prefixes) and all decoding.
+//!
 //! # Fail-closed reading
 //!
 //! [`deserialize_spe`] validates the envelope and every structural
@@ -47,7 +54,7 @@
 //! Rebuilding goes through the factory's *non-renormalizing* paths
 //! (weights were normalized when the sum was first built; normalizing
 //! twice is not bit-idempotent), which is why this module lives in
-//! `crates/core` — it is the **only** place that encodes or decodes SPE
+//! `crates/core` — it is the **only** place that frames or decodes SPE
 //! structure, a boundary CI enforces with a grep guard.
 //!
 //! [`DIGEST_VERSION`]: crate::digest::DIGEST_VERSION
@@ -76,7 +83,7 @@ use sppl_dists::{Cdf, DistInt, DistReal, DistStr, Distribution};
 use sppl_num::Polynomial;
 use sppl_sets::{Interval, OutcomeSet, RealSet, StringSet};
 
-use crate::digest::ModelDigest;
+use crate::digest::{self, Encoder, ModelDigest};
 use crate::error::SpplError;
 use crate::event::Event;
 use crate::spe::{Env, Factory, Node, Spe};
@@ -119,192 +126,19 @@ fn wire_err(message: impl Into<String>) -> SpplError {
 // Writer.
 // ---------------------------------------------------------------------------
 
+/// A record buffer: domain values go through the digest's encoders, with
+/// `u32` lengths.
 struct Writer<'a> {
     buf: &'a mut Vec<u8>,
 }
 
-impl Writer<'_> {
-    fn u8(&mut self, x: u8) {
-        self.buf.push(x);
+impl Encoder for Writer<'_> {
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
     }
-    fn bool(&mut self, x: bool) {
-        self.buf.push(u8::from(x));
-    }
-    fn u32(&mut self, x: u32) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn u64(&mut self, x: u64) {
-        self.buf.extend_from_slice(&x.to_le_bytes());
-    }
-    fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
-    }
+
     fn len(&mut self, n: usize) {
         self.u32(u32::try_from(n).expect("wire collection fits in u32"));
-    }
-    fn str(&mut self, s: &str) {
-        self.len(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn var(&mut self, v: &Var) {
-        self.str(v.name());
-    }
-
-    fn interval(&mut self, iv: Interval) {
-        self.f64(iv.lo());
-        self.bool(iv.lo_closed());
-        self.f64(iv.hi());
-        self.bool(iv.hi_closed());
-    }
-
-    fn real_set(&mut self, set: &RealSet) {
-        self.len(set.intervals().len());
-        for iv in set.intervals() {
-            self.interval(*iv);
-        }
-    }
-
-    fn string_set(&mut self, set: &StringSet) {
-        let (tag, items) = match set {
-            StringSet::Finite(items) => (0u8, items),
-            StringSet::Cofinite(items) => (1u8, items),
-        };
-        self.u8(tag);
-        self.len(items.len());
-        for s in items {
-            self.str(s);
-        }
-    }
-
-    fn outcome_set(&mut self, set: &OutcomeSet) {
-        self.real_set(set.reals());
-        self.string_set(set.strs());
-    }
-
-    /// A tag, then each parameter as 8 little-endian bytes: an `f64`'s
-    /// bits, or the integer itself.
-    fn cdf(&mut self, cdf: &Cdf) {
-        let bits = f64::to_bits;
-        let (tag, params) = match *cdf {
-            Cdf::Normal { mu, sigma } => (0, vec![bits(mu), bits(sigma)]),
-            Cdf::Uniform { a, b } => (1, vec![bits(a), bits(b)]),
-            Cdf::Exponential { rate } => (2, vec![bits(rate)]),
-            Cdf::Gamma { shape, scale } => (3, vec![bits(shape), bits(scale)]),
-            Cdf::Beta { a, b, scale } => (4, vec![bits(a), bits(b), bits(scale)]),
-            Cdf::Cauchy { loc, scale } => (5, vec![bits(loc), bits(scale)]),
-            Cdf::Laplace { loc, scale } => (6, vec![bits(loc), bits(scale)]),
-            Cdf::Logistic { loc, scale } => (7, vec![bits(loc), bits(scale)]),
-            Cdf::StudentT { df } => (8, vec![bits(df)]),
-            Cdf::Poisson { mu } => (9, vec![bits(mu)]),
-            Cdf::Binomial { n, p } => (10, vec![n, bits(p)]),
-            Cdf::Geometric { p } => (11, vec![bits(p)]),
-            Cdf::DiscreteUniform { lo, hi } => (12, vec![lo as u64, hi as u64]),
-        };
-        self.u8(tag);
-        for param in params {
-            self.u64(param);
-        }
-    }
-
-    fn distribution(&mut self, dist: &Distribution) {
-        match dist {
-            Distribution::Real(d) => {
-                self.u8(0);
-                self.cdf(d.cdf());
-                self.interval(d.support());
-            }
-            Distribution::Int(d) => {
-                self.u8(1);
-                self.cdf(d.cdf());
-                self.f64(d.lo());
-                self.f64(d.hi());
-            }
-            Distribution::Str(d) => {
-                self.u8(2);
-                self.len(d.items().len());
-                for (s, w) in d.items() {
-                    self.str(s);
-                    self.f64(*w);
-                }
-            }
-            Distribution::Atomic { loc } => {
-                self.u8(3);
-                self.f64(*loc);
-            }
-        }
-    }
-
-    fn transform(&mut self, t: &Transform) {
-        match t {
-            Transform::Id(v) => {
-                self.u8(0);
-                self.var(v);
-            }
-            Transform::Reciprocal(inner) => {
-                self.u8(1);
-                self.transform(inner);
-            }
-            Transform::Abs(inner) => {
-                self.u8(2);
-                self.transform(inner);
-            }
-            Transform::Root(inner, n) => {
-                self.u8(3);
-                self.transform(inner);
-                self.u32(*n);
-            }
-            Transform::Exp(inner, base) => {
-                self.u8(4);
-                self.transform(inner);
-                self.f64(*base);
-            }
-            Transform::Log(inner, base) => {
-                self.u8(5);
-                self.transform(inner);
-                self.f64(*base);
-            }
-            Transform::Poly(inner, poly) => {
-                self.u8(6);
-                self.transform(inner);
-                self.len(poly.coeffs().len());
-                for c in poly.coeffs() {
-                    self.f64(*c);
-                }
-            }
-            Transform::Piecewise(cases) => {
-                self.u8(7);
-                self.len(cases.len());
-                for (branch, guard) in cases {
-                    self.transform(branch);
-                    self.event(guard);
-                }
-            }
-        }
-    }
-
-    fn event(&mut self, e: &Event) {
-        match e {
-            Event::In(t, set) => {
-                self.u8(0);
-                self.transform(t);
-                self.outcome_set(set);
-            }
-            Event::And(items) | Event::Or(items) => {
-                self.u8(if matches!(e, Event::And(_)) { 1 } else { 2 });
-                self.len(items.len());
-                for item in items {
-                    self.event(item);
-                }
-            }
-        }
-    }
-
-    fn env(&mut self, env: &Env) {
-        self.len(env.entries().len());
-        for (v, t) in env.entries() {
-            self.var(v);
-            self.transform(t);
-        }
     }
 }
 
@@ -346,7 +180,7 @@ pub fn serialize_spe(root: &Spe) -> Vec<u8> {
     store::seal(&WIRE, |buf| {
         buf.reserve(BODY_HEADER_LEN + 64 * order.len() + store::CHECKSUM_LEN);
         let mut w = Writer { buf };
-        w.buf.extend_from_slice(&root.digest().to_le_bytes());
+        w.u128(root.digest().as_u128());
         w.u64(order.len() as u64);
         let mut record = Vec::new();
         for spe in &order {
@@ -355,9 +189,7 @@ pub fn serialize_spe(root: &Spe) -> Vec<u8> {
             match spe.node() {
                 Node::Leaf { var, dist, env, .. } => {
                     r.u8(0);
-                    r.var(var);
-                    r.distribution(dist);
-                    r.env(env);
+                    digest::encode_leaf(&mut r, var, dist, env);
                 }
                 Node::Sum { children, .. } => {
                     r.u8(1);
@@ -376,7 +208,7 @@ pub fn serialize_spe(root: &Spe) -> Vec<u8> {
                 }
             }
             w.len(record.len());
-            w.buf.extend_from_slice(&record);
+            w.bytes(&record);
         }
     })
 }

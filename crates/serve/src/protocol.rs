@@ -1,8 +1,11 @@
 //! The wire protocol: line-delimited JSON requests and responses.
 //!
 //! Every message is one JSON object on one `\n`-terminated line. A
-//! request names its operation in `"op"` and may carry a numeric `"id"`,
-//! echoed verbatim in the response so pipelined clients can correlate.
+//! request names its operation in `"op"` and may carry an `"id"`, an
+//! integer from 0 to 2⁵³ − 1, echoed as a JSON integer in the response
+//! so pipelined clients can correlate. Any other `"id"` (negative,
+//! fractional, larger, or not a number) is refused with `bad_request`,
+//! and that reply carries no id.
 //! Responses always carry `"ok"`; failures carry a structured
 //! `"error": {"kind", "message"}` instead of result fields.
 //!
@@ -631,6 +634,35 @@ pub fn parse_payload(hex: &str) -> Result<Vec<u8>, WireError> {
     hex_bytes(hex).ok_or_else(|| WireError::bad_request("binary payload must be hex"))
 }
 
+/// The largest correlation id: 2⁵³ − 1, the last integer an `f64` (and
+/// so every JSON number reader) holds exactly.
+const MAX_ID: u64 = (1 << 53) - 1;
+
+/// Reads a message's optional `"id"`: `None` when absent, and otherwise
+/// an integer from 0 to [`MAX_ID`], so the id echoed is the id sent.
+fn read_id(json: &Json) -> Result<Option<u64>, WireError> {
+    let Some(id) = json.get("id") else {
+        return Ok(None);
+    };
+    match id.as_f64() {
+        Some(x) if x.fract() == 0.0 && (0.0..=MAX_ID as f64).contains(&x) => Ok(Some(x as u64)),
+        _ => Err(WireError::bad_request(format!(
+            "`id` must be an integer from 0 to {MAX_ID}"
+        ))),
+    }
+}
+
+/// Renders a message as one line, led by its id as a JSON integer
+/// (`"id":7`, where a `Json::Num` would render `7.0`). `pairs` always
+/// holds `op` or `ok`, so the id is spliced in after the opening brace.
+fn render_line(id: Option<u64>, pairs: Vec<(String, Json)>) -> String {
+    let body = Json::Obj(pairs).render();
+    match id {
+        Some(id) => format!("{{\"id\":{id},{}", &body[1..]),
+        None => body,
+    }
+}
+
 impl Request {
     /// The operation name as it appears in `"op"`.
     pub fn op(&self) -> &'static str {
@@ -652,11 +684,7 @@ impl Request {
     /// Renders the request (with an optional correlation id) as a wire
     /// line, newline excluded.
     pub fn encode(&self, id: Option<u64>) -> String {
-        let mut pairs: Vec<(String, Json)> = Vec::new();
-        if let Some(id) = id {
-            pairs.push(("id".to_string(), Json::Num(id as f64)));
-        }
-        pairs.push(("op".to_string(), Json::Str(self.op().to_string())));
+        let mut pairs = vec![("op".to_string(), Json::Str(self.op().to_string()))];
         match self {
             Request::Compile { source } | Request::Register { source } => {
                 pairs.push(("source".to_string(), Json::Str(source.clone())));
@@ -711,7 +739,7 @@ impl Request {
             }
             Request::Stats => {}
         }
-        Json::Obj(pairs).render()
+        render_line(id, pairs)
     }
 
     /// Parses one wire line into `(id, Request)`.
@@ -719,13 +747,14 @@ impl Request {
     /// # Errors
     ///
     /// [`WireError`] (`bad_request`) on malformed JSON, an unknown `op`,
-    /// or missing/ill-typed fields. When the line carried a readable
-    /// `id`, it is returned alongside the error so the response can still
-    /// be correlated.
+    /// or missing/ill-typed fields. When the line carried a valid `id`,
+    /// it is returned alongside the error so the response can still be
+    /// correlated; an invalid `id` is itself the error, returned with
+    /// `None`.
     pub fn decode(line: &str) -> Result<(Option<u64>, Request), (Option<u64>, WireError)> {
         let json = Json::parse(line)
             .map_err(|e| (None, WireError::bad_request(format!("malformed JSON: {e}"))))?;
-        let id = json.get("id").and_then(Json::as_f64).map(|x| x as u64);
+        let id = read_id(&json).map_err(|e| (None, e))?;
         let fail = |e: WireError| (id, e);
         let op = json
             .get("op")
@@ -977,14 +1006,10 @@ impl Response {
     /// Renders the response (echoing the request id) as a wire line,
     /// newline excluded.
     pub fn encode(&self, id: Option<u64>) -> String {
-        let mut pairs: Vec<(String, Json)> = Vec::new();
-        if let Some(id) = id {
-            pairs.push(("id".to_string(), Json::Num(id as f64)));
-        }
-        pairs.push((
+        let mut pairs = vec![(
             "ok".to_string(),
             Json::Bool(!matches!(self, Response::Error(_))),
-        ));
+        )];
         match self {
             Response::Compiled {
                 digest,
@@ -1078,7 +1103,7 @@ impl Response {
                 ));
             }
         }
-        Json::Obj(pairs).render()
+        render_line(id, pairs)
     }
 
     /// Parses one wire line into `(id, Response)`. The response shape is
@@ -1091,7 +1116,7 @@ impl Response {
     pub fn decode(line: &str) -> Result<(Option<u64>, Response), WireError> {
         let json = Json::parse(line)
             .map_err(|e| WireError::bad_request(format!("malformed JSON: {e}")))?;
-        let id = json.get("id").and_then(Json::as_f64).map(|x| x as u64);
+        let id = read_id(&json)?;
         let ok = json
             .get("ok")
             .and_then(Json::as_bool)

@@ -248,12 +248,41 @@ fn malformed_requests_decode_to_bad_request_with_id_echo() {
         ("{\"id\":9,\"op\":\"condition\",\"model\":\"00000000000000000000000000000001\",\"event\":{\"var\":\"X\"}}", Some(9)), // incomplete event
         ("{\"id\":10,\"op\":\"import\",\"spe\":\"a€\"}", Some(10)), // non-ASCII hex
         ("{\"id\":11,\"op\":\"lookup\",\"model\":\"+0000000000000000000000000000001\"}", Some(11)), // signed digest
+        // An id that cannot be echoed exactly is refused, not rounded.
+        ("{\"id\":9007199254740993,\"op\":\"stats\"}", None), // past 2^53 - 1
+        ("{\"id\":-1,\"op\":\"stats\"}", None),
+        ("{\"id\":2.5,\"op\":\"stats\"}", None),
+        ("{\"id\":1e300,\"op\":\"stats\"}", None),
+        ("{\"id\":\"7\",\"op\":\"stats\"}", None), // a string
     ];
     for (line, expect_id) in cases {
         let (id, err) = Request::decode(line).expect_err("malformed line must not decode");
         assert_eq!(&id, expect_id, "id echo for {line}");
         assert_eq!(err.kind, "bad_request", "kind for {line}: {err}");
         assert!(!err.message.is_empty(), "error must explain itself");
+    }
+}
+
+#[test]
+fn ids_echo_as_json_integers_and_bad_ids_are_refused() {
+    assert!(Request::Stats.encode(Some(7)).starts_with("{\"id\":7,"));
+    let response = Response::Error(WireError::bad_request("x"));
+    assert!(response.encode(Some(7)).contains("\"id\":7,"));
+
+    let state = ServerState::new(&ServeConfig::default());
+    let reply = state.handle_line("{\"id\":9007199254740991,\"op\":\"stats\"}");
+    assert!(
+        reply.starts_with("{\"id\":9007199254740991,\"ok\":true"),
+        "{reply}"
+    );
+    for id in ["9007199254740993", "-1", "2.5", "1e300", "\"7\""] {
+        let reply = state.handle_line(&format!("{{\"id\":{id},\"op\":\"stats\"}}"));
+        assert!(reply.contains("\"kind\":\"bad_request\""), "{id}: {reply}");
+        assert!(reply.contains("`id` must be an integer"), "{id}: {reply}");
+        assert!(
+            !reply.contains("\"id\""),
+            "{id} must not be echoed: {reply}"
+        );
     }
 }
 

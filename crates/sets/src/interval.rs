@@ -1,7 +1,6 @@
 //! A single real interval with open or closed endpoints.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// A real interval `⟨lo, hi⟩` where each endpoint is independently open or
 /// closed. Degenerate intervals (`lo == hi`, both closed) represent single
@@ -218,27 +217,9 @@ impl Interval {
             hi_closed,
         }
     }
-
-    /// Canonical key for hashing (normalizes `-0.0` to `0.0`).
-    pub(crate) fn hash_key(&self) -> (u64, u64, bool, bool) {
-        fn bits(x: f64) -> u64 {
-            if x == 0.0 {
-                0.0f64.to_bits()
-            } else {
-                x.to_bits()
-            }
-        }
-        (bits(self.lo), bits(self.hi), self.lo_closed, self.hi_closed)
-    }
 }
 
 impl Eq for Interval {}
-
-impl Hash for Interval {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.hash_key().hash(state);
-    }
-}
 
 impl fmt::Display for Interval {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

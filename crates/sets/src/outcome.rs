@@ -74,7 +74,7 @@ impl fmt::Display for Outcome {
 /// assert!(v.contains_str("yes"));
 /// assert!(!v.contains_str("no"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct OutcomeSet {
     reals: RealSet,
     strings: StringSet,

@@ -1,7 +1,6 @@
 //! Canonical finite unions of real intervals.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use crate::interval::Interval;
 
@@ -151,19 +150,9 @@ impl RealSet {
     pub fn is_disjoint(&self, other: &RealSet) -> bool {
         self.intersection(other).is_empty()
     }
-
-    pub(crate) fn hash_keys(&self) -> Vec<(u64, u64, bool, bool)> {
-        self.intervals.iter().map(Interval::hash_key).collect()
-    }
 }
 
 impl Eq for RealSet {}
-
-impl Hash for RealSet {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.hash_keys().hash(state);
-    }
-}
 
 impl From<Interval> for RealSet {
     fn from(iv: Interval) -> RealSet {

@@ -16,7 +16,7 @@ use std::fmt;
 /// assert!(!c.contains("India"));
 /// assert!(c.contains("China"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StringSet {
     /// Exactly these strings.
     Finite(BTreeSet<String>),
