@@ -21,11 +21,16 @@
 //!   applied where their argument may lie outside the domain of
 //!   definition (`W104`: `log`/`sqrt` of a possibly-negative value,
 //!   division by a possibly-zero value).
+//! * **Every other rejected expression** (`E008`) — a polynomial past
+//!   the degree bound, an unsupported exponent, a math call with the
+//!   wrong number of arguments, a comparison of two random expressions
+//!   (R3), and the like.
 //!
-//! Expressions and distribution calls are evaluated with the
-//! translator's own functions ([`sppl_lang::ops`], [`sppl_lang::dists`]),
-//! so the analyzer accepts the calls the translator accepts, and an
-//! `E006` or `E007` message is the translator's error text.
+//! Expressions are evaluated by the translator's own evaluator
+//! ([`sppl_lang::eval`], over [`sppl_lang::ops`] and the family table
+//! [`sppl_lang::dists`]), so the analyzer accepts the expressions the
+//! translator accepts, and reports each one it rejects with the
+//! translator's text at the translator's span.
 //!
 //! [`compile_model`] is the pipeline face: parse → [`analyze`] → prune
 //! dead branches → translate. Analyzer errors become structured
@@ -194,10 +199,14 @@ pub fn check(source: &str) -> Vec<Diagnostic> {
 /// dead are pruned before translation (bit-identically — see
 /// [`Analysis::pruned`]).
 ///
+/// Every call parses, analyzes and translates from scratch, into a
+/// fresh factory. A [`CompileCache`] skips translation for a program it
+/// has seen, in this process or, with a directory, in an earlier one.
+///
 /// # Errors
 ///
 /// Returns [`LangError`] for syntax errors, analyzer errors
-/// (`E001`–`E007`), restriction violations (R1–R4), or inference
+/// (`E001`–`E008`), restriction violations (R1–R4), or inference
 /// failures during translation (e.g. conditioning on a
 /// zero-probability event).
 ///
@@ -215,19 +224,6 @@ pub fn check(source: &str) -> Vec<Diagnostic> {
 /// assert!(err.message.starts_with("[E004]"));
 /// ```
 pub fn compile_model(source: &str) -> Result<Model, LangError> {
-    global_compile_cache().compile(source)
-}
-
-/// [`compile_model`] without the process-global compile cache: always
-/// parses, analyzes, and translates from scratch. The cached path is
-/// observationally identical (same digest, bit-identical answers, fresh
-/// factory per call) — reach for this only to measure translation
-/// itself.
-///
-/// # Errors
-///
-/// Same conditions as [`compile_model`].
-pub fn compile_model_uncached(source: &str) -> Result<Model, LangError> {
     let program = sppl_lang::parse(source)?;
     let analysis = analyze(&program);
     if let Some(d) = analysis.first_error() {
@@ -236,15 +232,6 @@ pub fn compile_model_uncached(source: &str) -> Result<Model, LangError> {
     let factory = Factory::new();
     let root = sppl_lang::translate(&factory, &analysis.pruned)?;
     Ok(Model::new(factory, root))
-}
-
-/// The process-global cache behind [`compile_model`]: in-memory only, so
-/// repeated compiles of the same program skip translation while every
-/// call still gets a fresh factory and an independently-memoized
-/// session.
-fn global_compile_cache() -> &'static CompileCache {
-    static CACHE: std::sync::OnceLock<CompileCache> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| CompileCache::new(64))
 }
 
 /// Lets `Model::compile(source)` read naturally at call sites: the trait

@@ -27,12 +27,13 @@ use std::collections::HashMap;
 use sppl_core::event::Event;
 use sppl_lang::ast::{Command, Expr, Target};
 use sppl_lang::diagnostics::{Diagnostic, LintCode, Severity, Span};
+use sppl_lang::eval::{self, Val};
 use sppl_lang::ops::{case_event, static_case_matches, Value};
 use sppl_lang::translate::first_match_guards;
 use sppl_sets::OutcomeSet;
 
 use crate::env::{ConstVal, Env};
-use crate::eval::AbsValue;
+use crate::eval::unstopped;
 use crate::sat;
 
 /// How many loop iterations the analyzer will unroll in total before
@@ -199,7 +200,7 @@ impl Walker {
                 if args.len() != 1 {
                     return;
                 }
-                let size = match self.eval_integer(&args[0]) {
+                let size = match unstopped(eval::integer(self, &args[0])) {
                     Some(n) if n >= 0 => Some(n as usize),
                     Some(_) => return, // negative size: translator error
                     None => None,
@@ -211,11 +212,11 @@ impl Walker {
                 return;
             }
         }
-        let Some(name) = self.resolve_target(target, span) else {
+        let Some(name) = unstopped(eval::target(self, target, span)) else {
             return;
         };
-        match self.eval(expr) {
-            AbsValue::Const(v) => {
+        match unstopped(eval::eval(self, expr)) {
+            Val::Const(v) => {
                 if self.env.is_defined(&name) {
                     self.diag(
                         LintCode::Redefinition,
@@ -227,7 +228,7 @@ impl Walker {
                 self.register_def(&name, span);
                 self.env.consts.insert(name, ConstVal::Known(v));
             }
-            AbsValue::Top => {
+            Val::Unknown => {
                 if self.env.is_defined(&name) {
                     self.diag(
                         LintCode::Redefinition,
@@ -239,7 +240,7 @@ impl Walker {
                 self.register_def(&name, span);
                 self.env.consts.insert(name, ConstVal::Unknown);
             }
-            AbsValue::Rv(t) => {
+            Val::Rv(t) => {
                 if self.check_fresh(&name, span) {
                     return;
                 }
@@ -256,23 +257,25 @@ impl Walker {
             }
             // `X = normal(0,1)` / `X = (Y > 0)`: translator errors with
             // its own message; define the name to avoid cascading E001s.
-            AbsValue::Dist(support) => self.env.define_base(&name, support),
-            AbsValue::Event(_) => self.env.define_base(&name, OutcomeSet::all()),
+            Val::Dist(spec) => self.env.define_base(&name, spec.support()),
+            Val::Family(family) => self.env.define_base(&name, family.widest_support()),
+            Val::Event(_) => self.env.define_base(&name, OutcomeSet::all()),
         }
     }
 
     fn exec_sample(&mut self, target: &Target, expr: &Expr, span: Span) {
-        let Some(name) = self.resolve_target(target, span) else {
+        let Some(name) = unstopped(eval::target(self, target, span)) else {
             // Element of a havoc array (or unresolvable index): walk the
             // RHS for its own diagnostics, then give up on the binding.
-            self.eval(expr);
+            unstopped(eval::eval(self, expr));
             return;
         };
         if self.check_fresh(&name, span) {
             return;
         }
-        match self.eval(expr) {
-            AbsValue::Dist(support) => self.env.define_base(&name, support),
+        match unstopped(eval::eval(self, expr)) {
+            Val::Dist(spec) => self.env.define_base(&name, spec.support()),
+            Val::Family(family) => self.env.define_base(&name, family.widest_support()),
             // Not a distribution (translator error) or unknown: keep the
             // name defined so later uses do not cascade.
             _ => self.env.define_base(&name, OutcomeSet::all()),
@@ -303,26 +306,8 @@ impl Walker {
         false
     }
 
-    fn resolve_target(&mut self, target: &Target, span: Span) -> Option<String> {
-        match target {
-            Target::Var(name) => Some(name.clone()),
-            Target::Indexed(name, idx) => {
-                if !self.env.arrays.contains_key(name) {
-                    self.diag(
-                        LintCode::UseBeforeDefine,
-                        span,
-                        format!("array {name} is not declared (use {name} = array(n))"),
-                    );
-                    return None;
-                }
-                self.element_name(name, idx, span)
-            }
-        }
-    }
-
     fn exec_condition(&mut self, expr: &Expr, span: Span) {
-        let v = self.eval(expr);
-        let Some(e) = self.coerce_event(v) else {
+        let Some(e) = unstopped(eval::event(self, expr)) else {
             return;
         };
         let resolved = sat::resolve_event(&e, &self.env);
@@ -353,9 +338,7 @@ impl Walker {
         let guards: Vec<Option<Event>> = arms
             .iter()
             .map(|(g, _)| {
-                let v = self.eval(g);
-                self.coerce_event(v)
-                    .map(|e| sat::resolve_event(&e, &self.env))
+                unstopped(eval::event(self, g)).map(|e| sat::resolve_event(&e, &self.env))
             })
             .collect();
         let (effective, else_guard) = first_match(&guards);
@@ -391,13 +374,13 @@ impl Walker {
     }
 
     fn exec_switch(&mut self, subject: &Expr, binder: &str, values: &Expr, body: &[Command]) {
-        let subject_eval = self.eval(subject);
-        let vals = match self.eval(values) {
-            AbsValue::Const(Value::List(vs)) => Some(vs),
+        let subject_eval = unstopped(eval::eval(self, subject));
+        let vals = match unstopped(eval::eval(self, values)) {
+            Val::Const(Value::List(vs)) => Some(vs),
             _ => None,
         };
         match (subject_eval, vals) {
-            (AbsValue::Const(v), Some(vals)) => {
+            (Val::Const(v), Some(vals)) => {
                 // Static dispatch: only the matching case runs.
                 for case in &vals {
                     if static_case_matches(&v, case) {
@@ -411,7 +394,7 @@ impl Walker {
                 }
                 // No match: translator error; nothing runs.
             }
-            (AbsValue::Rv(t), Some(vals)) => {
+            (Val::Rv(t), Some(vals)) => {
                 let resolved = self.env.resolve_transform(&t);
                 let guards: Vec<Option<Event>> = vals
                     .iter()
@@ -439,7 +422,7 @@ impl Walker {
                 self.walk_branches(plans, subject.span());
             }
             // Unknown subject or case list: one havoc pass over the body.
-            (AbsValue::Top, _) | (_, None) => self.havoc_block(body, &[binder]),
+            (Val::Unknown, _) | (_, None) => self.havoc_block(body, &[binder]),
             // Const/Dist/Event subjects with known values: the
             // translator rejects them; the body never runs.
             _ => {}
@@ -447,7 +430,9 @@ impl Walker {
     }
 
     fn exec_for(&mut self, var: &str, lo: &Expr, hi: &Expr, body: &[Command]) {
-        let (Some(lo), Some(hi)) = (self.eval_integer(lo), self.eval_integer(hi)) else {
+        let lo = unstopped(eval::integer(self, lo));
+        let hi = unstopped(eval::integer(self, hi));
+        let (Some(lo), Some(hi)) = (lo, hi) else {
             self.havoc_block(body, &[var]);
             return;
         };

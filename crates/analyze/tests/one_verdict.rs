@@ -1,9 +1,9 @@
-//! One message per verdict: the analyzer and the translator evaluate a
-//! distribution call with the same family table, so for every family an
-//! invalid call is rejected by `check` as `E006` (`E001` for an unknown
-//! name) with exactly the text `sppl_lang::compile` fails with. Both
-//! passes also meet the polynomial degree bound before any preimage is
-//! solved.
+//! One message per verdict: the analyzer and the translator run the same
+//! expression evaluator with the same family table, so for every family
+//! an invalid call is rejected by `check` as `E006` (`E001` for an
+//! unknown name) with exactly the text `sppl_lang::compile` fails with,
+//! and so is every other expression the evaluator rejects. Both passes
+//! also meet the polynomial degree bound before any preimage is solved.
 
 use std::time::{Duration, Instant};
 
@@ -81,32 +81,74 @@ const INVALID_PARAMETERS: &[&str] = &[
 
 const UNKNOWN_NAMES: &[&str] = &["normall(0, 1)", "Normal(0, 1)", "foo(1e400)"];
 
-/// Asserts that `check` reports exactly one error for `X ~ call`, with
-/// lint `code` and the translator's error text.
-fn assert_one_verdict(call: &str, code: &str) {
-    let source = format!("X ~ {call}");
-    let errors: Vec<_> = check(&source)
+/// Programs the translator rejects in an expression, one per kind of
+/// failure, with the lint code `check` reports it under.
+const FAILING_PROGRAMS: &[(&str, &str)] = &[
+    // An undefined name.
+    ("E001", "X ~ normal(0, 1)\nY = X + Z"),
+    // An array used without an index.
+    ("E001", "A = array(3)\nA[0] ~ normal(0, 1)\nY = A + 1"),
+    // An element read before it is sampled.
+    ("E001", "A = array(3)\nA[0] ~ normal(0, 1)\nY = A[1] + 1"),
+    // An array index out of bounds.
+    ("E003", "A = array(3)\nA[5] ~ normal(0, 1)"),
+    // A list index out of bounds.
+    ("E003", "c = [1, 2]\nX ~ normal(c[2], 1)"),
+    // A non-finite constant.
+    ("E007", "c = 1e400 - 1e400\nX ~ normal(c, 1)"),
+    // A random distribution parameter (R4).
+    ("E006", "X ~ normal(0, 1)\nY ~ normal(X, 1)"),
+    // The same, in a call that is an operand: the call's failure is the
+    // only verdict.
+    ("E006", "X ~ normal(0, 1)\nY = normal(X, 1) + 1"),
+    // An unknown family.
+    ("E001", "X ~ normall(0, 1)"),
+    // A polynomial past the degree bound.
+    ("E008", "X ~ normal(0, 1)\nY = (X ** 60) ** 60"),
+    // A math call with the wrong number of arguments.
+    ("E008", "X ~ normal(0, 1)\nY = exp(X, 2)"),
+    // An unsupported exponent.
+    ("E008", "X ~ normal(0, 1)\nY = X ** 0.3"),
+    // A comparison of two random expressions (R3).
+    (
+        "E008",
+        "X ~ normal(0, 1)\nY ~ normal(0, 1)\ncondition(X < Y)",
+    ),
+];
+
+/// Asserts that `check` reports exactly one error for `source`, with
+/// lint `code` and the translator's error text and span.
+fn assert_one_verdict(source: &str, code: &str) {
+    let errors: Vec<_> = check(source)
         .into_iter()
         .filter(|d| d.severity == Severity::Error)
         .collect();
     assert_eq!(errors.len(), 1, "{source}: {errors:?}");
     assert_eq!(errors[0].code.as_str(), code, "{source}");
-    let translated = sppl_lang::compile(&Factory::new(), &source)
+    let translated = sppl_lang::compile(&Factory::new(), source)
         .expect_err(&format!("{source} must not translate"));
     assert_eq!(errors[0].message, translated.message, "{source}");
+    assert_eq!(errors[0].span, translated.span, "{source}");
 }
 
 #[test]
 fn invalid_parameters_read_the_same_in_both_passes() {
     for call in INVALID_PARAMETERS {
-        assert_one_verdict(call, "E006");
+        assert_one_verdict(&format!("X ~ {call}"), "E006");
     }
 }
 
 #[test]
 fn unknown_names_read_the_same_in_both_passes() {
     for call in UNKNOWN_NAMES {
-        assert_one_verdict(call, "E001");
+        assert_one_verdict(&format!("X ~ {call}"), "E001");
+    }
+}
+
+#[test]
+fn every_failing_expression_reads_the_same_in_both_passes() {
+    for (code, source) in FAILING_PROGRAMS {
+        assert_one_verdict(source, code);
     }
 }
 

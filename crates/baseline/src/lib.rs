@@ -1,6 +1,8 @@
 //! Baseline inference systems for the evaluation (Sec. 6), built as
 //! behavioural substitutes for the external tools the paper compares
-//! against (see DESIGN.md §2):
+//! against, which are not part of this repository. Each keeps what its
+//! comparison rests on, not the tool's code (README.md, "Substitutes for
+//! the paper's tools and programs"):
 //!
 //! * [`enumerative`] — an exact but *single-stage, structure-blind*
 //!   engine in the spirit of PSI: it expands the model into the flat

@@ -1,7 +1,7 @@
 //! Ablation benchmarks for the Sec. 5.1 optimizations: translation and
 //! conditioning with deduplication / factorization / memoization
-//! selectively disabled (the design-choice measurements DESIGN.md calls
-//! out).
+//! selectively disabled through `FactoryOptions`, so each optimization's
+//! share of the speed shows on its own.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

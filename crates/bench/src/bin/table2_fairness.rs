@@ -55,5 +55,8 @@ fn main() {
     }
     table.print();
     println!("\n(!) marks a baseline judgment disagreeing with the exact one.");
-    println!("*behavioural substitutes for the original tools; see DESIGN.md §2.");
+    println!(
+        "*behavioural substitutes for the original tools; see README.md, \
+         \"Substitutes for the paper's tools and programs\"."
+    );
 }

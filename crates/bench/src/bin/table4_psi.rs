@@ -56,6 +56,9 @@ fn main() {
         ]);
     }
     table.print();
-    println!("\n*single-stage flat-enumeration engine (PSI substitute, DESIGN.md §2);");
+    println!(
+        "\n*single-stage flat-enumeration engine (PSI substitute; see README.md, \
+         \"Substitutes for the paper's tools and programs\");"
+    );
     println!("o/m = term budget exhausted, the analogue of PSI running out of memory.");
 }

@@ -24,9 +24,10 @@ pub struct PsiBenchmark {
     pub query: Event,
 }
 
-/// Builds the Table 4 benchmark list. Sizes are scaled to container-friendly
-/// dimensions (see EXPERIMENTS.md); the distribution signatures match the
-/// paper's Table 4 column.
+/// Builds the Table 4 benchmark list. Sizes (pixels, patients per arm,
+/// students) are scaled down so that each row finishes in minutes on a
+/// 2-vCPU container, and the comment above each row gives its size; the
+/// distribution signatures match the paper's Table 4 column.
 pub fn benchmarks() -> Vec<PsiBenchmark> {
     let mut out = Vec::new();
 

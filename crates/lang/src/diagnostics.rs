@@ -182,6 +182,11 @@ pub enum LintCode {
     /// `E007` — constant arithmetic produced a non-finite value that is
     /// then used where a finite number is required.
     NonFiniteConstant,
+    /// `E008` — an expression the translator rejects for a reason no
+    /// other code names: a polynomial degree past the bound, an
+    /// unsupported exponent, a math call with the wrong number of
+    /// arguments, a comparison of two random expressions (R3), …
+    RejectedExpression,
     /// `W101` — a constant that is assigned but never read.
     UnusedVariable,
     /// `W102` — an `if`/`elif`/`switch` branch whose guard is disjoint
@@ -211,6 +216,7 @@ impl LintCode {
             LintCode::AllBranchesDead => "E005",
             LintCode::InvalidParameter => "E006",
             LintCode::NonFiniteConstant => "E007",
+            LintCode::RejectedExpression => "E008",
             LintCode::UnusedVariable => "W101",
             LintCode::DeadBranch => "W102",
             LintCode::TautologicalGuard => "W103",
@@ -229,7 +235,8 @@ impl LintCode {
             | LintCode::UnsatisfiableCondition
             | LintCode::AllBranchesDead
             | LintCode::InvalidParameter
-            | LintCode::NonFiniteConstant => Severity::Error,
+            | LintCode::NonFiniteConstant
+            | LintCode::RejectedExpression => Severity::Error,
             LintCode::UnusedVariable
             | LintCode::DeadBranch
             | LintCode::TautologicalGuard

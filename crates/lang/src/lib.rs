@@ -22,10 +22,11 @@
 //! the distribution (Eq. 46).
 //!
 //! What an expression means is defined once, for the translator and the
-//! static analyzer in `sppl-analyze` alike: [`dists`] holds the
-//! distribution family table, and [`ops`] the operations on constants and
-//! random values. Both return an [`ops::EvalError`] whose text both
-//! passes report.
+//! static analyzer in `sppl-analyze` alike: [`eval`] is the one walk over
+//! an expression, which both passes run with their own [`eval::Scope`];
+//! [`dists`] holds the distribution family table, and [`ops`] the
+//! operations on constants and random values. A failure reads the same
+//! in both passes.
 //!
 //! # Example
 //!
@@ -42,6 +43,7 @@
 pub mod ast;
 pub mod diagnostics;
 pub mod dists;
+pub mod eval;
 pub mod lexer;
 pub mod ops;
 pub mod parser;
@@ -51,7 +53,7 @@ pub mod untranslate;
 pub use ast::{BinOp, CmpOp, Command, Expr, Program, Target, UnOp};
 pub use diagnostics::{Diagnostic, LangError, LintCode, Severity, Span};
 pub use parser::parse;
-pub use translate::{translate, Translator};
+pub use translate::translate;
 pub use untranslate::untranslate;
 
 use sppl_core::{Factory, Spe, SpplError};

@@ -2,11 +2,12 @@
 //! operator, comparison, `switch` case and built-in does to compile-time
 //! constants and to transforms of random variables.
 //!
-//! The translator and the static analyzer in `sppl-analyze` both call
-//! these functions, so a program means the same to both passes and a
-//! rejected one is rejected with the same text. The translator turns an
-//! [`EvalError`] into a span-carrying `LangError`; the analyzer turns it
-//! into a diagnostic or an unknown value.
+//! The one expression evaluator in [`crate::eval`], which the translator
+//! and the static analyzer in `sppl-analyze` both run, calls these
+//! functions, so a program means the same to both passes and a rejected
+//! one is rejected with the same text. The evaluator reports an
+//! [`EvalError`] at its expression's span under the lint code its kind
+//! earns; an unknown operand gets no verdict.
 
 use std::fmt;
 

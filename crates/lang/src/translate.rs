@@ -16,9 +16,9 @@
 //! `if`/`elif` chain and a `switch` are both first-match chains, whose
 //! per-arm guards [`first_match_guards`] builds.
 //!
-//! Operators, comparisons and built-ins are evaluated by [`crate::ops`],
-//! and distribution calls by the family table in [`crate::dists`]; the
-//! static analyzer calls the same functions.
+//! Expressions are evaluated by the one evaluator in [`crate::eval`],
+//! which the static analyzer also runs; the translator's [`Scope`] stops
+//! at the first failure.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -30,11 +30,12 @@ use sppl_core::var::Var;
 use sppl_dists::Distribution;
 use sppl_sets::OutcomeSet;
 
-use crate::ast::{BinOp, CmpOp, Command, Expr, Program, Target, UnOp};
-use crate::diagnostics::{LangError, Span};
-use crate::dists::{DistSpec, Family};
+use crate::ast::{Command, Expr, Program, Target};
+use crate::diagnostics::{LangError, LintCode, Span};
+use crate::dists::DistSpec;
+use crate::eval::{self, Scope, Val};
 pub use crate::ops::Value;
-use crate::ops::{self, EvalError, Link};
+use crate::ops::{self, EvalError};
 
 /// One `if`/`elif`/`switch` branch: guard event, body, and the optional
 /// constant binding a `switch` case introduces.
@@ -48,25 +49,17 @@ type Branch = (Event, Vec<Command>, Option<(String, Value)>);
 /// variables, non-constant distribution parameters, or inference failures
 /// (e.g. a `condition` with probability zero).
 pub fn translate(factory: &Factory, program: &Program) -> Result<Spe, LangError> {
-    let mut t = Translator::new(factory);
+    let mut t = Translator {
+        factory,
+        state: State::default(),
+    };
     t.exec_all(&program.commands)?;
-    t.finish()
+    t.state
+        .spe
+        .ok_or_else(|| err(Span::unknown(), "program defines no random variables"))
 }
 
-/// Result of evaluating an expression in the current state.
-#[derive(Debug, Clone)]
-enum Evaluated {
-    /// A compile-time constant.
-    Const(Value),
-    /// A (transform of a) random variable.
-    Rv(Transform),
-    /// A distribution object (right-hand side of `~`).
-    Dist(DistSpec),
-    /// A predicate.
-    Event(Event),
-}
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct State {
     spe: Option<Spe>,
     consts: HashMap<String, Value>,
@@ -74,10 +67,8 @@ struct State {
     rvs: BTreeSet<String>,
 }
 
-/// The stateful program translator. Use [`translate`] for the common
-/// one-shot case; the struct is public so callers can inspect the state
-/// (e.g. to enumerate defined variables).
-pub struct Translator<'f> {
+/// The stateful program translator behind [`translate`].
+struct Translator<'f> {
     factory: &'f Factory,
     state: State,
 }
@@ -91,38 +82,45 @@ fn at(span: Span) -> impl Fn(EvalError) -> LangError {
     move |e| err(span, e.to_string())
 }
 
-impl<'f> Translator<'f> {
-    /// Creates a translator with an empty state.
-    pub fn new(factory: &'f Factory) -> Translator<'f> {
-        Translator {
-            factory,
-            state: State {
-                spe: None,
-                consts: HashMap::new(),
-                arrays: HashMap::new(),
-                rvs: BTreeSet::new(),
-            },
+/// A result of the evaluator, which is `None` only when a value is not
+/// known or after a failure; the translator knows every value, and its
+/// scope stops at the first failure.
+fn known<T>(v: Option<T>, span: Span) -> Result<T, LangError> {
+    v.ok_or_else(|| err(span, EvalError::Unknown.to_string()))
+}
+
+impl Scope for Translator<'_> {
+    type Stop = LangError;
+
+    fn lookup(&mut self, name: &str) -> Option<Val> {
+        if let Some(v) = self.state.consts.get(name) {
+            return Some(Val::Const(v.clone()));
         }
+        self.state
+            .rvs
+            .contains(name)
+            .then(|| Val::Rv(Transform::id(name)))
     }
 
-    /// Runs a sequence of commands.
-    pub fn exec_all(&mut self, commands: &[Command]) -> Result<(), LangError> {
+    fn array(&self, name: &str) -> Option<Option<usize>> {
+        self.state.arrays.get(name).map(|&size| Some(size))
+    }
+
+    fn sampled(&self, _array: &str, element: &str) -> bool {
+        self.state.rvs.contains(element)
+    }
+
+    fn fail(&mut self, _code: LintCode, span: Span, message: String) -> Result<(), LangError> {
+        Err(err(span, message))
+    }
+}
+
+impl Translator<'_> {
+    fn exec_all(&mut self, commands: &[Command]) -> Result<(), LangError> {
         for c in commands {
             self.exec(c)?;
         }
         Ok(())
-    }
-
-    /// The translated expression, if any random variable was sampled.
-    pub fn finish(self) -> Result<Spe, LangError> {
-        self.state
-            .spe
-            .ok_or_else(|| err(Span::unknown(), "program defines no random variables"))
-    }
-
-    /// The names of the random variables defined so far.
-    pub fn random_variables(&self) -> impl Iterator<Item = &str> {
-        self.state.rvs.iter().map(String::as_str)
     }
 
     fn exec(&mut self, cmd: &Command) -> Result<(), LangError> {
@@ -131,7 +129,7 @@ impl<'f> Translator<'f> {
             Command::Assign { target, expr, span } => self.exec_assign(target, expr, *span),
             Command::Sample { target, expr, span } => self.exec_sample(target, expr, *span),
             Command::Condition { expr, span } => {
-                let ev = self.eval_event(expr)?;
+                let ev = known(eval::event(self, expr)?, expr.span())?;
                 let spe =
                     self.state.spe.as_ref().ok_or_else(|| {
                         err(*span, "condition before any random variable is defined")
@@ -148,7 +146,7 @@ impl<'f> Translator<'f> {
             } => {
                 let raw = arms
                     .iter()
-                    .map(|(guard, _)| self.eval_event(guard))
+                    .map(|(guard, _)| known(eval::event(self, guard)?, guard.span()))
                     .collect::<Result<Vec<_>, _>>()?;
                 let (guards, else_guard) = first_match_guards(&raw);
                 let mut branches: Vec<Branch> = guards
@@ -167,8 +165,8 @@ impl<'f> Translator<'f> {
                 body,
                 span,
             } => {
-                let lo = self.eval_integer(lo)?;
-                let hi = self.eval_integer(hi)?;
+                let lo = known(eval::integer(self, lo)?, lo.span())?;
+                let hi = known(eval::integer(self, hi)?, hi.span())?;
                 if hi < lo {
                     return Err(err(*span, format!("empty range({lo}, {hi})")));
                 }
@@ -190,9 +188,9 @@ impl<'f> Translator<'f> {
                 body,
                 span,
             } => {
-                let subject_eval = self.eval(subject)?;
-                let values = match self.eval(values)? {
-                    Evaluated::Const(Value::List(vs)) => vs,
+                let subject_eval = eval::eval(self, subject)?;
+                let values = match eval::eval(self, values)? {
+                    Val::Const(Value::List(vs)) => vs,
                     other => {
                         return Err(err(
                             *span,
@@ -201,7 +199,7 @@ impl<'f> Translator<'f> {
                     }
                 };
                 match subject_eval {
-                    Evaluated::Const(v) => {
+                    Val::Const(v) => {
                         // Static dispatch: run the matching case only.
                         for case in &values {
                             if ops::static_case_matches(&v, case) {
@@ -217,7 +215,7 @@ impl<'f> Translator<'f> {
                         }
                         Err(err(*span, "no switch case matches the constant subject"))
                     }
-                    Evaluated::Rv(t) => {
+                    Val::Rv(t) => {
                         let raw = values
                             .iter()
                             .map(|case| ops::case_event(&t, case).map_err(at(*span)))
@@ -373,7 +371,7 @@ impl<'f> Translator<'f> {
                 if args.len() != 1 {
                     return Err(err(span, "array(n) takes exactly one argument"));
                 }
-                let n = self.eval_integer(&args[0])?;
+                let n = known(eval::integer(self, &args[0])?, args[0].span())?;
                 if n < 0 {
                     return Err(err(span, "array size must be nonnegative"));
                 }
@@ -381,9 +379,9 @@ impl<'f> Translator<'f> {
                 return Ok(());
             }
         }
-        let name = self.resolve_target(target, span)?;
-        match self.eval(expr)? {
-            Evaluated::Const(v) => {
+        let name = known(eval::target(self, target, span)?, span)?;
+        match eval::eval(self, expr)? {
+            Val::Const(v) => {
                 if self.state.rvs.contains(&name) {
                     return Err(err(
                         span,
@@ -393,7 +391,7 @@ impl<'f> Translator<'f> {
                 self.state.consts.insert(name, v);
                 Ok(())
             }
-            Evaluated::Rv(t) => {
+            Val::Rv(t) => {
                 self.check_fresh(&name, span)?;
                 let base = t.the_var().ok_or_else(|| {
                     err(
@@ -413,22 +411,23 @@ impl<'f> Translator<'f> {
                 self.state.rvs.insert(name);
                 Ok(())
             }
-            Evaluated::Dist(_) => Err(err(
+            Val::Dist(_) | Val::Family(_) => Err(err(
                 span,
                 "distributions are sampled with `~`, not assigned with `=`",
             )),
-            Evaluated::Event(_) => Err(err(
+            Val::Event(_) => Err(err(
                 span,
                 "events cannot be assigned to variables; use condition(...)",
             )),
+            Val::Unknown => known(None, span),
         }
     }
 
     fn exec_sample(&mut self, target: &Target, expr: &Expr, span: Span) -> Result<(), LangError> {
-        let name = self.resolve_target(target, span)?;
+        let name = known(eval::target(self, target, span)?, span)?;
         self.check_fresh(&name, span)?;
-        let spec = match self.eval(expr)? {
-            Evaluated::Dist(d) => d,
+        let spec = match eval::eval(self, expr)? {
+            Val::Dist(spec) => spec,
             other => {
                 return Err(err(
                     span,
@@ -477,368 +476,6 @@ impl<'f> Translator<'f> {
             return Err(err(span, format!("variable {name} shadows a constant")));
         }
         Ok(())
-    }
-
-    fn resolve_target(&mut self, target: &Target, span: Span) -> Result<String, LangError> {
-        match target {
-            Target::Var(name) => Ok(name.clone()),
-            Target::Indexed(name, idx) => {
-                let size = *self.state.arrays.get(name).ok_or_else(|| {
-                    err(
-                        span,
-                        format!("array {name} is not declared (use {name} = array(n))"),
-                    )
-                })?;
-                let i = self.eval_integer(idx)?;
-                if i < 0 || i as usize >= size {
-                    return Err(err(
-                        span,
-                        format!("index {i} out of bounds for array {name} of size {size}"),
-                    ));
-                }
-                Ok(format!("{name}[{i}]"))
-            }
-        }
-    }
-
-    fn eval_integer(&mut self, expr: &Expr) -> Result<i64, LangError> {
-        match self.eval(expr)? {
-            Evaluated::Const(Value::Num(n)) if n.fract() == 0.0 => Ok(n as i64),
-            other => Err(err(
-                expr.span(),
-                format!("expected a constant integer, got {other:?}"),
-            )),
-        }
-    }
-
-    fn eval_event(&mut self, expr: &Expr) -> Result<Event, LangError> {
-        let v = self.eval(expr)?;
-        self.coerce_event(v, expr.span())
-    }
-
-    fn coerce_event(&self, v: Evaluated, span: Span) -> Result<Event, LangError> {
-        match v {
-            Evaluated::Event(e) => Ok(e),
-            Evaluated::Rv(t) => Ok(ops::rv_truth(t)),
-            other => match &other {
-                Evaluated::Const(c) => ops::const_truth(c),
-                _ => None,
-            }
-            .ok_or_else(|| err(span, format!("expected a predicate, got {other:?}"))),
-        }
-    }
-
-    // ----- expression evaluation -----
-
-    fn eval(&mut self, expr: &Expr) -> Result<Evaluated, LangError> {
-        match expr {
-            Expr::Num(n, _) => Ok(Evaluated::Const(Value::Num(*n))),
-            Expr::Str(s, _) => Ok(Evaluated::Const(Value::Str(s.clone()))),
-            Expr::Bool(b, _) => Ok(Evaluated::Const(Value::Bool(*b))),
-            Expr::Ident(name, span) => self.eval_ident(name, *span),
-            Expr::List(items, _) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    match self.eval(item)? {
-                        Evaluated::Const(v) => out.push(v),
-                        other => {
-                            return Err(err(
-                                item.span(),
-                                format!("list elements must be constants, got {other:?}"),
-                            ))
-                        }
-                    }
-                }
-                Ok(Evaluated::Const(Value::List(out)))
-            }
-            Expr::Dict(_, span) => Err(err(
-                *span,
-                "dict literals are only valid as the argument of choice(...) or discrete(...)",
-            )),
-            Expr::Index(recv, idx, span) => self.eval_index(recv, idx, *span),
-            Expr::Call {
-                func,
-                args,
-                kwargs,
-                span,
-            } => self.eval_call(func, args, kwargs, *span),
-            Expr::MethodCall {
-                recv, method, span, ..
-            } => self.eval_method(recv, method, *span),
-            Expr::Unary(op, inner, span) => {
-                let v = self.eval(inner)?;
-                match (op, v) {
-                    (UnOp::Neg, Evaluated::Const(Value::Num(n))) => {
-                        Ok(Evaluated::Const(Value::Num(-n)))
-                    }
-                    (UnOp::Neg, Evaluated::Rv(t)) => Ok(Evaluated::Rv(t.neg())),
-                    (UnOp::Not, v) => Ok(Evaluated::Event(self.coerce_event(v, *span)?.negate())),
-                    (op, v) => Err(err(*span, format!("cannot apply {op:?} to {v:?}"))),
-                }
-            }
-            Expr::Binary(op, lhs, rhs, span) => {
-                let a = self.eval(lhs)?;
-                let b = self.eval(rhs)?;
-                self.eval_binary(*op, a, b, *span)
-            }
-            Expr::Compare(first, chain, span) => self.eval_compare(first, chain, *span),
-        }
-    }
-
-    fn eval_ident(&self, name: &str, span: Span) -> Result<Evaluated, LangError> {
-        if let Some(v) = self.state.consts.get(name) {
-            return Ok(Evaluated::Const(v.clone()));
-        }
-        if self.state.rvs.contains(name) {
-            return Ok(Evaluated::Rv(Transform::id(Var::new(name))));
-        }
-        Err(err(span, format!("undefined variable {name}")))
-    }
-
-    fn eval_index(&mut self, recv: &Expr, idx: &Expr, span: Span) -> Result<Evaluated, LangError> {
-        // Array-of-random-variables access: `Z[i]` where Z is declared.
-        if let Expr::Ident(name, _) = recv {
-            if self.state.arrays.contains_key(name) {
-                let element =
-                    self.resolve_target(&Target::Indexed(name.clone(), idx.clone()), span)?;
-                if self.state.rvs.contains(&element) {
-                    return Ok(Evaluated::Rv(Transform::id(Var::new(&element))));
-                }
-                return Err(err(
-                    span,
-                    format!("array element {element} is not yet sampled"),
-                ));
-            }
-        }
-        // Constant list indexing (possibly nested).
-        let list = match self.eval(recv)? {
-            Evaluated::Const(Value::List(vs)) => vs,
-            other => {
-                return Err(err(
-                    span,
-                    format!("cannot index into {other:?} (expected list or declared array)"),
-                ))
-            }
-        };
-        let i = self.eval_integer(idx)?;
-        if i < 0 || i as usize >= list.len() {
-            return Err(err(
-                span,
-                format!("index {i} out of bounds (len {})", list.len()),
-            ));
-        }
-        Ok(Evaluated::Const(list[i as usize].clone()))
-    }
-
-    fn eval_method(
-        &mut self,
-        recv: &Expr,
-        method: &str,
-        span: Span,
-    ) -> Result<Evaluated, LangError> {
-        let r = self.eval(recv)?;
-        if let Evaluated::Const(v) = &r {
-            if let Some(out) = ops::method(v, method) {
-                return Ok(Evaluated::Const(out));
-            }
-        }
-        Err(err(span, format!("unknown method .{method}() on {r:?}")))
-    }
-
-    fn eval_binary(
-        &self,
-        op: BinOp,
-        a: Evaluated,
-        b: Evaluated,
-        span: Span,
-    ) -> Result<Evaluated, LangError> {
-        use Evaluated::{Const, Event as Ev, Rv};
-        match op {
-            BinOp::And | BinOp::Or => {
-                let ea = self.coerce_event(a, span)?;
-                let eb = self.coerce_event(b, span)?;
-                Ok(Ev(match op {
-                    BinOp::And => Event::and(vec![ea, eb]),
-                    _ => Event::or(vec![ea, eb]),
-                }))
-            }
-            _ => match (a, b) {
-                (Const(Value::Num(x)), Const(Value::Num(y))) => {
-                    ops::arith(op, x, y).map(|v| Const(Value::Num(v)))
-                }
-                (Rv(t), Const(Value::Num(c))) => {
-                    ops::rv_const_op(op, t, c, false).map(|(t, _)| Rv(t))
-                }
-                (Const(Value::Num(c)), Rv(t)) => {
-                    ops::rv_const_op(op, t, c, true).map(|(t, _)| Rv(t))
-                }
-                (Rv(ta), Rv(tb)) => ops::rv_rv_op(op, ta, tb).map(Rv),
-                (a, b) => {
-                    return Err(err(
-                        span,
-                        format!("unsupported operands for {op:?}: {a:?} and {b:?}"),
-                    ))
-                }
-            }
-            .map_err(at(span)),
-        }
-    }
-
-    fn eval_compare(
-        &mut self,
-        first: &Expr,
-        chain: &[(CmpOp, Expr)],
-        span: Span,
-    ) -> Result<Evaluated, LangError> {
-        let mut operands = vec![self.eval(first)?];
-        for (_, e) in chain {
-            operands.push(self.eval(e)?);
-        }
-        let links = chain
-            .iter()
-            .enumerate()
-            .map(|(i, (op, _))| compare_pair(*op, &operands[i], &operands[i + 1], span))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(ops::chain(links).map_or(Evaluated::Const(Value::Bool(true)), Evaluated::Event))
-    }
-
-    fn eval_call(
-        &mut self,
-        func: &str,
-        args: &[Expr],
-        kwargs: &[(String, Expr)],
-        span: Span,
-    ) -> Result<Evaluated, LangError> {
-        // Math functions over constants or random transforms.
-        if ops::is_math(func) {
-            if args.len() != 1 || !kwargs.is_empty() {
-                return Err(err(span, format!("{func}(x) takes exactly one argument")));
-            }
-            return match self.eval(&args[0])? {
-                Evaluated::Const(Value::Num(x)) => ops::math_const(func, x)
-                    .map(|v| Evaluated::Const(Value::Num(v)))
-                    .map_err(at(span)),
-                Evaluated::Rv(t) => ops::math_rv(func, t)
-                    .map(|(t, _)| Evaluated::Rv(t))
-                    .map_err(at(span)),
-                other => Err(err(span, format!("{func} expects a number, got {other:?}"))),
-            };
-        }
-        match func {
-            "range" => {
-                let lo;
-                let hi;
-                match args.len() {
-                    1 => {
-                        lo = 0;
-                        hi = self.eval_integer(&args[0])?;
-                    }
-                    2 => {
-                        lo = self.eval_integer(&args[0])?;
-                        hi = self.eval_integer(&args[1])?;
-                    }
-                    _ => return Err(err(span, "range takes one or two arguments")),
-                }
-                Ok(Evaluated::Const(Value::List(
-                    (lo..hi).map(|i| Value::Num(i as f64)).collect(),
-                )))
-            }
-            "binspace" => {
-                let mut bounds = Vec::new();
-                for a in args {
-                    bounds.push(self.eval_number(a)?);
-                }
-                let mut n = None;
-                for (k, v) in kwargs {
-                    if k != "n" {
-                        return Err(err(span, format!("unknown keyword {k} for binspace")));
-                    }
-                    n = Some(self.eval_number(v)?);
-                }
-                ops::binspace(&bounds, n)
-                    .map(Evaluated::Const)
-                    .map_err(at(span))
-            }
-            "array" => Err(err(span, "array(n) is only valid as `name = array(n)`")),
-            _ => self.eval_distribution(func, args, kwargs, span),
-        }
-    }
-
-    fn eval_number(&mut self, e: &Expr) -> Result<f64, LangError> {
-        match self.eval(e)? {
-            Evaluated::Const(Value::Num(n)) => Ok(n),
-            other => Err(err(
-                e.span(),
-                format!("expected a constant number (R4), got {other:?}"),
-            )),
-        }
-    }
-
-    /// Distribution constructors. Parameters must be compile-time
-    /// constants (restriction R4).
-    fn eval_distribution(
-        &mut self,
-        func: &str,
-        args: &[Expr],
-        kwargs: &[(String, Expr)],
-        span: Span,
-    ) -> Result<Evaluated, LangError> {
-        // Gather numeric parameters by position and keyword.
-        let mut pos = Vec::new();
-        let mut dict = None;
-        for a in args {
-            if let Expr::Dict(items, _) = a {
-                let mut pairs = Vec::new();
-                for (k, v) in items {
-                    let key = match self.eval(k)? {
-                        Evaluated::Const(c) => c,
-                        other => {
-                            return Err(err(
-                                k.span(),
-                                format!("dict key must be constant: {other:?}"),
-                            ))
-                        }
-                    };
-                    pairs.push((key, Some(self.eval_number(v)?)));
-                }
-                dict = Some(pairs);
-            } else {
-                pos.push(Some(self.eval_number(a)?));
-            }
-        }
-        let mut named = Vec::new();
-        for (k, v) in kwargs {
-            named.push((k.as_str(), Some(self.eval_number(v)?)));
-        }
-        Family::named(func)
-            .and_then(|family| family.build(&pos, &named, dict.as_deref()))
-            .map(Evaluated::Dist)
-            .map_err(at(span))
-    }
-}
-
-fn compare_pair(
-    op: CmpOp,
-    lhs: &Evaluated,
-    rhs: &Evaluated,
-    span: Span,
-) -> Result<Link, LangError> {
-    use Evaluated::{Const, Rv};
-    match (lhs, rhs) {
-        (Const(a), Const(b)) => ops::static_compare(op, a, b)
-            .map(Link::Static)
-            .map_err(at(span)),
-        (Rv(t), Const(v)) => ops::rv_compare(op, t, v, false)
-            .map(Link::Event)
-            .map_err(at(span)),
-        (Const(v), Rv(t)) => ops::rv_compare(op, t, v, true)
-            .map(Link::Event)
-            .map_err(at(span)),
-        (Rv(_), Rv(_)) => Err(err(
-            span,
-            "comparisons between two random expressions are not expressible (R3)",
-        )),
-        (a, b) => Err(err(span, format!("cannot compare {a:?} with {b:?}"))),
     }
 }
 

@@ -6,7 +6,9 @@
 //! (independent features, and two Bayes-net variants introducing
 //! sex → capital-gain → age/education dependencies); the decision trees
 //! `DT4 … DT44` are generated deterministically with the same conditional
-//! counts as the paper's rows. See DESIGN.md §2 on this substitution.
+//! counts as the paper's rows, standing in for the FairSquare programs,
+//! which are not part of this repository (README.md, "Substitutes for the
+//! paper's tools and programs").
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -5,8 +5,9 @@
 //! Third-party benchmark programs (FairSquare decision trees, R2/PSI
 //! models, the Heart Disease network) are re-encoded from their published
 //! structural descriptions with the same variable counts and distribution
-//! families as the paper reports; see DESIGN.md §2 for the substitution
-//! policy.
+//! families as the paper reports, since the originals are not part of
+//! this repository (README.md, "Substitutes for the paper's tools and
+//! programs").
 
 pub mod fairness;
 pub mod hmm;

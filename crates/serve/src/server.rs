@@ -13,6 +13,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -165,7 +166,8 @@ impl ServerState {
 
     /// Handles one raw wire line: decode, dispatch, encode. Never fails —
     /// malformed input becomes an error *response* (with the request's
-    /// `id` echoed whenever it was readable).
+    /// `id` echoed whenever it was readable), and a panic while answering
+    /// becomes an `internal` one.
     ///
     /// ```
     /// use sppl_serve::server::{ServeConfig, ServerState};
@@ -177,11 +179,29 @@ impl ServerState {
     /// assert!(reply.contains(r#""kind":"bad_request""#));
     /// ```
     pub fn handle_line(&self, line: &str) -> String {
+        self.answer(line, |request| self.handle(request))
+    }
+
+    /// Decodes `line` and answers it with `handle`. A panic in either
+    /// becomes an `internal` error reply, with the request's `id` when it
+    /// was decoded, so the worker that read the line keeps its thread and
+    /// its connection.
+    fn answer(&self, line: &str, handle: impl Fn(&Request) -> Response) -> String {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let (id, response) = match Request::decode(line) {
-            Ok((id, request)) => (id, self.handle(&request)),
-            Err((id, error)) => (id, Response::Error(error)),
-        };
+        let mut id = None;
+        let response = panic::catch_unwind(AssertUnwindSafe(|| match Request::decode(line) {
+            Ok((decoded, request)) => {
+                id = decoded;
+                handle(&request)
+            }
+            Err((decoded, error)) => {
+                id = decoded;
+                Response::Error(error)
+            }
+        }))
+        .unwrap_or_else(|_| {
+            Response::Error(WireError::new("internal", "the request handler panicked"))
+        });
         if matches!(response, Response::Error(_)) {
             self.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -663,5 +683,23 @@ fn handle_connection(
             }
             Err(e) => return Err(e),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_request_gets_an_internal_reply_and_the_worker_goes_on() {
+        let state = ServerState::new(&ServeConfig::default());
+        let reply = state.answer(r#"{"id": 7, "op": "stats"}"#, |_| panic!("handler bug"));
+        assert!(reply.contains(r#""kind":"internal""#), "{reply}");
+        assert!(reply.contains(r#""id":7"#), "{reply}");
+        assert_eq!(state.stats_snapshot().errors, 1);
+        let reply = state.handle_line(r#"{"id": 8, "op": "stats"}"#);
+        assert!(reply.contains(r#""ok":true"#), "{reply}");
+        assert!(reply.contains(r#""id":8"#), "{reply}");
+        assert_eq!(state.stats_snapshot().errors, 1);
     }
 }

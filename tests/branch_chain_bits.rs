@@ -16,7 +16,7 @@
 //! dead arms) and through the bare translator — and both must land on
 //! the pinned values.
 
-use sppl::analyze::compile_model_uncached;
+use sppl::analyze::compile_model;
 use sppl::prelude::*;
 
 /// The probe thresholds `c` of the `Y ≤ c` answers.
@@ -209,7 +209,7 @@ fn probe_bits(model: &Model) -> Vec<u64> {
 #[test]
 fn chain_digests_and_answers_are_pinned() {
     for pin in PINS {
-        let analyzed = compile_model_uncached(pin.source)
+        let analyzed = compile_model(pin.source)
             .unwrap_or_else(|e| panic!("{}: compile failed: {e}", pin.name));
         let factory = Factory::new();
         let spe = compile(&factory, pin.source)
