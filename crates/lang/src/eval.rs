@@ -64,7 +64,7 @@ pub trait Scope {
     /// An element of `array` was named with an index that is not known.
     fn unknown_index(&mut self, _array: &str) {}
 
-    /// A transform of `operand` was built at `span` that is undefined
+    /// A transform of `operand` is built at `span` that is undefined
     /// where `partial` says.
     fn partial(&mut self, _operand: &Transform, _partial: Partial, _span: Span) {}
 }
@@ -298,12 +298,12 @@ fn binary<S: Scope>(scope: &mut S, op: BinOp, a: Val, b: Val, span: Span) -> Eva
             settled(scope, r, span)
         }
         (Rv(t), Const(Value::Num(c))) => {
-            let r = ops::rv_const_op(op, t.clone(), c, false);
-            transformed(scope, &t, r, span)
+            let r = ops::rv_const_op(op, t, c, false, |t, p| scope.partial(t, p, span));
+            settled(scope, r.map(Rv), span)
         }
         (Const(Value::Num(c)), Rv(t)) => {
-            let r = ops::rv_const_op(op, t.clone(), c, true);
-            transformed(scope, &t, r, span)
+            let r = ops::rv_const_op(op, t, c, true, |t, p| scope.partial(t, p, span));
+            settled(scope, r.map(Rv), span)
         }
         (Rv(ta), Rv(tb)) => settled(scope, ops::rv_rv_op(op, ta, tb).map(Rv), span),
         (a, b) => {
@@ -354,8 +354,8 @@ fn call<S: Scope>(
                 settled(scope, r, span)
             }
             Val::Rv(t) => {
-                let r = ops::math_rv(func, t.clone());
-                transformed(scope, &t, r, span)
+                let r = ops::math_rv(func, t, |t, p| scope.partial(t, p, span));
+                settled(scope, r.map(Val::Rv), span)
             }
             Val::Unknown => Ok(Val::Unknown),
             other => rejected(
@@ -502,20 +502,6 @@ fn truth<S: Scope>(scope: &mut S, v: Val, span: Span) -> Result<Option<Event>, S
         rejected(scope, span, format!("expected a predicate, got {v:?}"))?;
     }
     Ok(holds)
-}
-
-/// The random value a transform of `operand` built, after the scope
-/// hears where it is undefined.
-fn transformed<S: Scope>(
-    scope: &mut S,
-    operand: &Transform,
-    r: Result<(Transform, Option<Partial>), EvalError>,
-    span: Span,
-) -> Eval<S> {
-    if let Ok((_, Some(partial))) = r {
-        scope.partial(operand, partial, span);
-    }
-    settled(scope, r.map(|(t, _)| Val::Rv(t)), span)
 }
 
 /// The value of a value operation, or the unknown value after its

@@ -149,40 +149,56 @@ pub fn math_const(func: &str, x: f64) -> Result<f64, EvalError> {
     Ok(v)
 }
 
-/// `func(t)` on a random value, with where it is undefined in `t`.
-pub fn math_rv(func: &str, t: Transform) -> Result<(Transform, Option<Partial>), EvalError> {
+/// `func(t)` on a random value. When the result is undefined for some
+/// values of `t`, `partial` hears `t` and where, before `t` is consumed.
+pub fn math_rv(
+    func: &str,
+    t: Transform,
+    partial: impl FnOnce(&Transform, Partial),
+) -> Result<Transform, EvalError> {
     Ok(match func {
-        "exp" => (t.exp(), None),
-        "ln" | "log" => (t.ln(), Some(Partial::Log)),
-        "sqrt" => (t.sqrt(), Some(Partial::Sqrt)),
-        "abs" => (t.abs(), None),
+        "exp" => t.exp(),
+        "ln" | "log" => {
+            partial(&t, Partial::Log);
+            t.ln()
+        }
+        "sqrt" => {
+            partial(&t, Partial::Sqrt);
+            t.sqrt()
+        }
+        "abs" => t.abs(),
         other => return Err(unknown_math(other)),
     })
 }
 
-/// `t op c`, or `c op t` when `flipped`, with where the result is
-/// undefined in `t`.
+/// `t op c`, or `c op t` when `flipped`. When the result is undefined
+/// for some values of `t`, `partial` hears `t` and where, before `t` is
+/// consumed; a failed operation tells it nothing.
 pub fn rv_const_op(
     op: BinOp,
     t: Transform,
     c: f64,
     flipped: bool,
-) -> Result<(Transform, Option<Partial>), EvalError> {
+    partial: impl FnOnce(&Transform, Partial),
+) -> Result<Transform, EvalError> {
     Ok(match (op, flipped) {
-        (BinOp::Add, _) => (t.add_const(c), None),
-        (BinOp::Sub, false) => (t.add_const(-c), None),
-        (BinOp::Sub, true) => (t.neg().add_const(c), None),
-        (BinOp::Mul, _) => (t.mul_const(c), None),
+        (BinOp::Add, _) => t.add_const(c),
+        (BinOp::Sub, false) => t.add_const(-c),
+        (BinOp::Sub, true) => t.neg().add_const(c),
+        (BinOp::Mul, _) => t.mul_const(c),
         (BinOp::Div, false) if c == 0.0 => return Err(invalid("division by zero")),
-        (BinOp::Div, false) => (t.mul_const(1.0 / c), None),
-        (BinOp::Div, true) => (t.recip().mul_const(c), Some(Partial::Recip)),
-        (BinOp::Pow, false) => power(t, c)?,
+        (BinOp::Div, false) => t.mul_const(1.0 / c),
+        (BinOp::Div, true) => {
+            partial(&t, Partial::Recip);
+            t.recip().mul_const(c)
+        }
+        (BinOp::Pow, false) => power(t, c, partial)?,
         (BinOp::Pow, true) if c <= 0.0 || c == 1.0 => {
             return Err(invalid(format!(
                 "exponential base must be positive and ≠ 1, got {c}"
             )))
         }
-        (BinOp::Pow, true) => (t.exp_base(c), None),
+        (BinOp::Pow, true) => t.exp_base(c),
         (BinOp::And | BinOp::Or, _) => {
             return Err(invalid(
                 "logical operators apply to events, not random values",
@@ -219,7 +235,11 @@ fn degree(p: &Polynomial) -> f64 {
 }
 
 /// `t ** c`: integer powers and their reciprocals, and the roots `1/n`.
-fn power(t: Transform, c: f64) -> Result<(Transform, Option<Partial>), EvalError> {
+fn power(
+    t: Transform,
+    c: f64,
+    partial: impl FnOnce(&Transform, Partial),
+) -> Result<Transform, EvalError> {
     if c.fract() == 0.0 {
         // `pow_int` builds the monomial `x^|c|` before composing it with
         // `t`, so a constant or zero `t` counts as degree 1: `|c|` itself
@@ -227,20 +247,26 @@ fn power(t: Transform, c: f64) -> Result<(Transform, Option<Partial>), EvalError
         check_degree(degree(&poly_view(&t).1).max(1.0) * c.abs())?;
     }
     Ok(if c >= 0.0 && c.fract() == 0.0 {
-        (t.pow_int(c as u32), None)
+        t.pow_int(c as u32)
     } else if c == 0.5 {
-        (t.sqrt(), Some(Partial::Sqrt))
+        partial(&t, Partial::Sqrt);
+        t.sqrt()
     } else if c == -1.0 {
-        (t.recip(), Some(Partial::Recip))
+        partial(&t, Partial::Recip);
+        t.recip()
     } else if c < 0.0 && c.fract() == 0.0 {
-        (t.pow_int((-c) as u32).recip(), Some(Partial::Recip))
+        partial(&t, Partial::Recip);
+        t.pow_int((-c) as u32).recip()
     } else if c > 0.0
         && c < 1.0
         && (1.0 / c).fract().abs() < 1e-12
         && 1.0 / c <= f64::from(u32::MAX)
     {
         let n = (1.0 / c) as u32;
-        (t.root(n), (n % 2 == 0).then_some(Partial::EvenRoot))
+        if n % 2 == 0 {
+            partial(&t, Partial::EvenRoot);
+        }
+        t.root(n)
     } else {
         return Err(invalid(format!(
             "unsupported exponent {c}: use integers, 0.5, or 1/n"

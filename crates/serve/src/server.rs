@@ -166,8 +166,7 @@ impl ServerState {
 
     /// Handles one raw wire line: decode, dispatch, encode. Never fails —
     /// malformed input becomes an error *response* (with the request's
-    /// `id` echoed whenever it was readable), and a panic while answering
-    /// becomes an `internal` one.
+    /// `id` echoed whenever it was readable).
     ///
     /// ```
     /// use sppl_serve::server::{ServeConfig, ServerState};
@@ -179,29 +178,11 @@ impl ServerState {
     /// assert!(reply.contains(r#""kind":"bad_request""#));
     /// ```
     pub fn handle_line(&self, line: &str) -> String {
-        self.answer(line, |request| self.handle(request))
-    }
-
-    /// Decodes `line` and answers it with `handle`. A panic in either
-    /// becomes an `internal` error reply, with the request's `id` when it
-    /// was decoded, so the worker that read the line keeps its thread and
-    /// its connection.
-    fn answer(&self, line: &str, handle: impl Fn(&Request) -> Response) -> String {
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let mut id = None;
-        let response = panic::catch_unwind(AssertUnwindSafe(|| match Request::decode(line) {
-            Ok((decoded, request)) => {
-                id = decoded;
-                handle(&request)
-            }
-            Err((decoded, error)) => {
-                id = decoded;
-                Response::Error(error)
-            }
-        }))
-        .unwrap_or_else(|_| {
-            Response::Error(WireError::new("internal", "the request handler panicked"))
-        });
+        let (id, response) = match Request::decode(line) {
+            Ok((id, request)) => (id, self.handle(&request)),
+            Err((id, error)) => (id, Response::Error(error)),
+        };
         if matches!(response, Response::Error(_)) {
             self.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
@@ -626,6 +607,20 @@ fn worker_loop(state: &ServerState, shutdown: &Shutdown, rx: &Mutex<Receiver<Tcp
     }
 }
 
+/// Answers one request line with `handle_line`. A panic there becomes an
+/// `internal` error reply, with the request's `id` when the line decodes,
+/// counted in `errors`, so the worker keeps its thread and its connection.
+fn guarded(state: &ServerState, line: &str, handle_line: impl FnOnce(&str) -> String) -> String {
+    panic::catch_unwind(AssertUnwindSafe(|| handle_line(line))).unwrap_or_else(|_| {
+        state.counters.errors.fetch_add(1, Ordering::Relaxed);
+        let id = match panic::catch_unwind(|| Request::decode(line)) {
+            Ok(Ok((id, _)) | Err((id, _))) => id,
+            Err(_) => None,
+        };
+        Response::Error(WireError::new("internal", "the request handler panicked")).encode(id)
+    })
+}
+
 /// Speaks the protocol on one connection until EOF, a hard I/O error, or
 /// shutdown. The read timeout bounds how long shutdown waits for a quiet
 /// connection. Lines are read as bytes, so a timeout that lands inside a
@@ -663,7 +658,7 @@ fn handle_connection(
                 } else {
                     match std::str::from_utf8(&line) {
                         Ok(text) if text.trim().is_empty() => None,
-                        Ok(text) => Some(state.handle_line(text)),
+                        Ok(text) => Some(guarded(state, text, |text| state.handle_line(text))),
                         Err(_) => Some(state.reject_line("request line is not valid UTF-8")),
                     }
                 };
@@ -693,11 +688,15 @@ mod tests {
     #[test]
     fn a_panicking_request_gets_an_internal_reply_and_the_worker_goes_on() {
         let state = ServerState::new(&ServeConfig::default());
-        let reply = state.answer(r#"{"id": 7, "op": "stats"}"#, |_| panic!("handler bug"));
+        let reply = guarded(&state, r#"{"id": 7, "op": "stats"}"#, |_| {
+            panic!("handler bug")
+        });
         assert!(reply.contains(r#""kind":"internal""#), "{reply}");
         assert!(reply.contains(r#""id":7"#), "{reply}");
         assert_eq!(state.stats_snapshot().errors, 1);
-        let reply = state.handle_line(r#"{"id": 8, "op": "stats"}"#);
+        let reply = guarded(&state, r#"{"id": 8, "op": "stats"}"#, |line| {
+            state.handle_line(line)
+        });
         assert!(reply.contains(r#""ok":true"#), "{reply}");
         assert!(reply.contains(r#""id":8"#), "{reply}");
         assert_eq!(state.stats_snapshot().errors, 1);
